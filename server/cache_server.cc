@@ -154,6 +154,11 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
       deterministic_(options.deterministic),
       ring_capacity_(options.ring_capacity),
       queue_cap_(options.queue_cap),
+      // Never deeper than the cap or a ring: with at most depth - 1
+      // other batches of its own in flight, a Begin always finds room.
+      pipeline_depth_(std::min({kPipelineDepth,
+                                queue_cap_ > 0 ? queue_cap_ : kPipelineDepth,
+                                ring_capacity_})),
       admission_(options.admission),
       submit_timeout_ms_(options.submit_timeout_ms),
       batch_deadline_ms_(options.batch_deadline_ms),
@@ -533,17 +538,28 @@ SubmitResult CacheServer::WaitDone(ClientPort& port, Batch& batch) {
 
 SubmitResult CacheServer::Submit(std::size_t client, const Request* requests,
                                  std::size_t n) {
+  const SubmitResult admitted = Begin(client, 0, requests, n);
+  if (admitted != SubmitResult::kEnqueued) return admitted;
+  return Await(client, 0);
+}
+
+SubmitResult CacheServer::Begin(std::size_t client, std::size_t slot,
+                                const Request* requests, std::size_t n) {
   if (n == 0) return SubmitResult::kApplied;
   ClientPort& port = *ports_.at(client);
-  Batch& batch = port.sync_batch;
+  Batch& batch = port.sync_batch.at(slot);
   batch.client = static_cast<ClientId>(client);
   batch.async = false;
   // By the threading contract this thread IS the client's one producer.
   port.producer.Acquire();
   const SubmitResult admitted = Admit(port, &batch, requests, n);
   port.producer.Release();
-  if (admitted != SubmitResult::kEnqueued) return admitted;
-  return WaitDone(port, batch);
+  return admitted;
+}
+
+SubmitResult CacheServer::Await(std::size_t client, std::size_t slot) {
+  ClientPort& port = *ports_.at(client);
+  return WaitDone(port, port.sync_batch.at(slot));
 }
 
 SubmitResult CacheServer::SubmitAsync(std::size_t client,

@@ -41,6 +41,7 @@
 // reproducibly.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <chrono>
@@ -236,17 +237,19 @@ struct ServerOptions {
 ///       repeatedly, then Finish(client) exactly once ...
 ///   server.Shutdown();   // joins consumers; stats become readable
 /// Submit blocks until the batch has been applied (closed loop);
-/// SubmitAsync returns at admission (open loop, server copies the
-/// batch). Stop() aborts a run from any thread: blocked producers
-/// return kStopped, queued batches are discarded with exact accounting,
-/// and consumers join.
+/// Begin/Await split that into admission and completion so one
+/// producer can keep up to pipeline_depth() closed-loop batches in
+/// flight (the wire front end's pipelining); SubmitAsync returns at
+/// admission (open loop, server copies the batch). Stop() aborts a run
+/// from any thread: blocked producers return kStopped, queued batches
+/// are discarded with exact accounting, and consumers join.
 ///
 /// Threading contract: each client id must be driven by AT MOST ONE
-/// producer thread at a time (Submit / SubmitAsync / Finish for one
-/// client never race with themselves) — the SPSC rings and the plain
-/// producer-side ledger fields depend on it. Distinct clients may be
-/// driven from distinct threads freely, and Stop()/Shutdown() may be
-/// called from any thread.
+/// producer thread at a time (Submit / Begin / Await / SubmitAsync /
+/// Finish for one client never race with themselves) — the SPSC rings
+/// and the plain producer-side ledger fields depend on it. Distinct
+/// clients may be driven from distinct threads freely, and
+/// Stop()/Shutdown() may be called from any thread.
 class CacheServer {
  public:
   /// Builds shards, wires the ownership topology, and starts consumer
@@ -261,13 +264,42 @@ class CacheServer {
   CacheServer(const CacheServer&) = delete;
   CacheServer& operator=(const CacheServer&) = delete;
 
+  /// Closed-loop batches one client may keep in flight through
+  /// Begin/Await (the slot count per client).
+  static constexpr std::size_t kPipelineDepth = 16;
+
   /// Closed loop: admits one batch for `client` and blocks until every
   /// request in it has been applied by its owning consumers — or until
   /// admission rejects it (kShed / kTimedOut), its deadline expires in
   /// queue (kExpired), or Stop() aborts the run (kStopped). The caller
   /// keeps ownership of `requests`; they must stay valid until return.
+  /// Exactly Begin + Await on slot 0.
   SubmitResult Submit(std::size_t client, const Request* requests,
                       std::size_t n);
+
+  /// Pipelined closed loop, admission half: admits one batch for
+  /// `client` into closed-loop slot `slot` (< pipeline_depth()) and
+  /// returns without waiting. kEnqueued means the batch is in flight
+  /// and the caller must Await(client, slot) before reusing the slot or
+  /// releasing `requests`, which stay caller-owned and must remain valid
+  /// until then. Any other result is final (rejected at admission, or
+  /// kApplied for an empty batch) and nothing is to be awaited.
+  SubmitResult Begin(std::size_t client, std::size_t slot,
+                     const Request* requests, std::size_t n);
+
+  /// Pipelined closed loop, completion half: blocks until the batch
+  /// Begin put in `slot` has completed and returns its outcome
+  /// (kApplied / kExpired / kStopped). Batches of one client complete
+  /// in admission order per shard (each (client, consumer) ring is
+  /// FIFO), but Await may be called in any order. Same producer-thread
+  /// contract as Submit.
+  SubmitResult Await(std::size_t client, std::size_t slot);
+
+  /// Slots a caller may use with Begin: kPipelineDepth, clamped to
+  /// queue_cap (when set) and ring_capacity. At that depth a client's
+  /// own in-flight batches can never fill its queue cap or a ring, so
+  /// pipelining alone never sheds, times out or blocks at admission.
+  std::size_t pipeline_depth() const { return pipeline_depth_; }
 
   /// Open loop: admits one batch and returns immediately (kEnqueued on
   /// success). The server copies the requests, so the caller's buffer
@@ -347,8 +379,9 @@ class CacheServer {
   static constexpr std::uint8_t kStoppedBit = 2;
 
   /// One submitted batch. Closed-loop batches are reusable per-client
-  /// slots inside ClientPort (one in flight per client by the producer
-  /// contract); open-loop batches are heap-allocated and deleted by the
+  /// slots inside ClientPort (up to kPipelineDepth in flight per client,
+  /// one per slot, each Begun and Awaited by the client's one producer
+  /// thread); open-loop batches are heap-allocated and deleted by the
   /// consumer that completes the last slice. The producer fully routes
   /// and publishes the batch before the ring pushes; the ring's
   /// release/acquire pair makes every plain field visible to consumers.
@@ -388,9 +421,11 @@ class CacheServer {
     // --- producer-side (plain: one producer thread per client) ---
     AdmissionStats adm CLIC_GUARDED_BY(producer);
     std::uint64_t submit_counter CLIC_GUARDED_BY(producer) = 0;  // 1-based
-    Batch sync_batch;  // reusable closed-loop batch (role-guarded use,
-                       // but consumers read it through the ring, so the
-                       // pointer-shaped contract lives in Batch's docs)
+    /// Reusable closed-loop batch slots, one per pipelined batch in
+    /// flight (Submit uses slot 0). Role-guarded use, but consumers read
+    /// them through the ring, so the pointer-shaped contract lives in
+    /// Batch's docs.
+    std::array<Batch, kPipelineDepth> sync_batch;
     std::vector<Request> staging CLIC_GUARDED_BY(producer);
     std::vector<std::uint32_t> shard_ids CLIC_GUARDED_BY(producer);
     std::vector<std::uint32_t> run_offset CLIC_GUARDED_BY(producer);
@@ -528,6 +563,7 @@ class CacheServer {
   bool joined_ = false;
   std::size_t ring_capacity_ = 256;
   std::size_t queue_cap_ = 0;
+  std::size_t pipeline_depth_ = kPipelineDepth;
   AdmissionPolicy admission_ = AdmissionPolicy::kBlock;
   double submit_timeout_ms_ = 0.0;
   double batch_deadline_ms_ = 0.0;

@@ -728,13 +728,14 @@ void PrintNetStats(const net::NetStats& n) {
   std::fprintf(
       stderr,
       "clic_serve: wire: %llu conns accepted (%llu shed), %llu frames / "
-      "%llu requests, %llu rejected frames (%llu requests), evicted "
-      "%llu slow readers + %llu slow writers, %llu frames drained to "
-      "stopped\n",
+      "%llu requests in %llu reply writes, %llu rejected frames (%llu "
+      "requests), evicted %llu slow readers + %llu slow writers, %llu "
+      "frames drained to stopped\n",
       static_cast<unsigned long long>(n.accepted),
       static_cast<unsigned long long>(n.accept_shed),
       static_cast<unsigned long long>(n.frames),
       static_cast<unsigned long long>(n.frame_requests),
+      static_cast<unsigned long long>(n.reply_writes),
       static_cast<unsigned long long>(n.rejected_frames),
       static_cast<unsigned long long>(n.rejected_requests),
       static_cast<unsigned long long>(n.evicted_read),

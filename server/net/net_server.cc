@@ -35,6 +35,10 @@ void SlicedSleep(double ms, const std::atomic<bool>& stop) {
   }
 }
 
+/// Status and error frames carry no payload.
+constexpr std::size_t kReplyFrameBytes =
+    kFrameHeaderBytes + kFrameChecksumBytes;
+
 std::uint16_t WireCodeFor(SubmitResult r) {
   switch (r) {
     case SubmitResult::kApplied: return kWireApplied;
@@ -43,7 +47,7 @@ std::uint16_t WireCodeFor(SubmitResult r) {
     case SubmitResult::kExpired: return kWireExpired;
     case SubmitResult::kStopped: return kWireStopped;
     case SubmitResult::kEnqueued: return kWireApplied;  // unreachable:
-        // the net path uses closed-loop Submit only
+        // an enqueued frame is Awaited before it is answered
   }
   return kWireApplied;
 }
@@ -178,7 +182,7 @@ void NetServer::AcceptLoop() {
         counters_.accept_shed.fetch_add(1, std::memory_order_relaxed);
         std::string busy;
         AppendReplyFrame(FrameType::kError, kWireServerBusy, 0, &busy);
-        (void)!::write(fd, busy.data(), busy.size());
+        (void)!::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
         ::close(fd);
         continue;
       }
@@ -302,8 +306,10 @@ void NetServer::HandleReadable(Connection& conn) {
     }
     const ssize_t r = ::read(conn.fd, buf, want);
     if (r == 0) {
-      // EOF. A stream cut mid-frame is malformed input — count it as a
-      // rejected frame even though no error reply can reach the peer.
+      // EOF (every earlier frame is answered: ConsumeFrames leaves
+      // nothing in flight). A stream cut mid-frame is malformed input —
+      // count it as a rejected frame even though no error reply can
+      // reach the peer.
       if (conn.parser.HasPartial()) {
         counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
         CloseConnection(conn, false);
@@ -318,45 +324,9 @@ void NetServer::HandleReadable(Connection& conn) {
       CloseConnection(conn, false);
       return;
     }
-    const std::uint8_t* p = buf;
-    std::size_t len = static_cast<std::size_t>(r);
-    for (;;) {
-      const ParseStatus st = conn.parser.Consume(&p, &len, &conn.frame);
-      if (st == ParseStatus::kNeedMore) break;
-      if (st == ParseStatus::kError) {
-        // Fail closed: typed error reply, then the connection dies.
-        counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        counters_.rejected_requests.fetch_add(
-            conn.parser.rejected_batch_count(), std::memory_order_relaxed);
-        SendReply(conn, FrameType::kError, conn.parser.error_code(),
-                  conn.parser.frames() + 1);
-        CloseConnection(conn, false);
-        return;
-      }
-      if (conn.frame.type != FrameType::kBatch) {
-        // Status/error frames flow server -> client only; a client
-        // sending one is a protocol violation.
-        counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        SendReply(conn, FrameType::kError, kWireBadType, conn.frame.seq);
-        CloseConnection(conn, false);
-        return;
-      }
-      counters_.frames.fetch_add(1, std::memory_order_relaxed);
-      counters_.frame_requests.fetch_add(conn.frame.requests.size(),
-                                         std::memory_order_relaxed);
-      SubmitFrame(conn);
-      if (conn.closed) return;
-      if (plan != nullptr && plan->net_reset_every > 0 &&
-          conn.accept_index % plan->net_reset_every == 0 &&
-          conn.parser.frames() == 1) {
-        // net:reset — tear this connection down right after its first
-        // reply, RST instead of FIN.
-        counters_.resets_injected.fetch_add(1, std::memory_order_relaxed);
-        const linger rst{1, 0};
-        ::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst));
-        CloseConnection(conn, false);
-        return;
-      }
+    if (!ConsumeFrames(conn, buf, static_cast<std::size_t>(r),
+                       /*draining=*/false)) {
+      return;
     }
     // Partial-frame timer for the slowloris sweep.
     if (conn.parser.HasPartial()) {
@@ -367,25 +337,109 @@ void NetServer::HandleReadable(Connection& conn) {
   }
 }
 
-void NetServer::SubmitFrame(Connection& conn) {
-  const SubmitResult res =
-      server_->Submit(conn.slot, conn.frame.requests.data(),
-                      conn.frame.requests.size());
-  SendReply(conn, FrameType::kStatus, WireCodeFor(res), conn.frame.seq);
+bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
+                              std::size_t len, bool draining) {
+  const fault::FaultPlan* plan = options_.server.fault;
+  const std::size_t depth = server_->pipeline_depth();
+  for (;;) {
+    // The pipeline always has a free entry here: it is retired down
+    // below `depth` right after each Begin.
+    const std::size_t slot = (conn.head + conn.inflight) % depth;
+    Connection::InFlight& next = conn.pipe[slot];
+    const ParseStatus st = conn.parser.Consume(&data, &len, &next.frame);
+    if (st == ParseStatus::kNeedMore) {
+      // The chunk is used up: answer all of it, in frame order, with
+      // one flush. Answering here rather than after the read() that
+      // would find the socket dry keeps that syscall off a lone frame's
+      // reply path.
+      RetireAll(conn);
+      FlushWrites(conn, 0);
+      return !conn.closed;
+    }
+    if (st == ParseStatus::kError) {
+      // Fail closed: answer the frames before it, then a typed error
+      // reply, then the connection dies.
+      counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
+      counters_.rejected_requests.fetch_add(
+          conn.parser.rejected_batch_count(), std::memory_order_relaxed);
+      RetireAll(conn);
+      SendReply(conn, FrameType::kError, conn.parser.error_code(),
+                conn.parser.frames() + 1);
+      CloseConnection(conn, false);
+      return false;
+    }
+    if (next.frame.type != FrameType::kBatch) {
+      // Status/error frames flow server -> client only; a client
+      // sending one is a protocol violation.
+      counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
+      RetireAll(conn);
+      SendReply(conn, FrameType::kError, kWireBadType, next.frame.seq);
+      CloseConnection(conn, false);
+      return false;
+    }
+    counters_.frames.fetch_add(1, std::memory_order_relaxed);
+    counters_.frame_requests.fetch_add(next.frame.requests.size(),
+                                       std::memory_order_relaxed);
+    if (draining) {
+      counters_.drained_frames.fetch_add(1, std::memory_order_relaxed);
+    }
+    next.begun = server_->Begin(conn.slot, slot, next.frame.requests.data(),
+                                next.frame.requests.size());
+    ++conn.inflight;
+    if (plan != nullptr && plan->net_reset_every > 0 &&
+        conn.accept_index % plan->net_reset_every == 0 &&
+        conn.parser.frames() == 1) {
+      // net:reset — tear this connection down right after its first
+      // reply, RST instead of FIN.
+      RetireAll(conn);
+      FlushWrites(conn, 0);
+      if (conn.closed) return false;
+      counters_.resets_injected.fetch_add(1, std::memory_order_relaxed);
+      const linger rst{1, 0};
+      ::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst));
+      CloseConnection(conn, false);
+      return false;
+    }
+    if (conn.inflight == depth) RetireOldest(conn);
+    if (conn.closed) return false;
+  }
 }
 
-void NetServer::SendReply(Connection& conn, FrameType type,
-                          std::uint16_t code, std::uint64_t seq) {
+void NetServer::RetireOldest(Connection& conn) {
+  Connection::InFlight& f = conn.pipe[conn.head];
+  const SubmitResult res = f.begun == SubmitResult::kEnqueued
+                               ? server_->Await(conn.slot, conn.head)
+                               : f.begun;
+  // An emptied pipeline restarts at entry 0, so a connection that sends
+  // one frame at a time keeps reusing one warm slot.
+  --conn.inflight;
+  conn.head =
+      conn.inflight == 0 ? 0 : (conn.head + 1) % server_->pipeline_depth();
+  QueueReply(conn, FrameType::kStatus, WireCodeFor(res), f.frame.seq);
+}
+
+void NetServer::RetireAll(Connection& conn) {
+  while (conn.inflight > 0) RetireOldest(conn);
+}
+
+void NetServer::QueueReply(Connection& conn, FrameType type,
+                           std::uint16_t code, std::uint64_t seq) {
   AppendReplyFrame(type, code, seq, &conn.outbuf);
   ++conn.replies;
   const fault::FaultPlan* plan = options_.server.fault;
   if (plan != nullptr && plan->net_torn_write_every > 0 &&
-      conn.replies % plan->net_torn_write_every == 0) {
-    // net:torn-write — split this reply across two send() calls; the
-    // client parser must reassemble.
+      conn.replies % plan->net_torn_write_every == 0 && !conn.closed) {
+    // net:torn-write — this reply straddles two write() calls: flush up
+    // to its midpoint now, the rest with the next flush. The client
+    // parser must reassemble.
     counters_.torn_writes.fetch_add(1, std::memory_order_relaxed);
-    FlushWrites(conn, conn.outbuf.size() / 2);
+    FlushWrites(conn, conn.outbuf.size() - kReplyFrameBytes / 2);
   }
+}
+
+void NetServer::SendReply(Connection& conn, FrameType type,
+                          std::uint16_t code, std::uint64_t seq) {
+  QueueReply(conn, type, code, seq);
   FlushWrites(conn, 0);
 }
 
@@ -394,14 +448,18 @@ void NetServer::FlushWrites(Connection& conn, std::size_t limit) {
   std::size_t budget = limit == 0 ? conn.outbuf.size() : limit;
   std::size_t written = 0;
   while (written < budget && written < conn.outbuf.size()) {
-    const ssize_t w = ::write(conn.fd, conn.outbuf.data() + written,
-                              std::min(budget, conn.outbuf.size()) - written);
+    // MSG_NOSIGNAL: a peer that reset mid-reply costs an EPIPE and a
+    // close, never a SIGPIPE.
+    const ssize_t w =
+        ::send(conn.fd, conn.outbuf.data() + written,
+               std::min(budget, conn.outbuf.size()) - written, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       CloseConnection(conn, false);
       return;
     }
+    counters_.reply_writes.fetch_add(1, std::memory_order_relaxed);
     written += static_cast<std::size_t>(w);
   }
   if (written > 0) conn.outbuf.erase(0, written);
@@ -420,6 +478,11 @@ void NetServer::FlushWrites(Connection& conn, std::size_t limit) {
 void NetServer::CloseConnection(Connection& conn, bool clean) {
   if (conn.closed) return;
   conn.closed = true;
+  // A pipelined batch may still point into this connection's frame
+  // buffers: await it before the connection can be destroyed. The paths
+  // that can still answer retired the pipeline already; what is
+  // retired here (after a write or read error) goes unsent.
+  RetireAll(conn);
   if (conn.epfd >= 0) ::epoll_ctl(conn.epfd, EPOLL_CTL_DEL, conn.fd, nullptr);
   ::close(conn.fd);
   conn.fd = -1;
@@ -466,38 +529,21 @@ void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
 
 void NetServer::DrainConnection(Connection& conn) {
   // One final non-blocking read pass: frames the client already sent
-  // are flushed through the normal submit path — the stopped cache
-  // server counts each as submitted + stopped, keeping the ledger
-  // exact — and answered with a `stopped` reply.
+  // go through the normal parse -> Begin -> Await path — the stopped
+  // cache server counts each as submitted + stopped, keeping the ledger
+  // exact — and are answered with a `stopped` reply.
   std::uint8_t buf[16384];
   for (;;) {
     const ssize_t r = ::read(conn.fd, buf, sizeof(buf));
     if (r < 0 && errno == EINTR) continue;
     if (r <= 0) break;
-    const std::uint8_t* p = buf;
-    std::size_t len = static_cast<std::size_t>(r);
-    for (;;) {
-      const ParseStatus st = conn.parser.Consume(&p, &len, &conn.frame);
-      if (st == ParseStatus::kNeedMore) break;
-      if (st == ParseStatus::kError) {
-        counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        SendReply(conn, FrameType::kError, conn.parser.error_code(),
-                  conn.parser.frames() + 1);
-        CloseConnection(conn, false);
-        return;
-      }
-      if (conn.frame.type == FrameType::kBatch) {
-        counters_.frames.fetch_add(1, std::memory_order_relaxed);
-        counters_.frame_requests.fetch_add(conn.frame.requests.size(),
-                                           std::memory_order_relaxed);
-        counters_.drained_frames.fetch_add(1, std::memory_order_relaxed);
-        SubmitFrame(conn);
-        if (conn.closed) return;
-      }
+    if (!ConsumeFrames(conn, buf, static_cast<std::size_t>(r),
+                       /*draining=*/true)) {
+      return;
     }
   }
   FlushWrites(conn, 0);
-  if (!conn.closed) CloseConnection(conn, true);
+  CloseConnection(conn, true);
 }
 
 void NetServer::Drain() {
@@ -538,6 +584,7 @@ NetStats NetServer::Stats() const {
   s.torn_writes = counters_.torn_writes.load(std::memory_order_relaxed);
   s.partial_reads = counters_.partial_reads.load(std::memory_order_relaxed);
   s.accept_stalls = counters_.accept_stalls.load(std::memory_order_relaxed);
+  s.reply_writes = counters_.reply_writes.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -11,13 +11,26 @@
 // time with a typed server_busy reply). A connection is owned by
 // exactly one io thread — its `io` ThreadRole capability guards all
 // per-connection parse/write state, so the data path (read -> parse ->
-// Submit -> reply) takes no mutex at all. Mutexes survive only on the
-// control path: the acceptor handing a new connection to its io
+// Begin ... Await -> reply) takes no mutex at all. Mutexes survive only
+// on the control path: the acceptor handing a new connection to its io
 // thread's inbox, and the free-slot list at accept/close. That honours
 // the CacheServer producer contract (at most one producer thread per
 // client id): only the owning io thread ever submits on a connection's
 // slot, and slot recycling hands the port to the next connection
 // through the free-list mutex (a happens-before edge).
+//
+// Pipelining: a connection keeps up to CacheServer::pipeline_depth()
+// frames in flight (kPipelineDepth, clamped to queue_cap when one is
+// set, so a connection's own frames never trip its admission cap). Each
+// frame is parsed into its own slot and Begun as soon as it parses; the
+// oldest is Awaited only when the pipeline is full, and the rest once
+// the bytes of that read() are used up. Replies are queued strictly in
+// frame order (FIFO, the order a one-frame-at-a-time server would send
+// them) and written with one flush per read() chunk, so a client that
+// sends several frames per write gets their replies back in about one
+// write. Per-shard apply order is unchanged: each (client, consumer)
+// ring is FIFO. Every in-flight frame is Awaited and answered before
+// any error reply or close, so no batch outlives its connection.
 //
 // Robustness model:
 //   * fail-closed parsing — a malformed frame gets a typed error reply
@@ -47,6 +60,7 @@
 // wall-clock time.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -101,6 +115,9 @@ struct NetStats {
   std::uint64_t torn_writes = 0;        // net:torn-write activations
   std::uint64_t partial_reads = 0;      // net:partial-read activations
   std::uint64_t accept_stalls = 0;      // net:accept-stall activations
+  /// write() calls that carried reply bytes; frames / reply_writes is
+  /// the reply coalescing pipelining achieves.
+  std::uint64_t reply_writes = 0;
 };
 
 class NetServer {
@@ -147,7 +164,18 @@ class NetServer {
     std::uint64_t accept_index = 0;  // 1-based; drives net:reset/stall
     int epfd = -1;                   // owning thread's epoll fd (set at adoption)
     FrameParser parser CLIC_GUARDED_BY(io);
-    ParsedFrame frame CLIC_GUARDED_BY(io);  // decode scratch, reused per frame
+    /// One pipelined frame: its decode buffer (which a single-shard
+    /// batch is served from zero-copy, so it must outlive the Await)
+    /// and what Begin returned for it.
+    struct InFlight {
+      ParsedFrame frame;
+      SubmitResult begun = SubmitResult::kApplied;
+    };
+    /// FIFO of in-flight frames over entries [0, pipeline_depth());
+    /// entry i uses CacheServer closed-loop slot i.
+    std::array<InFlight, CacheServer::kPipelineDepth> pipe CLIC_GUARDED_BY(io);
+    std::size_t head CLIC_GUARDED_BY(io) = 0;      // oldest in-flight entry
+    std::size_t inflight CLIC_GUARDED_BY(io) = 0;  // entries in flight
     std::string outbuf CLIC_GUARDED_BY(io);         // unflushed replies
     std::uint64_t reads CLIC_GUARDED_BY(io) = 0;    // read events (faults)
     std::uint64_t replies CLIC_GUARDED_BY(io) = 0;  // replies (faults)
@@ -178,13 +206,31 @@ class NetServer {
   void IoLoop(std::size_t k);
   void AdoptNewConnections(IoThread& t);
   void HandleReadable(Connection& conn) CLIC_REQUIRES(conn.io);
-  void SubmitFrame(Connection& conn) CLIC_REQUIRES(conn.io);
+  /// Parses every complete frame in the read() chunk [data, data + len)
+  /// and Begins each batch frame, retiring the oldest when the pipeline
+  /// is full; then retires the rest and flushes, so nothing stays in
+  /// flight between chunks. On a malformed frame, a non-batch frame or
+  /// net:reset it retires the pipeline, answers and closes. Returns
+  /// false once the connection is closed.
+  bool ConsumeFrames(Connection& conn, const std::uint8_t* data,
+                     std::size_t len, bool draining) CLIC_REQUIRES(conn.io);
+  /// Awaits the oldest in-flight frame and queues its status reply.
+  void RetireOldest(Connection& conn) CLIC_REQUIRES(conn.io);
+  /// Retires every in-flight frame, oldest first.
+  void RetireAll(Connection& conn) CLIC_REQUIRES(conn.io);
+  /// Appends one reply to outbuf; every net:torn-write'th reply flushes
+  /// up to its midpoint, so that reply straddles two write() calls.
+  void QueueReply(Connection& conn, FrameType type, std::uint16_t code,
+                  std::uint64_t seq) CLIC_REQUIRES(conn.io);
+  /// QueueReply + flush: the typed error frame that precedes a close.
   void SendReply(Connection& conn, FrameType type, std::uint16_t code,
                  std::uint64_t seq) CLIC_REQUIRES(conn.io);
   /// Writes up to `limit` bytes of outbuf (0 = all); leftovers register
   /// EPOLLOUT and start the write-deadline clock.
   void FlushWrites(Connection& conn, std::size_t limit)
       CLIC_REQUIRES(conn.io);
+  /// Retires anything still in flight (so no batch points into a dead
+  /// connection), then closes and releases the port slot.
   void CloseConnection(Connection& conn, bool clean)
       CLIC_REQUIRES(conn.io);
   void SweepDeadlines(IoThread& t, std::int64_t now_ns);
@@ -222,6 +268,7 @@ class NetServer {
     std::atomic<std::uint64_t> torn_writes{0};
     std::atomic<std::uint64_t> partial_reads{0};
     std::atomic<std::uint64_t> accept_stalls{0};
+    std::atomic<std::uint64_t> reply_writes{0};
   };
   Counters counters_;
 };

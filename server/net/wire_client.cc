@@ -126,6 +126,13 @@ std::uint16_t WireClient::Call(const Request* reqs, std::size_t n) {
       Close();
       return kWireConnClosed;
     }
+    // One call, one reply: bytes past it are an unsolicited or
+    // duplicated frame, which must fail rather than vanish.
+    if (len > 0) {
+      error_ = "unexpected extra frame after reply";
+      Close();
+      return kWireConnClosed;
+    }
     // An error frame precedes a server-side close; hand the typed code
     // up and drop the connection now.
     if (reply_.type == FrameType::kError) Close();

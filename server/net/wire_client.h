@@ -41,8 +41,10 @@ class WireClient {
   /// Sends one batch frame and blocks for its status reply. Returns the
   /// wire code (kWireApplied..kWireStopped, or an error code >= 16 from
   /// an error frame). Returns kWireConnClosed on transport failure —
-  /// connection reset, EOF mid-reply, or a malformed reply frame; in
-  /// all those cases the connection is closed and error() explains.
+  /// connection reset, EOF mid-reply, a malformed reply frame, or bytes
+  /// beyond the one reply in the same read ("unexpected extra frame
+  /// after reply"); in all those cases the connection is closed and
+  /// error() explains.
   std::uint16_t Call(const Request* reqs, std::size_t n);
 
   void Close();

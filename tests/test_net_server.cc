@@ -3,9 +3,10 @@
 // ledgers, malformed input fails closed with a typed error and a
 // connection close, the connection table sheds at accept time, the
 // slowloris deadline evicts stuck partial frames, graceful drain
-// flushes in-flight frames into the `stopped` bucket, and the
+// flushes in-flight frames into the `stopped` bucket, the
 // deterministic wire mode is bit-identical to per-shard sequential
-// Simulate().
+// Simulate(), pipelined bursts are answered once each, in order, in
+// coalesced writes, and the wire client fails closed on an extra frame.
 #include "server/net/net_server.h"
 
 #include <gtest/gtest.h>
@@ -100,6 +101,70 @@ bool ReadEof(int fd) {
     if (r == 0) return true;
     if (r < 0) return false;
   }
+}
+
+bool WriteAll(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t w = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (w <= 0) return false;
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+/// Reads reply frames until `want` have parsed, or EOF / a malformed
+/// byte ends the stream early.
+std::vector<ParsedFrame> ReadReplies(int fd, std::size_t want) {
+  FrameParser parser(kWireMaxBatch);
+  std::vector<ParsedFrame> out;
+  ParsedFrame frame;
+  std::uint8_t buf[4096];
+  while (out.size() < want) {
+    const ssize_t r = ::read(fd, buf, sizeof(buf));
+    if (r <= 0) break;
+    const std::uint8_t* p = buf;
+    std::size_t len = static_cast<std::size_t>(r);
+    for (;;) {
+      const ParseStatus st = parser.Consume(&p, &len, &frame);
+      if (st == ParseStatus::kNeedMore) break;
+      if (st == ParseStatus::kError) return out;
+      out.push_back(frame);
+    }
+  }
+  return out;
+}
+
+/// Batch frames [first_seq, first_seq + frames) over consecutive
+/// `batch`-sized slices of `reqs`, concatenated for one write().
+std::string EncodeFrames(const Request* reqs, std::size_t total,
+                         std::size_t batch, std::uint64_t first_seq) {
+  std::string out;
+  std::uint64_t seq = first_seq;
+  for (std::size_t off = 0; off < total; off += batch) {
+    AppendBatchFrame(reqs + off, std::min(batch, total - off), seq++, &out);
+  }
+  return out;
+}
+
+/// Expects exactly `n` status replies with seq first_seq.. ascending.
+void ExpectOrderedStatus(const std::vector<ParsedFrame>& replies,
+                         std::size_t n, std::uint64_t first_seq) {
+  ASSERT_EQ(replies.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(replies[i].type, FrameType::kStatus) << "reply " << i;
+    EXPECT_EQ(replies[i].seq, first_seq + i) << "reply " << i;
+  }
+}
+
+void ExpectExactLedger(const AdmissionStats& adm) {
+  EXPECT_EQ(adm.submitted_batches,
+            adm.applied_batches + adm.shed_batches + adm.timed_out_batches +
+                adm.expired_batches + adm.stopped_batches);
+  EXPECT_EQ(adm.submitted_requests,
+            adm.applied_requests + adm.shed_requests +
+                adm.timed_out_requests + adm.expired_requests +
+                adm.stopped_requests);
 }
 
 TEST(NetServerTest, AppliesBatchesWithExactLedgers) {
@@ -343,6 +408,195 @@ TEST(NetServerTest, NetFaultsPreserveDecisionsAndCount) {
   const CacheStats served = server.cache().TotalStats();
   EXPECT_EQ(served.read_hits, expected.total.read_hits);
   EXPECT_EQ(served.write_hits, expected.total.write_hits);
+}
+
+// Pipelining: more frames than the pipeline holds, all in one write and
+// each spanning every shard, come back as one in-order status per frame,
+// in fewer write() calls than frames.
+TEST(NetServerPipelineTest, BurstAcrossEveryShardRepliesInOrder) {
+  NetServerOptions opts = SmallServer();
+  opts.server.shards = 4;
+  NetServer server(opts);
+  // Two pages per shard per frame, different pages in every frame.
+  std::vector<std::vector<PageId>> by_shard(4);
+  for (PageId page = 0; by_shard[0].size() < 256 || by_shard[1].size() < 256 ||
+                        by_shard[2].size() < 256 || by_shard[3].size() < 256;
+       ++page) {
+    by_shard[ShardOf(page, 4)].push_back(page);
+  }
+  const std::size_t frames = 3 * CacheServer::kPipelineDepth + 1;
+  std::vector<Request> reqs;
+  for (std::size_t f = 0; f < frames; ++f) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        Request r;
+        r.page = by_shard[s][(2 * f + k) % by_shard[s].size()];
+        reqs.push_back(r);
+      }
+    }
+  }
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string burst = EncodeFrames(reqs.data(), reqs.size(), 8, 1);
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  const std::vector<ParsedFrame> replies = ReadReplies(fd, frames);
+  ExpectOrderedStatus(replies, frames, 1);
+  for (const ParsedFrame& reply : replies) {
+    EXPECT_EQ(reply.code, kWireApplied) << "seq " << reply.seq;
+  }
+  ::close(fd);
+  server.Drain();
+  const NetStats net = server.Stats();
+  const AdmissionStats adm = server.cache().TotalAdmission();
+  EXPECT_EQ(net.frames, frames);
+  EXPECT_EQ(net.frames, adm.submitted_batches);
+  EXPECT_EQ(adm.applied_batches, frames);
+  EXPECT_EQ(server.cache().requests_applied(), reqs.size());
+  EXPECT_LT(net.reply_writes, net.frames) << "replies were not coalesced";
+}
+
+// One connection streams a whole trace in bursts of 40 frames without
+// waiting for replies: a deterministic server still applies it
+// bit-identically to per-shard sequential Simulate, with and without
+// torn writes and partial reads reshaping the byte stream.
+TEST(NetServerPipelineTest, DeterministicBurstsMatchPartitionedSimulate) {
+  const Trace trace = MakeSynthetic("net_burst", 13, 6000, 3);
+  for (const char* spec : {"", "net:torn-write=3,partial-read=4"}) {
+    SCOPED_TRACE(std::string("fault plan '") + spec + "'");
+    fault::FaultPlan plan;
+    std::string error;
+    if (*spec != '\0') {
+      ASSERT_TRUE(fault::ParseFaultPlan(spec, &plan, &error)) << error;
+    }
+    ServerOptions sopts;
+    sopts.shards = 4;
+    sopts.cache_pages = 96;
+    sopts.policy = PolicyKind::kClic;
+    sopts.clic.window = 500;
+    sopts.deterministic = true;
+    NetServerOptions nopts;
+    nopts.server = sopts;
+    nopts.server.fault = &plan;
+    nopts.conn_limit = 1;
+    NetServer server(nopts);
+
+    const int fd = ConnectRaw(server.port());
+    ASSERT_GE(fd, 0);
+    const std::size_t batch = 32;
+    const std::size_t burst_requests = 40 * batch;
+    std::size_t frames = 0;
+    for (std::size_t off = 0; off < trace.size(); off += burst_requests) {
+      const std::size_t n = std::min(burst_requests, trace.size() - off);
+      ASSERT_TRUE(WriteAll(fd, EncodeFrames(&trace.requests[off], n, batch,
+                                            frames + 1)));
+      frames += (n + batch - 1) / batch;
+    }
+    const std::vector<ParsedFrame> replies = ReadReplies(fd, frames);
+    ExpectOrderedStatus(replies, frames, 1);
+    for (const ParsedFrame& reply : replies) {
+      EXPECT_EQ(reply.code, kWireApplied) << "seq " << reply.seq;
+    }
+    ::close(fd);
+    server.Drain();
+
+    const SimResult expected = PartitionedSimulate(trace, sopts);
+    const CacheStats served = server.cache().TotalStats();
+    EXPECT_EQ(served.reads, expected.total.reads);
+    EXPECT_EQ(served.writes, expected.total.writes);
+    EXPECT_EQ(served.read_hits, expected.total.read_hits);
+    EXPECT_EQ(served.write_hits, expected.total.write_hits);
+    if (plan.net_torn_write_every > 0) {
+      EXPECT_GT(server.Stats().torn_writes, 0u);
+      EXPECT_GT(server.Stats().partial_reads, 0u);
+    }
+  }
+}
+
+// With a queue cap the pipeline is clamped to it, so a connection's own
+// burst can never trip shed admission.
+TEST(NetServerPipelineTest, QueueCapBurstShedsNothing) {
+  const Trace trace = MakeSynthetic("net_cap", 17, 40 * 16, 1);
+  NetServerOptions opts = SmallServer();
+  opts.server.queue_cap = 2;
+  opts.server.admission = AdmissionPolicy::kShed;
+  NetServer server(opts);
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  const std::size_t frames = 40;
+  ASSERT_TRUE(WriteAll(
+      fd, EncodeFrames(trace.requests.data(), trace.size(), 16, 1)));
+  const std::vector<ParsedFrame> replies = ReadReplies(fd, frames);
+  ExpectOrderedStatus(replies, frames, 1);
+  for (const ParsedFrame& reply : replies) {
+    EXPECT_EQ(reply.code, kWireApplied) << "seq " << reply.seq;
+  }
+  ::close(fd);
+  server.Drain();
+  const AdmissionStats adm = server.cache().TotalAdmission();
+  EXPECT_EQ(adm.shed_batches, 0u);
+  EXPECT_EQ(adm.applied_batches, frames);
+  ExpectExactLedger(adm);
+}
+
+// Drain() racing a burst that is still being served: every frame gets
+// exactly one reply, applied or stopped, and the ledger balances.
+TEST(NetServerPipelineTest, DrainAnswersEveryFrameOfABurstOnce) {
+  const Trace trace = MakeSynthetic("net_drain_burst", 19, 41 * 8, 1);
+  NetServer server(SmallServer());
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  // One round trip first, so the connection is adopted before Drain.
+  ASSERT_TRUE(WriteAll(fd, EncodeFrames(trace.requests.data(), 8, 8, 1)));
+  ASSERT_EQ(ReadReplyCode(fd), kWireApplied);
+  const std::size_t frames = 40;
+  ASSERT_TRUE(WriteAll(fd, EncodeFrames(trace.requests.data() + 8,
+                                        frames * 8, 8, 2)));
+  server.Drain();
+  const std::vector<ParsedFrame> replies = ReadReplies(fd, frames);
+  ExpectOrderedStatus(replies, frames, 2);
+  for (const ParsedFrame& reply : replies) {
+    EXPECT_TRUE(reply.code == kWireApplied || reply.code == kWireStopped)
+        << "seq " << reply.seq << " got " << WireCodeName(reply.code);
+  }
+  EXPECT_TRUE(ReadEof(fd));
+  ::close(fd);
+  const AdmissionStats adm = server.cache().TotalAdmission();
+  EXPECT_EQ(adm.submitted_batches, frames + 1);
+  EXPECT_EQ(adm.applied_batches + adm.stopped_batches, frames + 1);
+  EXPECT_EQ(server.Stats().frames, adm.submitted_batches);
+  ExpectExactLedger(adm);
+}
+
+// A reply stream carrying more than the one frame a Call expects must
+// fail closed instead of silently dropping the extra frame.
+TEST(WireClientTest, ExtraFrameAfterReplyFailsClosed) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t sa_len = sizeof(sa);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &sa_len);
+
+  WireClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ntohs(sa.sin_port)))
+      << client.error();
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  // Two status frames in one write, queued before the call reads.
+  std::string two;
+  AppendReplyFrame(FrameType::kStatus, kWireApplied, 1, &two);
+  AppendReplyFrame(FrameType::kStatus, kWireApplied, 2, &two);
+  ASSERT_TRUE(WriteAll(peer, two));
+  Request r;
+  EXPECT_EQ(client.Call(&r, 1), WireClient::kWireConnClosed);
+  EXPECT_EQ(client.error(), "unexpected extra frame after reply");
+  EXPECT_FALSE(client.connected());
+  ::close(peer);
+  ::close(listener);
 }
 
 }  // namespace

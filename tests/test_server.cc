@@ -486,5 +486,100 @@ TEST(CacheServerShutdownTest, StopIsIdempotentAndSafeWhenIdle) {
   ExpectExactLedger(server.TotalAdmission());
 }
 
+// Begin/Await only move the wait, not the order: a deterministic run
+// that keeps pipeline_depth() batches in flight is bit-identical to
+// per-shard sequential Simulate, with an exact ledger.
+TEST(CacheServerPipelineTest, PipelinedBatchesMatchPartitionedSimulate) {
+  const Trace trace = MakeSynthetic("pipe", 29, 4000, 1);
+  ServerOptions options;
+  options.shards = 4;
+  options.cache_pages = 96;
+  options.policy = PolicyKind::kClic;
+  options.clic.window = 500;
+  options.deterministic = true;
+  CacheServer server(options, 1);
+  const std::size_t depth = server.pipeline_depth();
+  ASSERT_EQ(depth, CacheServer::kPipelineDepth);
+  const std::size_t batch = 17;
+  std::size_t begun = 0;
+  std::size_t awaited = 0;
+  for (std::size_t pos = 0; pos < trace.size(); pos += batch) {
+    const std::size_t n = std::min(batch, trace.size() - pos);
+    ASSERT_EQ(server.Begin(0, begun % depth, trace.requests.data() + pos, n),
+              SubmitResult::kEnqueued);
+    ++begun;
+    if (begun - awaited == depth) {
+      ASSERT_EQ(server.Await(0, awaited++ % depth), SubmitResult::kApplied);
+    }
+  }
+  while (awaited < begun) {
+    ASSERT_EQ(server.Await(0, awaited++ % depth), SubmitResult::kApplied);
+  }
+  server.Finish(0);
+  server.Shutdown();
+  ExpectSameStats(server.TotalStats(),
+                  PartitionedSimulate(trace, options).total);
+  const AdmissionStats a = server.TotalAdmission();
+  EXPECT_EQ(a.applied_batches, begun);
+  ExpectExactLedger(a);
+}
+
+TEST(CacheServerPipelineTest, DepthClampsToQueueCapAndRingCapacity) {
+  const auto depth = [](const ServerOptions& options) {
+    CacheServer server(options, 1);
+    server.Stop();  // no client will Finish
+    return server.pipeline_depth();
+  };
+  ServerOptions options;
+  options.shards = 1;
+  options.cache_pages = 16;
+  EXPECT_EQ(depth(options), CacheServer::kPipelineDepth);
+  options.queue_cap = 2;
+  EXPECT_EQ(depth(options), 2u);
+  options.queue_cap = 0;
+  options.ring_capacity = 4;
+  EXPECT_EQ(depth(options), 4u);
+}
+
+// Stop() with a full pipeline in flight: every Await returns, each
+// batch lands in exactly one ledger bucket.
+TEST(CacheServerPipelineTest, StopResolvesEveryInFlightSlot) {
+  const Trace trace = MakeSynthetic("pipe-stop", 61, 64 * 16, 1);
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultPlan("stall:shard=0,after=0,drains=100,ms=20",
+                                    &plan, &error))
+      << error;
+  ServerOptions options;
+  options.shards = 1;
+  options.cache_pages = 32;
+  options.fault = &plan;
+  CacheServer server(options, 1);
+  const std::size_t depth = server.pipeline_depth();
+  for (std::size_t s = 0; s < depth; ++s) {
+    ASSERT_EQ(server.Begin(0, s, trace.requests.data() + 64 * s, 64),
+              SubmitResult::kEnqueued);
+  }
+  std::thread stopper([&server] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    server.Stop();
+  });
+  std::size_t applied = 0;
+  std::size_t stopped = 0;
+  for (std::size_t s = 0; s < depth; ++s) {
+    const SubmitResult r = server.Await(0, s);
+    applied += r == SubmitResult::kApplied ? 1 : 0;
+    stopped += r == SubmitResult::kStopped ? 1 : 0;
+  }
+  stopper.join();
+  EXPECT_EQ(applied + stopped, depth);
+  EXPECT_GE(stopped, 1u) << "a 20ms-per-drain shard cannot finish 16 "
+                            "batches in 30ms";
+  const AdmissionStats a = server.TotalAdmission();
+  EXPECT_EQ(a.applied_batches, applied);
+  EXPECT_EQ(a.stopped_batches, stopped);
+  ExpectExactLedger(a);
+}
+
 }  // namespace
 }  // namespace clic::server
