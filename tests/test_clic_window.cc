@@ -320,6 +320,193 @@ TEST(ClicWindowTest, ChurnCloseDiscountsStalePrioritiesExactly) {
   }
 }
 
+// ---- rank transitions at a window close -----------------------------------
+//
+// A full cache probed by a chain of misses pins the exact eviction
+// order: reading `fresh` evicts the first victim, and reading each
+// expected victim next misses only if it really was the page evicted
+// one step earlier (otherwise it is still cached and hits). Every read
+// is annotated with `probe`, the top-ranked hint set, so the chain's
+// own pages queue above every bucket being drained.
+void ExpectVictimOrder(Driver& d, HintSetId probe, PageId fresh,
+                       const std::vector<PageId>& victims) {
+  ASSERT_FALSE(d.Read(fresh, probe)) << "fresh probe page hit";
+  for (std::size_t i = 0; i < victims.size(); ++i) {
+    ASSERT_FALSE(d.Read(victims[i], probe))
+        << "page " << victims[i] << " was not victim " << i;
+  }
+}
+
+constexpr HintSetId kP = 5, kZ = 6;
+
+TEST(ClicRankTransitionTest, PromotedHintSetKeepsRecencyOrder) {
+  // Cache of 6, no evictions before the close. Window 1, with seq:
+  //   0 a1 A, 1 z1 Z, 2 a2 A, 3 z2 Z, 4 a3 A, 5 a1 A (hit, R_A = 1),
+  //   6 p1 P, 7 p1 P (hit, R_P = 1); close at 8.
+  // A: area = 1*2 + 2*2 + 3*4 = 18, S = 2.25, priority 1/2.25.
+  // P: area = 2, S = 0.25, priority 4. Z: priority 0.
+  // A and P leave rank 0 (ranks 1 and 2); A's pages must keep their
+  // recency a1 > a3 > a2 in rank 1, so the victims are rank 0's
+  // z1, z2, then a2, a3, a1, then p1.
+  ClicPolicy clic(6, BareOptions(1'000));
+  Driver d(&clic);
+  d.Read(1, kA);
+  d.Read(11, kZ);
+  d.Read(2, kA);
+  d.Read(12, kZ);
+  d.Read(3, kA);
+  ASSERT_TRUE(d.Read(1, kA));
+  d.Read(21, kP);
+  ASSERT_TRUE(d.Read(21, kP));
+  clic.ForceEndWindow();
+  const auto priorities = PriorityMap(clic);
+  ASSERT_DOUBLE_EQ(priorities.at(kA), 1.0 / 2.25);
+  ASSERT_DOUBLE_EQ(priorities.at(kP), 4.0);
+  ExpectVictimOrder(d, kP, 99, {11, 12, 2, 3, 1, 21});
+}
+
+// Window 1 interleaves A's and Z's pages and gives A a positive
+// priority (rank 1); window 2 references only P. Cache of 6, no
+// evictions. Seq:
+//   0 a1 A, 1 z1 Z, 2 a2 A, 3 z2 Z, 4 a1 A (hit), 5 z3 Z; close at 6.
+//   6 p1 P, 7 p1 P (hit); close at 8.
+// At the second close A drops back to rank 0 (the caller's options
+// zero it) and P holds rank 1 (R = 1, S = 1). Rank 0 must then hold
+// z3 > a1 > z2 > a2 > z1 by recency, so the victims are z1, a2, z2,
+// a1, z3, then p1.
+void ExpectDemotedSetInterleaves(const ClicOptions& options) {
+  ClicPolicy clic(6, options);
+  Driver d(&clic);
+  d.Read(1, kA);
+  d.Read(11, kZ);
+  d.Read(2, kA);
+  d.Read(12, kZ);
+  ASSERT_TRUE(d.Read(1, kA));
+  d.Read(13, kZ);
+  clic.ForceEndWindow();
+  ASSERT_GT(PriorityMap(clic).at(kA), 0.0);
+  d.Read(21, kP);
+  ASSERT_TRUE(d.Read(21, kP));
+  clic.ForceEndWindow();
+  const auto priorities = PriorityMap(clic);
+  ASSERT_DOUBLE_EQ(priorities.at(kA), 0.0);
+  ASSERT_DOUBLE_EQ(priorities.at(kP), 1.0);
+  ExpectVictimOrder(d, kP, 99, {11, 2, 12, 1, 13, 21});
+}
+
+TEST(ClicRankTransitionTest, DemotedHintSetInterleavesUnderZeroDecay) {
+  // decay = 0 keeps only the last window, where A has no re-reference.
+  ClicOptions options = BareOptions(1'000);
+  options.decay = 0.0;
+  ExpectDemotedSetInterleaves(options);
+}
+
+TEST(ClicRankTransitionTest, DemotedHintSetInterleavesUnderTracker) {
+  // A two-counter Space-Saving tracker holds {A, Z} in window 1 and
+  // only {P} in window 2, so A becomes ineligible at the second close.
+  ClicOptions options = BareOptions(1'000);
+  options.tracker = TrackerKind::kSpaceSaving;
+  options.top_k = 2;
+  ExpectDemotedSetInterleaves(options);
+}
+
+TEST(ClicRankTransitionTest, PositiveHintSetsSwapRanks) {
+  // Cache of 4, no evictions before the probes. Window 1, with seq:
+  //   0 a1 A, 1 b1 B, 2 b1 B (hit), 3 a2 A, 4 b2 B, 5 a1 A (hit),
+  //   6 b2 B (hit); close at 7 (L = 7).
+  // A: area = 1*3 + 2*4 = 11, R = 1, priority 7/11 -> rank 1.
+  // B: area = 1*3 + 2*3 = 9, R = 2, priority 14/9 -> rank 2.
+  // Window 2: a2, a1, a2, a1 (four A hits); close at 11 (L = 4).
+  // A: acc_r = 1 + 4 = 5, acc_s = 11/7 + 2, priority 1.4 -> rank 2.
+  // B: acc_r = 2, acc_s = 9/7 + 2, priority 14/23 -> rank 1.
+  // B's bucket is now evicted first (b1, b2), then A's (a2, a1).
+  ClicPolicy clic(4, BareOptions(1'000));
+  Driver d(&clic);
+  d.Read(1, kA);
+  d.Read(11, kB);
+  d.Read(11, kB);
+  d.Read(2, kA);
+  d.Read(12, kB);
+  d.Read(1, kA);
+  d.Read(12, kB);
+  clic.ForceEndWindow();
+  auto priorities = PriorityMap(clic);
+  ASSERT_DOUBLE_EQ(priorities.at(kA), 7.0 / 11.0);
+  ASSERT_DOUBLE_EQ(priorities.at(kB), 14.0 / 9.0);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(d.Read(2, kA));
+    ASSERT_TRUE(d.Read(1, kA));
+  }
+  clic.ForceEndWindow();
+  priorities = PriorityMap(clic);
+  ASSERT_DOUBLE_EQ(priorities.at(kA), 5.0 / (11.0 / 7.0 + 2.0));
+  ASSERT_DOUBLE_EQ(priorities.at(kB), 2.0 / (9.0 / 7.0 + 2.0));
+  ExpectVictimOrder(d, kA, 99, {11, 12, 2, 1});
+}
+
+TEST(ClicRankTransitionTest, ChurnCloseAtSimilarityZero) {
+  // Adaptive window, first checkpoint 10 requests into a window. Cache
+  // of 7, no evictions before the probes. Window 1, with seq:
+  //   0 a A, 1 b1 B, 2 b1 (hit), 3 c C, 4 c (hit), 5 d D, 6 d (hit),
+  //   7 d (hit), 8 a (hit), 9 d (hit), 10 c (hit), 11 b2 B, 12 c (hit),
+  //   13 b1 (hit), 14 z1 Z; forced close at 15 (L = 15).
+  // Priorities: A 1/1, B 2/1.2, C 3/0.8, D 3/(2/3), Z 0, so ranks
+  // A 1, B 2, C 3, D 4, and the committed top half is {C, D}.
+  // Window 2: 15 z2 Z, 16 a (hit), then eight hits alternating z1, z2.
+  // At the checkpoint (seq 25) all 9 re-references landed on A and Z,
+  // none in the top half: similarity 0 closes the window and zeroes
+  // every re-reference history. A (R = 1) and Z (R = 8) rank 1 and 2;
+  // B, C and D drop into rank 0. Rank 0 must merge b1 > c > b2 > d by
+  // recency and Z's pages must keep z2 > z1, so the victims are d, b2,
+  // c, b1, then a, then z1, z2.
+  ClicOptions options = BareOptions(100);
+  options.adaptive_window = true;
+  options.churn_threshold = 0.5;
+  options.min_window = 10;
+  ClicPolicy clic(7, options);
+  Driver d(&clic);
+  constexpr HintSetId kC = 2, kD = 3;
+  d.Read(1, kA);
+  d.Read(11, kB);
+  d.Read(11, kB);
+  d.Read(21, kC);
+  d.Read(21, kC);
+  d.Read(31, kD);
+  d.Read(31, kD);
+  d.Read(31, kD);
+  d.Read(1, kA);
+  d.Read(31, kD);
+  d.Read(21, kC);
+  d.Read(12, kB);
+  d.Read(21, kC);
+  d.Read(11, kB);
+  d.Read(41, kZ);
+  clic.ForceEndWindow();
+  ASSERT_EQ(clic.windows_completed(), 1u);
+  auto priorities = PriorityMap(clic);
+  ASSERT_DOUBLE_EQ(priorities.at(kA), 1.0);
+  ASSERT_DOUBLE_EQ(priorities.at(kB), 2.0 / 1.2);
+  ASSERT_DOUBLE_EQ(priorities.at(kC), 3.0 / 0.8);
+  ASSERT_DOUBLE_EQ(priorities.at(kD), 3.0 / (10.0 / 15.0));
+
+  d.Read(42, kZ);
+  ASSERT_TRUE(d.Read(1, kA));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(d.Read(41, kZ));
+    ASSERT_TRUE(d.Read(42, kZ));
+  }
+  const std::uint64_t early = clic.early_closes();
+  ExpectVictimOrder(d, kZ, 99, {31, 12, 21, 11, 1, 41, 42});
+  EXPECT_EQ(clic.early_closes(), early + 1);
+  EXPECT_EQ(clic.windows_completed(), 2u);
+  priorities = PriorityMap(clic);
+  EXPECT_DOUBLE_EQ(priorities.at(kA), 0.5);
+  EXPECT_DOUBLE_EQ(priorities.at(kB), 0.0);
+  EXPECT_DOUBLE_EQ(priorities.at(kC), 0.0);
+  EXPECT_DOUBLE_EQ(priorities.at(kD), 0.0);
+  EXPECT_GT(priorities.at(kZ), priorities.at(kA));
+}
+
 TEST(HintClassTreeTest, GroupsByInformativeAttribute) {
   // Attribute 0 determines behaviour; attribute 1 is per-variant noise.
   HintRegistry registry;
