@@ -1,6 +1,7 @@
 #include "core/clic.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/hint_tree.h"
@@ -109,70 +110,52 @@ void ClicPolicy::Annotate(Slot& slot, HintSetId hint, SeqNum now) {
 
 // ---- intrusive lists ------------------------------------------------------
 
-void ClicPolicy::GListPushFront(List& list, std::uint32_t i) {
-  slots_[i].g_prev = kInvalidIndex;
-  slots_[i].g_next = list.head;
-  if (list.head != kInvalidIndex) slots_[list.head].g_prev = i;
+void ClicPolicy::ListPushFront(List& list, std::uint32_t i) {
+  slots_[i].prev = kInvalidIndex;
+  slots_[i].next = list.head;
+  if (list.head != kInvalidIndex) slots_[list.head].prev = i;
   list.head = i;
   if (list.tail == kInvalidIndex) list.tail = i;
   ++list.size;
 }
 
-void ClicPolicy::GListRemove(List& list, std::uint32_t i) {
-  if (slots_[i].g_prev != kInvalidIndex) {
-    slots_[slots_[i].g_prev].g_next = slots_[i].g_next;
+void ClicPolicy::ListPushBack(List& list, std::uint32_t i) {
+  slots_[i].next = kInvalidIndex;
+  slots_[i].prev = list.tail;
+  if (list.tail != kInvalidIndex) slots_[list.tail].next = i;
+  list.tail = i;
+  if (list.head == kInvalidIndex) list.head = i;
+  ++list.size;
+}
+
+void ClicPolicy::ListRemove(List& list, std::uint32_t i) {
+  if (slots_[i].prev != kInvalidIndex) {
+    slots_[slots_[i].prev].next = slots_[i].next;
   } else {
-    list.head = slots_[i].g_next;
+    list.head = slots_[i].next;
   }
-  if (slots_[i].g_next != kInvalidIndex) {
-    slots_[slots_[i].g_next].g_prev = slots_[i].g_prev;
+  if (slots_[i].next != kInvalidIndex) {
+    slots_[slots_[i].next].prev = slots_[i].prev;
   } else {
-    list.tail = slots_[i].g_prev;
+    list.tail = slots_[i].prev;
   }
-  slots_[i].g_prev = slots_[i].g_next = kInvalidIndex;
   --list.size;
 }
 
-std::uint32_t ClicPolicy::GListPopBack(List& list) {
-  const std::uint32_t i = list.tail;
-  GListRemove(list, i);
-  return i;
-}
-
 void ClicPolicy::BucketPushFront(std::uint32_t rank, std::uint32_t i) {
-  List& b = buckets_[rank];
-  slots_[i].b_prev = kInvalidIndex;
-  slots_[i].b_next = b.head;
-  if (b.head != kInvalidIndex) slots_[b.head].b_prev = i;
-  b.head = i;
-  if (b.tail == kInvalidIndex) b.tail = i;
-  if (++b.size == 1) BitmapSet(rank);
+  slots_[i].stamp = ++stamp_clock_;
+  ListPushFront(buckets_[rank], i);
+  if (buckets_[rank].size == 1) BitmapSet(rank);
 }
 
 void ClicPolicy::BucketPushBack(std::uint32_t rank, std::uint32_t i) {
-  List& b = buckets_[rank];
-  slots_[i].b_next = kInvalidIndex;
-  slots_[i].b_prev = b.tail;
-  if (b.tail != kInvalidIndex) slots_[b.tail].b_next = i;
-  b.tail = i;
-  if (b.head == kInvalidIndex) b.head = i;
-  if (++b.size == 1) BitmapSet(rank);
+  ListPushBack(buckets_[rank], i);
+  if (buckets_[rank].size == 1) BitmapSet(rank);
 }
 
 void ClicPolicy::BucketRemove(std::uint32_t rank, std::uint32_t i) {
-  List& b = buckets_[rank];
-  if (slots_[i].b_prev != kInvalidIndex) {
-    slots_[slots_[i].b_prev].b_next = slots_[i].b_next;
-  } else {
-    b.head = slots_[i].b_next;
-  }
-  if (slots_[i].b_next != kInvalidIndex) {
-    slots_[slots_[i].b_next].b_prev = slots_[i].b_prev;
-  } else {
-    b.tail = slots_[i].b_prev;
-  }
-  slots_[i].b_prev = slots_[i].b_next = kInvalidIndex;
-  if (--b.size == 0) BitmapClear(rank);
+  ListRemove(buckets_[rank], i);
+  if (buckets_[rank].size == 0) BitmapClear(rank);
 }
 
 void ClicPolicy::BitmapSet(std::uint32_t rank) {
@@ -207,37 +190,34 @@ void ClicPolicy::EvictOne(SeqNum now) {
   const std::uint32_t rank = FindVictimRank();
   const std::uint32_t si = buckets_[rank].tail;
   BucketRemove(rank, si);
-  GListRemove(global_, si);
+  --cached_;
   Slot& s = slots_[si];
+  s.stamp = 0;
   if (outqueue_capacity_ > 0) {
     // The page's metadata stays tracked in the outqueue so a re-reference
     // still credits its hint set.
-    s.state = SlotState::kOutqueue;
-    GListPushFront(outqueue_, si);
+    ListPushFront(outqueue_, si);
     if (outqueue_.size > outqueue_capacity_) {
-      const std::uint32_t drop = GListPopBack(outqueue_);
+      const std::uint32_t drop = outqueue_.tail;
+      ListRemove(outqueue_, drop);
       Slot& d = slots_[drop];
       FlushArea(d.hint, now);
       --hints_.cur[d.hint];
       page_table_.Clear(d.page);
-      d.state = SlotState::kFree;
       free_slots_.push_back(drop);
     }
   } else {
     FlushArea(s.hint, now);
     --hints_.cur[s.hint];
     page_table_.Clear(s.page);
-    s.state = SlotState::kFree;
     free_slots_.push_back(si);
   }
 }
 
 void ClicPolicy::InsertCached(std::uint32_t slot_index, SeqNum now) {
-  if (global_.size >= cache_capacity_) EvictOne(now);
-  Slot& s = slots_[slot_index];
-  s.state = SlotState::kCached;
-  GListPushFront(global_, slot_index);
-  BucketPushFront(hints_.rank[s.hint], slot_index);
+  if (cached_ >= cache_capacity_) EvictOne(now);
+  ++cached_;
+  BucketPushFront(hints_.rank[slots_[slot_index].hint], slot_index);
 }
 
 // clic-lint: hot-path
@@ -331,7 +311,7 @@ void ClicPolicy::RunBatchSpan(const Request* reqs, SeqNum first_seq,
     }
     if (i + kBatchNodeDistance < n) {
       // The table slot prefetched kBatchPrefetchDistance ago is warm;
-      // chase it now so the 28-byte Slot is warm too when its request
+      // chase it now so the 24-byte Slot is warm too when its request
       // arrives. Purely advisory — an intervening remap only wastes the
       // prefetch, never a decision.
       const std::uint32_t ahead =
@@ -403,19 +383,15 @@ inline bool ClicPolicy::AccessOneT(const Request& r, SeqNum seq) {
     // tracked slot means cur[s.hint] > 0, which guarantees s.hint is
     // already a window candidate (see Touch invariant) — no Touch here.
     ++hints_.rerefs_w[s.hint];
-    if (s.state == SlotState::kCached) {
+    if (s.stamp != 0) {
       const std::uint32_t old_rank = hints_.rank[s.hint];
       Annotate(s, r.hint_set, seq);
-      if (global_.head != si) {
-        GListRemove(global_, si);
-        GListPushFront(global_, si);
-      }
       BucketRemove(old_rank, si);
       BucketPushFront(hints_.rank[s.hint], si);
       return true;
     }
     // Outqueue hit: a miss for the cache, but the page re-enters it.
-    GListRemove(outqueue_, si);
+    ListRemove(outqueue_, si);
     Annotate(s, r.hint_set, seq);
     InsertCached(si, seq);
     return false;
@@ -430,7 +406,6 @@ inline bool ClicPolicy::AccessOneT(const Request& r, SeqNum seq) {
   Slot& s = slots_[node];
   s.page = r.page;
   s.hint = r.hint_set;
-  s.g_prev = s.g_next = s.b_prev = s.b_next = kInvalidIndex;
   page_table_.Set(r.page, node);
   InsertCached(node, seq);
   return false;
@@ -490,6 +465,7 @@ void ClicPolicy::SetPriority(HintSetId h, double priority) {
     if (!in_positive) {
       pos_index_[h] = static_cast<std::uint32_t>(positive_.size());
       positive_.push_back(h);
+      ++promoted_;
     }
   } else if (in_positive) {
     const std::uint32_t idx = pos_index_[h];
@@ -677,8 +653,8 @@ void ClicPolicy::EndWindow(SeqNum end) {
   }
 
   // Rank hint sets: rank 0 collects everything with zero priority (those
-  // pages are evicted first, in global-LRU order); positive priorities
-  // get ranks in ascending order. positive_ is exactly the set the
+  // pages are evicted first, in recency order); positive priorities get
+  // ranks in ascending order. positive_ is exactly the set the
   // full scan would have collected; sorting (priority, id) pairs makes
   // the order independent of how the set was accumulated.
   rank_scratch_.clear();
@@ -731,17 +707,99 @@ void ClicPolicy::EndWindow(SeqNum end) {
 }
 
 void ClicPolicy::RebuildBuckets() {
+  // Every bucket is already in exact recency order, and a positive rank
+  // holds exactly one hint set's pages, so whole lists move: nothing
+  // here walks the cache except rank 0 when a hint set leaves it, and
+  // the merge of the lists that join it.
+  old_buckets_.swap(buckets_);
   buckets_.assign(num_ranks_, List{});
   const std::size_t words = (num_ranks_ + 63) / 64;
   bitmap_.assign(words, 0);
   bitmap_summary_.assign((words + 63) / 64, 0);
-  // Walk the global list MRU-first so every bucket keeps exact recency
-  // order (front = most recent).
-  for (std::uint32_t i = global_.head; i != kInvalidIndex;
-       i = slots_[i].g_next) {
-    BucketPushBack(hints_.rank[slots_[i].hint], i);
+
+  merge_heap_.clear();
+  for (std::size_t r = 1; r < old_buckets_.size(); ++r) {
+    const List& b = old_buckets_[r];
+    if (b.size == 0) continue;
+    const std::uint32_t rank = hints_.rank[slots_[b.head].hint];
+    if (rank != 0) {
+      buckets_[rank] = b;
+      BitmapSet(rank);
+    } else {
+      merge_heap_.emplace_back(slots_[b.head].stamp, b.head);
+    }
   }
+
+  // Split off the pages of hint sets promoted out of rank 0. Walking
+  // MRU-first and appending keeps their order.
+  List zero = old_buckets_[0];
+  if (promoted_ != 0) {
+    promoted_ = 0;
+    for (std::uint32_t i = zero.head; i != kInvalidIndex;) {
+      const std::uint32_t next = slots_[i].next;
+      const std::uint32_t rank = hints_.rank[slots_[i].hint];
+      if (rank != 0) {
+        ListRemove(zero, i);
+        BucketPushBack(rank, i);
+      }
+      i = next;
+    }
+  }
+
+  if (merge_heap_.empty()) {
+    buckets_[0] = zero;
+    if (zero.size != 0) BitmapSet(0);
+  } else {
+    // Merge rank 0 and the demoted lists by stamp, newest first.
+    if (zero.size != 0) {
+      merge_heap_.emplace_back(slots_[zero.head].stamp, zero.head);
+    }
+    std::make_heap(merge_heap_.begin(), merge_heap_.end());
+    while (!merge_heap_.empty()) {
+      std::pop_heap(merge_heap_.begin(), merge_heap_.end());
+      const std::uint32_t i = merge_heap_.back().second;
+      const std::uint32_t next = slots_[i].next;
+      merge_heap_.pop_back();
+      if (next != kInvalidIndex) {
+        merge_heap_.emplace_back(slots_[next].stamp, next);
+        std::push_heap(merge_heap_.begin(), merge_heap_.end());
+      }
+      BucketPushBack(0, i);
+    }
+  }
+#ifndef NDEBUG
+  CheckBuckets();
+#endif
 }
+
+#ifndef NDEBUG
+void ClicPolicy::CheckBuckets() const {
+  std::size_t total = 0;
+  for (std::uint32_t rank = 0; rank < num_ranks_; ++rank) {
+    const List& b = buckets_[rank];
+    std::uint32_t count = 0;
+    std::uint32_t prev = kInvalidIndex;
+    for (std::uint32_t i = b.head; i != kInvalidIndex; i = slots_[i].next) {
+      const Slot& s = slots_[i];
+      assert(s.prev == prev);
+      assert(s.stamp != 0);
+      assert(prev == kInvalidIndex || s.stamp < slots_[prev].stamp);
+      assert(hints_.rank[s.hint] == rank);
+      prev = i;
+      ++count;
+    }
+    assert(b.tail == prev && b.size == count);
+    const bool bit = (bitmap_[rank >> 6] >> (rank & 63)) & 1;
+    assert(bit == (count != 0));
+    total += count;
+  }
+  for (std::size_t word = 0; word < bitmap_.size(); ++word) {
+    const bool bit = (bitmap_summary_[word >> 6] >> (word & 63)) & 1;
+    assert(bit == (bitmap_[word] != 0));
+  }
+  assert(total == cached_);
+}
+#endif
 
 void ClicPolicy::ForceEndWindow() { EndWindow(last_seq_ + 1); }
 

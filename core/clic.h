@@ -9,7 +9,7 @@
 // H's caching priority for the next window. Victims are chosen from the
 // lowest-priority non-empty rank bucket, so the steady-state access path
 // is constant time: a flat page-table lookup, O(1) annotation/statistics
-// updates, two intrusive list splices, and a two-level-bitmap scan for
+// updates, one intrusive list splice, and a two-level-bitmap scan for
 // the victim rank on misses. No heap allocation happens per request.
 #pragma once
 
@@ -111,15 +111,16 @@ class ClicPolicy : public Policy {
 
  private:
   // Slots live in one flat arena covering cache + outqueue residents.
-  // `g_*` links thread the global recency list (cached) or the outqueue
-  // FIFO; `b_*` links thread the slot's rank-bucket list (cached only).
-  enum class SlotState : std::uint8_t { kFree, kCached, kOutqueue };
+  // One link pair threads either the slot's rank bucket (cached) or the
+  // outqueue FIFO (evicted metadata). `stamp` orders cached slots by
+  // recency: every move to a bucket front takes the next value of
+  // stamp_clock_, so each bucket's stamps strictly decrease from head
+  // to tail. A zero stamp marks a slot that is not cached.
   struct Slot {
     PageId page = 0;
     HintSetId hint = 0;
-    std::uint32_t g_prev = kInvalidIndex, g_next = kInvalidIndex;
-    std::uint32_t b_prev = kInvalidIndex, b_next = kInvalidIndex;
-    SlotState state = SlotState::kFree;
+    std::uint32_t prev = kInvalidIndex, next = kInvalidIndex;
+    std::uint64_t stamp = 0;
   };
   struct List {
     std::uint32_t head = kInvalidIndex;  // MRU / newest
@@ -173,7 +174,17 @@ class ClicPolicy : public Policy {
   /// shift is not diluted by pre-shift mass.
   double ChurnSimilarity();
   void EndWindow(SeqNum end);
+  /// Re-threads the buckets after a re-rank by moving lists, not pages:
+  /// a bucket whose hint set keeps a positive rank moves whole, rank 0
+  /// is walked only when a hint set left it, and the lists of hint sets
+  /// that fell to rank 0 are merged into it by stamp.
   void RebuildBuckets();
+#ifndef NDEBUG
+  /// Asserts the bucket invariants: stamps strictly decrease along each
+  /// bucket, every slot's hint set holds its bucket's rank, bucket sizes
+  /// sum to cached_, and the bitmaps flag exactly the non-empty buckets.
+  void CheckBuckets() const;
+#endif
   void EvictOne(SeqNum now);
   void InsertCached(std::uint32_t slot_index, SeqNum now);
   std::uint32_t FindVictimRank() const;
@@ -223,10 +234,11 @@ class ClicPolicy : public Policy {
   /// quality (the decay blend accumulates across windows either way).
   static constexpr std::uint64_t kStableClosesToGrow = 2;
 
-  // Intrusive list helpers over slots_.
-  void GListPushFront(List& list, std::uint32_t i);
-  void GListRemove(List& list, std::uint32_t i);
-  std::uint32_t GListPopBack(List& list);
+  // Intrusive list helpers over slots_. BucketPushFront is the one
+  // place a slot is stamped.
+  void ListPushFront(List& list, std::uint32_t i);
+  void ListPushBack(List& list, std::uint32_t i);
+  void ListRemove(List& list, std::uint32_t i);
   void BucketPushFront(std::uint32_t rank, std::uint32_t i);
   void BucketPushBack(std::uint32_t rank, std::uint32_t i);
   void BucketRemove(std::uint32_t rank, std::uint32_t i);
@@ -241,14 +253,22 @@ class ClicPolicy : public Policy {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   PageTable page_table_;
-  List global_;    // cached pages, MRU at head
   List outqueue_;  // evicted metadata, newest at head
+  std::uint32_t cached_ = 0;       // slots in the rank buckets
+  std::uint64_t stamp_clock_ = 0;  // last stamp handed out
 
   HintStats hints_;
   std::vector<List> buckets_;            // one per rank
   std::vector<std::uint64_t> bitmap_;    // non-empty-bucket bits
   std::vector<std::uint64_t> bitmap_summary_;
   std::uint32_t num_ranks_ = 1;
+  /// Hint sets that entered positive_ (so left rank 0) since the last
+  /// rebuild; RebuildBuckets walks rank 0 only when this is non-zero.
+  std::size_t promoted_ = 0;
+  // RebuildBuckets scratch: the previous buckets, and a max-heap of
+  // (stamp, slot) heads of the lists being merged into rank 0.
+  std::vector<List> old_buckets_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> merge_heap_;
 
   // Incremental-window state, all indexed by HintSetId (except the
   // candidate / positive lists themselves).
