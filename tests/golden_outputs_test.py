@@ -118,15 +118,13 @@ def write_golden(path, rows):
 
 def first_difference(name, expected, actual):
     """Describes the first differing row, or returns None."""
+    header = expected[0]
     for n, (want, got) in enumerate(zip(expected, actual)):
-        if want == got:
-            continue
-        header = expected[0]
-        moved = [header[i] for i in range(min(len(want), len(got)))
-                 if want[i] != got[i]] if n > 0 else []
-        return ("%s: row %d differs%s\n  expected: %s\n  actual:   %s" %
-                (name, n, " in " + ", ".join(moved) if moved else "",
-                 ",".join(want), ",".join(got)))
+        if want != got:
+            moved = [c for c, w, g in zip(header, want, got) if w != g]
+            return ("%s: row %d differs in %s\n  expected: %s\n"
+                    "  actual:   %s" % (name, n, ", ".join(moved) or "length",
+                                        ",".join(want), ",".join(got)))
     if len(expected) != len(actual):
         return ("%s: %d rows expected, %d produced" %
                 (name, len(expected) - 1, len(actual) - 1))
