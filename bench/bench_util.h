@@ -1,11 +1,10 @@
-// Shared infrastructure for the figure/table benches.
+// Shared infrastructure for the bench drivers.
 //
 // Traces are generated at the DESIGN.md scaled lengths (capped by the
 // CLIC_BENCH_REQUESTS environment variable if set) and cached on disk
 // under CLIC_TRACE_CACHE_DIR (default: ./clic_trace_cache) through the
-// process-wide sweep::TraceCache, so the eighteen bench binaries and
-// clic_sweep never regenerate the same workloads — named paper traces
-// and scenario-engine workloads alike.
+// process-wide sweep::TraceCache, so the bench binaries, clic_sweep and
+// clic_serve never regenerate the same workloads.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -44,24 +43,6 @@ inline ClicOptions PaperClicOptions() {
   options.outqueue_per_page = 5.0;
   options.charge_metadata = true;
   return options;
-}
-
-/// Runs one (trace, policy, cache size) point and records the read hit
-/// ratio as the benchmark's principal counter.
-inline void RunPoint(benchmark::State& state, const Trace& trace,
-                     PolicyKind kind, std::size_t cache_pages,
-                     const ClicOptions& options = PaperClicOptions()) {
-  SimResult result;
-  for (auto _ : state) {
-    auto policy = MakePolicy(kind, cache_pages, &trace, options);
-    result = Simulate(trace, *policy);
-  }
-  state.counters["read_hit_ratio"] = result.total.ReadHitRatio();
-  state.counters["reads"] = static_cast<double>(result.total.reads);
-  state.counters["requests"] =
-      static_cast<double>(result.total.reads + result.total.writes);
-  state.SetItemsProcessed(static_cast<std::int64_t>(trace.size()) *
-                          static_cast<std::int64_t>(state.iterations()));
 }
 
 /// One row of the machine-readable perf log (see AppendBenchJson). The
@@ -161,27 +142,6 @@ inline const Trace& MicroServerScaleTrace() {
   static const Trace trace =
       detail::MakeMicroTrace(4'000'000, 0.8, 4'000'000);
   return trace;
-}
-
-/// Registers one benchmark per grid point of `spec`, named
-/// `<prefix>/<trace>/<policy>/<cache_pages>` — the declarative form
-/// shared by the Figure 6/7/8 and policy-ablation drivers. The same
-/// spec fed to sweep::SweepRunner (what clic_sweep does) replays the
-/// identical grid in parallel.
-inline void RegisterSweepBenches(const std::string& prefix,
-                                 const sweep::SweepSpec& spec) {
-  for (const sweep::SweepPoint& p : sweep::ExpandGrid(spec)) {
-    const std::string name = prefix + "/" + p.trace + "/" +
-                             std::string(PolicyName(p.policy)) + "/" +
-                             std::to_string(p.cache_pages);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [p, clic = spec.clic](benchmark::State& s) {
-          RunPoint(s, GetTrace(p.trace), p.policy, p.cache_pages, clic);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
 }
 
 }  // namespace clic::bench

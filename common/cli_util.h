@@ -17,6 +17,7 @@
 
 #include "sim/policy_factory.h"
 #include "workload/scenario.h"
+#include "workload/token.h"
 #include "workload/trace_factory.h"
 
 namespace clic::cli {
@@ -47,31 +48,11 @@ inline std::string KnownScenarioNames() {
 
 /// Every token a workload flag accepts, for help text and error
 /// messages alike: the named paper traces, the scenario presets, and a
-/// reminder of the inline spec grammar.
+/// reminder of the inline spec and derived-token grammar.
 inline std::string KnownWorkloadNames() {
   return KnownTraceNames() + "; scenario presets: " + KnownScenarioNames() +
-         "; or an inline spec like 'zipf:pages=120000,theta=0.9'";
-}
-
-/// The one table of `--figure` preset names. clic_sweep's help text and
-/// error messages both read it, and sweep::FigureSpec must resolve
-/// exactly this set (pinned by tests/test_sweep.cc), so the valid-token
-/// list can never drift from the grids that actually exist.
-inline const std::vector<std::string>& FigurePresetNames() {
-  static const std::vector<std::string> names = {
-      "6",          "7",           "8",
-      "ablation",   "zipf-sweep",  "scan-pollution",
-      "phase-shift", "phase-shift-adaptive", "tenant-mix"};
-  return names;
-}
-
-inline std::string KnownFigureNames() {
-  std::string out;
-  for (const std::string& name : FigurePresetNames()) {
-    if (!out.empty()) out.append(", ");
-    out.append(name);
-  }
-  return out;
+         "; an inline spec like 'zipf:pages=120000,theta=0.9'; or a "
+         "derived token like 'DB2_C60~noise=2' or 'DB2_C60+DB2_C300'";
 }
 
 inline std::string KnownPolicyNames() {
@@ -148,18 +129,15 @@ inline double ParseDouble(const char* prog, const std::string& flag,
   return parsed;
 }
 
-/// Validates a workload token: a named paper trace, a scenario preset,
-/// or an inline scenario spec. Unknown or malformed tokens die with the
-/// offending token, the parse error, and the full valid set — the one
-/// validation every workload-accepting flag (`--traces`, `--trace`,
-/// `--workload`) routes through.
+/// Validates a workload token (workload/token.h) with the resolver the
+/// trace cache uses. Unknown or malformed tokens die with the offending
+/// token, the parse error, and the full valid set — the one validation
+/// every workload-accepting flag (`--traces`, `--trace`, `--workload`)
+/// routes through.
 inline void RequireKnownWorkload(const char* prog, const std::string& flag,
                                  const std::string& name) {
-  for (const NamedTraceInfo& info : NamedTraces()) {
-    if (info.name == name) return;
-  }
   std::string error;
-  if (ResolveWorkload(name, &error)) return;
+  if (ResolveWorkloadToken(name, &error)) return;
   Die(prog, flag + ": unknown workload '" + name + "' (" + error +
                 "; valid traces: " + KnownWorkloadNames() + ")");
 }

@@ -1,5 +1,5 @@
 // Decision-tree hint-set generalization (the paper's Section 8
-// extension, exercised by bench_ablation_generalize). Hint sets are
+// extension, exercised by `clic_sweep --figure=10`). Hint sets are
 // grouped into classes by recursively splitting on the attribute
 // position whose values best explain the observed re-reference rates;
 // positions whose values carry no signal (e.g. injected noise

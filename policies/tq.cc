@@ -4,13 +4,9 @@
 
 namespace clic {
 
-TqPolicy::TqPolicy(std::size_t cache_pages, double write_bonus)
-    : arena_(std::max<std::size_t>(1, cache_pages)) {
-  const double bonus = std::max(0.0, write_bonus);
-  const double frac = bonus / (1.0 + bonus);
-  protected_cap_ = static_cast<std::size_t>(
-      frac * static_cast<double>(arena_.capacity()));
-}
+TqPolicy::TqPolicy(std::size_t cache_pages)
+    : arena_(std::max<std::size_t>(1, cache_pages)),
+      protected_cap_(arena_.capacity() / 2) {}
 
 void TqPolicy::EvictOne() {
   ListHead& from = plain_.empty() ? protected_ : plain_;

@@ -5,8 +5,8 @@
 // Pages written back because of client buffer replacement were just
 // evicted from the client's pool and are likely to be read again, so
 // they are kept in a protected queue; recovery writes (checkpoint / WAL)
-// are cached at the evictable end. `write_bonus` sets the protected
-// queue's share of the cache: cap = bonus / (1 + bonus) of the pages.
+// are cached at the evictable end. The protected queue holds at most
+// half the cache.
 #pragma once
 
 #include "core/policy.h"
@@ -16,7 +16,7 @@ namespace clic {
 
 class TqPolicy : public Policy {
  public:
-  explicit TqPolicy(std::size_t cache_pages, double write_bonus = 1.0);
+  explicit TqPolicy(std::size_t cache_pages);
 
   bool Access(const Request& r, SeqNum seq) override;
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,

@@ -339,7 +339,7 @@ class CacheServer {
   /// size divided by how many shards each batch straddled.
   std::uint64_t shard_drains() const;
   /// Requests applied by each consumer thread — the per-core load
-  /// picture bench_server_scaling reports as per-core req/s.
+  /// picture clic_serve reports as per-core req/s.
   std::vector<std::uint64_t> PerConsumerRequests() const;
 
   /// Admission/backpressure accounting (see AdmissionStats invariants).
@@ -619,7 +619,7 @@ struct ServeResult {
   /// Ownership topology actually used, and what the machine offered:
   /// consumer (owning-core) count, std::thread::hardware_concurrency,
   /// and requests applied per consumer. per-core req/s is
-  /// requests / consumers / wall_seconds; bench_server_scaling and
+  /// requests / consumers / wall_seconds; clic_serve and
   /// bench_overload emit it so multi-core runners can gate scaling
   /// while a 1-core container is recognizable as such.
   unsigned consumers = 0;

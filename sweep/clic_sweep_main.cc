@@ -1,19 +1,22 @@
-// clic_sweep: replay any figure's (trace × policy × cache-size) grid on
-// a thread pool and emit one CSV or JSON row per point.
+// clic_sweep: replay any figure's (trace × policy × CLIC variant ×
+// cache-size) grid on a thread pool and emit one CSV or JSON row per
+// point.
 //
 //   clic_sweep --figure=6 --threads=8 --format=csv --output=fig6.csv
 //   clic_sweep --traces=DB2_C60,MY_H65 --policies=LRU,CLIC
 //              --cache-pages=6000,12000 --threads=4 --format=json
 //
 // Row order is the grid expansion order (traces, then policies, then
-// cache sizes) for every thread count, so outputs from different
-// --threads values diff clean (wall_seconds column aside).
+// CLIC variants, then cache sizes) for every thread count, so outputs
+// from different --threads values diff clean (wall_seconds column
+// aside).
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "sweep/sweep.h"
 #include "sweep/trace_cache.h"
 #include "workload/scenario.h"
+#include "workload/token.h"
 #include "workload/trace_factory.h"
 
 namespace clic::sweep {
@@ -38,23 +42,15 @@ struct CliOptions {
   std::string output;  // empty = stdout
 };
 
-/// Which CLIC option flags appeared explicitly on the command line. A
-/// --figure preset may carry its own CLIC options (the phase-shift grid
-/// ships a phase-tracking window/decay); explicit flags must beat the
-/// preset no matter where they appear relative to --figure, so the
-/// preset's options are merged field-by-field against this record.
-struct ClicFlagSet {
-  bool window = false;
-  bool decay = false;
-  bool outqueue = false;
-  bool top_k = false;
-  bool tracker = false;
-  bool charge_metadata = false;
-  bool adaptive_window = false;
-  bool churn_threshold = false;
-  bool min_window = false;
-  bool max_window = false;
-};
+/// "6, 7, ..." — the --figure names, from the one preset table.
+std::string FigureNames() {
+  std::string out;
+  for (const FigurePreset& preset : FigurePresets()) {
+    if (!out.empty()) out.append(", ");
+    out.append(preset.name);
+  }
+  return out;
+}
 
 void Usage(std::FILE* out) {
   std::fprintf(
@@ -64,13 +60,13 @@ void Usage(std::FILE* out) {
       "Grid selection (a --figure preset, explicit flags, or both —\n"
       "explicit flags override the preset's corresponding field):\n"
       "  --figure=NAME             preset grid, one of: %s\n"
-      "                            (6|7|8|ablation are the paper grids;\n"
-      "                            the rest are scenario grids)\n"
-      "  --traces=A,B              named traces or scenario presets\n"
-      "                            (see --list)\n"
+      "                            (6-11 are the paper's figures,\n"
+      "                            ablation|window|outqueue|tracker its\n"
+      "                            ablations, the rest scenario grids)\n"
+      "  --traces=A,B              workload tokens (see --list)\n"
       "  --policies=LRU,CLIC       policy names (see --list)\n"
       "  --cache-pages=6000,12000  server cache sizes, in pages\n",
-      ::clic::cli::KnownFigureNames().c_str());
+      FigureNames().c_str());
   std::fprintf(
       out,
       "\n"
@@ -80,7 +76,8 @@ void Usage(std::FILE* out) {
       "  --cache-dir=PATH   trace cache dir (overrides "
       "CLIC_TRACE_CACHE_DIR)\n"
       "\n"
-      "CLIC options (defaults are the paper's Section 6.1 setup):\n"
+      "CLIC options (defaults are the paper's Section 6.1 setup; each\n"
+      "flag overrides its field in every variant of a preset):\n"
       "  --window=W --decay=R --outqueue=N --no-charge-metadata\n"
       "  --tracker=exact|space_saving|lossy_counting --top-k=K\n"
       "  --adaptive-window  churn-triggered early window close (see\n"
@@ -116,34 +113,6 @@ void ValidateTraceNames(const std::vector<std::string>& names) {
   }
 }
 
-void ApplyFigurePreset(const std::string& figure, const ClicFlagSet& flags,
-                       SweepSpec* spec) {
-  const std::optional<SweepSpec> preset = FigureSpec(figure);
-  if (!preset) {
-    Die("unknown --figure='" + figure + "' (valid figures: " +
-        cli::KnownFigureNames() + ")");
-  }
-  spec->traces = preset->traces;
-  spec->policies = preset->policies;
-  spec->cache_sizes = preset->cache_sizes;
-  // The preset's CLIC options apply too, but an explicit flag beats
-  // them regardless of its position relative to --figure.
-  ClicOptions merged = preset->clic;
-  if (flags.window) merged.window = spec->clic.window;
-  if (flags.decay) merged.decay = spec->clic.decay;
-  if (flags.outqueue) merged.outqueue_per_page = spec->clic.outqueue_per_page;
-  if (flags.top_k) merged.top_k = spec->clic.top_k;
-  if (flags.tracker) merged.tracker = spec->clic.tracker;
-  if (flags.charge_metadata) {
-    merged.charge_metadata = spec->clic.charge_metadata;
-  }
-  if (flags.adaptive_window) merged.adaptive_window = spec->clic.adaptive_window;
-  if (flags.churn_threshold) merged.churn_threshold = spec->clic.churn_threshold;
-  if (flags.min_window) merged.min_window = spec->clic.min_window;
-  if (flags.max_window) merged.max_window = spec->clic.max_window;
-  spec->clic = merged;
-}
-
 void PrintList() {
   std::printf("Traces (name dbms workload db_pages buffer_pages "
               "target_requests):\n");
@@ -160,8 +129,10 @@ void PrintList() {
     std::printf("  %-13s %s\n      = %s\n", preset.name, preset.blurb,
                 preset.spec);
   }
-  std::printf("Figure presets: %s\n",
-              ::clic::cli::KnownFigureNames().c_str());
+  std::printf("Derived tokens: <token>~noise=<T> (Section 6.3 noise, T in "
+              "0..%d), <a>+<b>[+...] (round-robin interleave)\n",
+              kMaxNoiseTypes);
+  std::printf("Figure presets: %s\n", FigureNames().c_str());
   std::printf("Policies:");
   for (PolicyKind kind : AllPolicies()) {
     std::printf(" %s", PolicyName(kind));
@@ -171,7 +142,9 @@ void PrintList() {
 
 CliOptions Parse(int argc, char** argv) {
   CliOptions cli;
-  ClicFlagSet clic_flags;
+  // Explicit CLIC flags, applied to every variant once the grid is
+  // known, so they beat a preset's options wherever they appear.
+  std::vector<std::function<void(ClicOptions&)>> clic_flags;
   std::string figure, traces, policies, cache_pages;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -184,13 +157,11 @@ CliOptions Parse(int argc, char** argv) {
       std::exit(0);
     }
     if (arg == "--no-charge-metadata") {
-      cli.spec.clic.charge_metadata = false;
-      clic_flags.charge_metadata = true;
+      clic_flags.push_back([](ClicOptions& o) { o.charge_metadata = false; });
       continue;
     }
     if (arg == "--adaptive-window") {
-      cli.spec.clic.adaptive_window = true;
-      clic_flags.adaptive_window = true;
+      clic_flags.push_back([](ClicOptions& o) { o.adaptive_window = true; });
       continue;
     }
     const std::size_t eq = arg.find('=');
@@ -216,37 +187,36 @@ CliOptions Parse(int argc, char** argv) {
     } else if (key == "--cache-dir") {
       cli.cache_dir = value;
     } else if (key == "--window") {
-      cli.spec.clic.window = ParseU64(key, value);
-      clic_flags.window = true;
+      const std::uint64_t w = ParseU64(key, value);
+      clic_flags.push_back([w](ClicOptions& o) { o.window = w; });
     } else if (key == "--churn-threshold") {
-      cli.spec.clic.churn_threshold = ParseDouble(key, value);
-      clic_flags.churn_threshold = true;
+      const double t = ParseDouble(key, value);
+      clic_flags.push_back([t](ClicOptions& o) { o.churn_threshold = t; });
     } else if (key == "--min-window") {
-      cli.spec.clic.min_window = ParseU64(key, value);
-      clic_flags.min_window = true;
+      const std::uint64_t w = ParseU64(key, value);
+      clic_flags.push_back([w](ClicOptions& o) { o.min_window = w; });
     } else if (key == "--max-window") {
-      cli.spec.clic.max_window = ParseU64(key, value);
-      clic_flags.max_window = true;
+      const std::uint64_t w = ParseU64(key, value);
+      clic_flags.push_back([w](ClicOptions& o) { o.max_window = w; });
     } else if (key == "--decay") {
-      cli.spec.clic.decay = ParseDouble(key, value);
-      clic_flags.decay = true;
+      const double r = ParseDouble(key, value);
+      clic_flags.push_back([r](ClicOptions& o) { o.decay = r; });
     } else if (key == "--outqueue") {
-      cli.spec.clic.outqueue_per_page = ParseDouble(key, value);
-      clic_flags.outqueue = true;
+      const double n = ParseDouble(key, value);
+      clic_flags.push_back([n](ClicOptions& o) { o.outqueue_per_page = n; });
     } else if (key == "--top-k") {
-      cli.spec.clic.top_k = static_cast<std::size_t>(ParseU64(key, value));
-      clic_flags.top_k = true;
+      const auto k = static_cast<std::size_t>(ParseU64(key, value));
+      clic_flags.push_back([k](ClicOptions& o) { o.top_k = k; });
     } else if (key == "--tracker") {
-      if (value == "exact") {
-        cli.spec.clic.tracker = TrackerKind::kExact;
-      } else if (value == "space_saving") {
-        cli.spec.clic.tracker = TrackerKind::kSpaceSaving;
+      TrackerKind kind = TrackerKind::kExact;
+      if (value == "space_saving") {
+        kind = TrackerKind::kSpaceSaving;
       } else if (value == "lossy_counting") {
-        cli.spec.clic.tracker = TrackerKind::kLossyCounting;
-      } else {
+        kind = TrackerKind::kLossyCounting;
+      } else if (value != "exact") {
         Die("unknown --tracker='" + value + "'");
       }
-      clic_flags.tracker = true;
+      clic_flags.push_back([kind](ClicOptions& o) { o.tracker = kind; });
     } else if (key == "--format") {
       if (value != "csv" && value != "json") {
         Die("unknown --format='" + value + "' (want csv or json)");
@@ -259,7 +229,14 @@ CliOptions Parse(int argc, char** argv) {
     }
   }
 
-  if (!figure.empty()) ApplyFigurePreset(figure, clic_flags, &cli.spec);
+  if (!figure.empty()) {
+    std::optional<SweepSpec> preset = FigureSpec(figure);
+    if (!preset) {
+      Die("unknown --figure='" + figure + "' (valid figures: " +
+          FigureNames() + ")");
+    }
+    cli.spec = std::move(*preset);
+  }
   if (!traces.empty()) {
     cli.spec.traces = ::clic::cli::SplitCsvFlag(kProg, "--traces", traces);
   }
@@ -285,7 +262,10 @@ CliOptions Parse(int argc, char** argv) {
         "--cache-pages");
   }
   ValidateTraceNames(cli.spec.traces);
-  cli::RequireValidAdaptiveWindow(kProg, cli.spec.clic);
+  for (ClicVariant& variant : cli.spec.variants) {
+    for (const auto& apply : clic_flags) apply(variant.options);
+    cli::RequireValidAdaptiveWindow(kProg, variant.options);
+  }
   return cli;
 }
 
@@ -322,9 +302,10 @@ int Main(int argc, char** argv) {
   const std::size_t num_points = ExpandGrid(cli.spec).size();
   std::fprintf(stderr,
                "clic_sweep: %zu points (%zu traces x %zu policies x %zu "
-               "cache sizes), %u threads, request cap %llu\n",
+               "cache sizes, %zu CLIC variants), %u threads, request cap "
+               "%llu\n",
                num_points, cli.spec.traces.size(), cli.spec.policies.size(),
-               cli.spec.cache_sizes.size(), threads,
+               cli.spec.cache_sizes.size(), cli.spec.variants.size(), threads,
                static_cast<unsigned long long>(cap));
 
   const auto start = std::chrono::steady_clock::now();

@@ -138,95 +138,206 @@ std::string PerClientColumn(const SimResult& result) {
 }
 
 std::vector<SweepPoint> ExpandGrid(const SweepSpec& spec) {
+  const std::vector<ClicVariant> not_clic(1);
   std::vector<SweepPoint> points;
-  points.reserve(spec.traces.size() * spec.policies.size() *
-                 spec.cache_sizes.size());
   for (const std::string& trace : spec.traces) {
     for (PolicyKind policy : spec.policies) {
-      for (std::size_t cache_pages : spec.cache_sizes) {
-        SweepPoint p;
-        p.index = points.size();
-        p.trace = trace;
-        p.policy = policy;
-        p.cache_pages = cache_pages;
-        points.push_back(std::move(p));
+      const std::vector<ClicVariant>& variants =
+          policy == PolicyKind::kClic ? spec.variants : not_clic;
+      for (const ClicVariant& variant : variants) {
+        for (std::size_t cache_pages : spec.cache_sizes) {
+          SweepPoint p;
+          p.index = points.size();
+          p.trace = trace;
+          p.policy = policy;
+          p.variant = variant.label;
+          p.clic = variant.options;
+          p.cache_pages = cache_pages;
+          points.push_back(std::move(p));
+        }
       }
     }
   }
   return points;
 }
 
-std::optional<SweepSpec> FigureSpec(const std::string& figure) {
+namespace {
+
+SweepSpec Grid(std::vector<std::string> traces,
+               std::vector<PolicyKind> policies,
+               std::vector<std::size_t> cache_sizes,
+               std::vector<ClicVariant> variants = {ClicVariant{}}) {
+  SweepSpec spec;
+  spec.traces = std::move(traces);
+  spec.policies = std::move(policies);
+  spec.cache_sizes = std::move(cache_sizes);
+  spec.variants = std::move(variants);
+  return spec;
+}
+
+/// CLIC with a Space-Saving tracker granting priorities to the top k
+/// hint sets (Section 5), as Figures 9-11 run it.
+ClicOptions TopK(std::size_t k) {
+  ClicOptions options;
+  options.tracker = TrackerKind::kSpaceSaving;
+  options.top_k = k;
+  return options;
+}
+
+std::string Num(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  return buf;
+}
+
+std::vector<FigurePreset> BuildPresets() {
   const std::vector<std::size_t> db2_caches = {6'000, 12'000, 18'000,
                                                24'000, 30'000};
-  const std::array<PolicyKind, 5> paper = PaperPolicies();
+  const std::array<PolicyKind, 5> paper_array = PaperPolicies();
+  const std::vector<PolicyKind> paper(paper_array.begin(), paper_array.end());
+  const std::vector<PolicyKind> clic = {PolicyKind::kClic};
+  const std::vector<std::string> tpcc = {"DB2_C60", "DB2_C300", "DB2_C540"};
   // The scenario grids compare the online-servable policies the
   // scenarios stress: LRU (the pollution victim), ARC (scan-resistant
   // without hints), TQ (write hints only), CLIC (full hints).
-  const std::vector<PolicyKind> scenario_policies = {
+  const std::vector<PolicyKind> scenario = {
       PolicyKind::kLru, PolicyKind::kArc, PolicyKind::kTq, PolicyKind::kClic};
-  SweepSpec spec;  // default clic == the paper's Section 6.1 options
-  if (figure == "6") {
-    spec.traces = {"DB2_C60", "DB2_C300", "DB2_C540"};
-    spec.policies.assign(paper.begin(), paper.end());
-    spec.cache_sizes = db2_caches;
-  } else if (figure == "7") {
-    spec.traces = {"DB2_H80", "DB2_H400", "DB2_H720"};
-    spec.policies.assign(paper.begin(), paper.end());
-    spec.cache_sizes = db2_caches;
-  } else if (figure == "8") {
-    spec.traces = {"MY_H65", "MY_H98"};
-    spec.policies.assign(paper.begin(), paper.end());
-    spec.cache_sizes = {5'000, 7'500, 10'000};
-  } else if (figure == "ablation") {
-    spec.traces = {"DB2_C300"};
-    spec.policies = {PolicyKind::kLru,  PolicyKind::kClock,
-                     PolicyKind::kTwoQ, PolicyKind::kMq,
-                     PolicyKind::kArc,  PolicyKind::kTq,
-                     PolicyKind::kClic};
-    spec.cache_sizes = {12'000};
-  } else if (figure == "zipf-sweep") {
-    // Skew sweep: inline specs so the theta axis is explicit in the
-    // trace column of every row.
-    spec.traces = {"zipf:theta=0.5", "zipf:theta=0.7", "zipf:theta=0.9",
-                   "zipf:theta=0.99"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 24'000};
-  } else if (figure == "scan-pollution") {
-    // The headline scenario grid: the same hot set with and without
-    // scan pollution, at the paper's cache sizes.
-    spec.traces = {"zipf-hot", "scan-pollute"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = db2_caches;
-  } else if (figure == "phase-shift") {
-    spec.traces = {"phase-abrupt", "phase-gradual"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 18'000};
-    // Phase tracking needs the evaluation window well under the phase
-    // length and a short priority memory: the paper's W=1e5 with r=1
-    // straddles phase boundaries, so CLIC would protect the *previous*
-    // working set all trace long (measured: 0.27 vs 0.55 read hit ratio
-    // at 12k pages on phase-abrupt). See DESIGN.md "Workload
-    // scenarios".
-    spec.clic.window = 20'000;
-    spec.clic.decay = 0.2;
-  } else if (figure == "phase-shift-adaptive") {
-    // The same phase grid with the paper's untouched W=1e5/r=1 plus the
-    // churn-triggered adaptive window: CLIC recovers from abrupt shifts
-    // without the hand-tuned window/decay the fixed preset needs
-    // (measured in bench/README.md "Adaptive windowing").
-    spec.traces = {"phase-abrupt", "phase-gradual"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 18'000};
-    spec.clic.adaptive_window = true;
-  } else if (figure == "tenant-mix") {
-    spec.traces = {"tenant-mix4"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 24'000};
-  } else {
-    return std::nullopt;
+  std::vector<FigurePreset> presets;
+
+  presets.push_back({"6", Grid(tpcc, paper, db2_caches)});
+  presets.push_back(
+      {"7", Grid({"DB2_H80", "DB2_H400", "DB2_H720"}, paper, db2_caches)});
+  presets.push_back(
+      {"8", Grid({"MY_H65", "MY_H98"}, paper, {5'000, 7'500, 10'000})});
+
+  // Figure 9: Space-Saving top-k for k = 1..128, then exact tracking.
+  std::vector<ClicVariant> top_k;
+  for (std::size_t k = 1; k <= 128; k *= 2) {
+    top_k.push_back({"k=" + std::to_string(k), TopK(k)});
   }
-  return spec;
+  top_k.push_back({"exact", ClicOptions{}});
+  presets.push_back({"9",
+                     Grid({"DB2_C60", "DB2_C300", "DB2_C540", "DB2_H80",
+                           "DB2_H400", "DB2_H720"},
+                          clic, {18'000}, top_k)});
+
+  // Figure 10: T = 0..3 noise hint types at k = 100, with and without
+  // the Section 8 hint generalization tree.
+  std::vector<std::string> noisy;
+  for (const std::string& base : tpcc) {
+    noisy.push_back(base);
+    for (int t = 1; t <= 3; ++t) {
+      noisy.push_back(base + "~noise=" + std::to_string(t));
+    }
+  }
+  ClicOptions generalized = TopK(100);
+  generalized.generalize = true;
+  presets.push_back({"10", Grid(noisy, clic, {18'000},
+                                {{"plain", TopK(100)},
+                                 {"generalized", generalized}})});
+
+  // Figure 11: three TPC-C clients sharing an 18K cache (the interleave
+  // row, per-client hits in per_client) against each client alone in a
+  // 6K partition.
+  std::vector<std::string> clients = {"DB2_C60+DB2_C300+DB2_C540"};
+  clients.insert(clients.end(), tpcc.begin(), tpcc.end());
+  presets.push_back(
+      {"11", Grid(clients, clic, {6'000, 18'000}, {{"k=100", TopK(100)}})});
+
+  presets.push_back(
+      {"ablation", Grid({"DB2_C300"},
+                        {PolicyKind::kLru, PolicyKind::kClock,
+                         PolicyKind::kTwoQ, PolicyKind::kMq, PolicyKind::kArc,
+                         PolicyKind::kTq, PolicyKind::kClic},
+                        {12'000})});
+
+  // Section 3.2: window length W × decay r, each with the fixed and the
+  // churn-triggered adaptive window.
+  std::vector<ClicVariant> windows;
+  for (std::uint64_t w : {25'000u, 50'000u, 100'000u, 200'000u, 400'000u}) {
+    for (double r : {0.25, 0.5, 1.0}) {
+      for (bool adaptive : {false, true}) {
+        ClicOptions options;
+        options.window = w;
+        options.decay = r;
+        options.adaptive_window = adaptive;
+        windows.push_back({"W=" + std::to_string(w) + "/r=" + Num(r) +
+                               (adaptive ? "/adaptive" : "/fixed"),
+                           options});
+      }
+    }
+  }
+  presets.push_back({"window", Grid({"DB2_C300"}, clic, {12'000}, windows)});
+
+  // Section 6.1: outqueue entries per cache page.
+  std::vector<ClicVariant> outqueues;
+  for (double per_page : {0.0, 0.5, 1.0, 2.0, 5.0, 10.0}) {
+    ClicOptions options;
+    options.outqueue_per_page = per_page;
+    outqueues.push_back({"outq=" + Num(per_page), options});
+  }
+  presets.push_back(
+      {"outqueue", Grid({"DB2_C300"}, clic, {12'000}, outqueues)});
+
+  // Section 5: exact tracking against both approximate trackers.
+  std::vector<ClicVariant> trackers = {{"exact", ClicOptions{}}};
+  for (TrackerKind kind :
+       {TrackerKind::kSpaceSaving, TrackerKind::kLossyCounting}) {
+    for (std::size_t k : {10u, 100u}) {
+      ClicOptions options = TopK(k);
+      options.tracker = kind;
+      trackers.push_back({std::string(kind == TrackerKind::kSpaceSaving
+                                          ? "space_saving"
+                                          : "lossy_counting") +
+                              "/k=" + std::to_string(k),
+                          options});
+    }
+  }
+  presets.push_back({"tracker", Grid({"DB2_C300", "DB2_H400"}, clic,
+                                     {12'000}, trackers)});
+
+  // Skew sweep: inline specs so the theta axis is explicit in the trace
+  // column of every row.
+  presets.push_back({"zipf-sweep",
+                     Grid({"zipf:theta=0.5", "zipf:theta=0.7",
+                           "zipf:theta=0.9", "zipf:theta=0.99"},
+                          scenario, {6'000, 12'000, 24'000})});
+  // The headline scenario grid: the same hot set with and without scan
+  // pollution, at the paper's cache sizes.
+  presets.push_back({"scan-pollution", Grid({"zipf-hot", "scan-pollute"},
+                                            scenario, db2_caches)});
+  // Phase shifts: the paper's W=1e5/r=1 straddles phase boundaries, so
+  // CLIC protects the *previous* working set. The adaptive window and a
+  // hand-tuned short window with fast decay are the two recoveries (see
+  // DESIGN.md "Workload scenarios" and "Adaptive windowing").
+  ClicOptions adaptive;
+  adaptive.adaptive_window = true;
+  ClicOptions short_window;
+  short_window.window = 20'000;
+  short_window.decay = 0.2;
+  presets.push_back({"phase-shift",
+                     Grid({"phase-abrupt", "phase-gradual"}, scenario,
+                          {6'000, 12'000, 18'000},
+                          {{"paper", ClicOptions{}},
+                           {"adaptive", adaptive},
+                           {"W=20000/r=0.2", short_window}})});
+  presets.push_back({"tenant-mix", Grid({"tenant-mix4"}, scenario,
+                                        {6'000, 12'000, 24'000})});
+  return presets;
+}
+
+}  // namespace
+
+const std::vector<FigurePreset>& FigurePresets() {
+  static const std::vector<FigurePreset> presets = BuildPresets();
+  return presets;
+}
+
+std::optional<SweepSpec> FigureSpec(const std::string& figure) {
+  for (const FigurePreset& preset : FigurePresets()) {
+    if (preset.name == figure) return preset.spec;
+  }
+  return std::nullopt;
 }
 
 SweepRunner::SweepRunner(TraceProvider provider, unsigned threads)
@@ -260,8 +371,12 @@ std::vector<SweepRow> SweepRunner::Run(const SweepSpec& spec) const {
   RunOnPool(threads_, points.size(), [&](std::size_t i) {
     const SweepPoint& p = points[i];
     const Trace& trace = *traces.at(p.trace);
+    // The generalization tree reads hint attributes from the trace's
+    // own registry, so a generalizing variant fits every trace.
+    ClicOptions clic = p.clic;
+    if (clic.generalize) clic.hint_space = trace.hints;
     const auto start = std::chrono::steady_clock::now();
-    const auto policy = MakePolicy(p.policy, p.cache_pages, &trace, spec.clic);
+    const auto policy = MakePolicy(p.policy, p.cache_pages, &trace, clic);
     SimResult result = Simulate(trace, *policy);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
@@ -273,7 +388,7 @@ std::vector<SweepRow> SweepRunner::Run(const SweepSpec& spec) const {
 }
 
 std::string CsvHeader() {
-  return "trace,policy,cache_pages,requests,reads,writes,read_hits,"
+  return "trace,policy,variant,cache_pages,requests,reads,writes,read_hits,"
          "write_hits,read_hit_ratio,write_hit_ratio,wall_seconds,per_client";
 }
 
@@ -283,6 +398,8 @@ std::string CsvRow(const SweepRow& row) {
   out.append(CsvField(row.point.trace));
   out.push_back(',');
   out.append(CsvField(PolicyName(row.point.policy)));
+  out.push_back(',');
+  out.append(CsvField(row.point.variant));
   out.push_back(',');
   out.append(std::to_string(row.point.cache_pages));
   out.push_back(',');
@@ -312,6 +429,8 @@ std::string JsonRow(const SweepRow& row) {
   out.append(JsonEscaped(row.point.trace));
   out.append("\",\"policy\":\"");
   out.append(JsonEscaped(PolicyName(row.point.policy)));
+  out.append("\",\"variant\":\"");
+  out.append(JsonEscaped(row.point.variant));
   out.append("\",\"cache_pages\":");
   out.append(std::to_string(row.point.cache_pages));
   out.append(",\"requests\":");

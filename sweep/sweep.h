@@ -1,11 +1,12 @@
-// Parallel sweep engine: expands a declarative (trace × policy ×
-// cache-size) grid — the shape of every figure in the paper's
-// evaluation — into independent simulation points and executes them on
-// a fixed-size thread pool. Traces are resolved once per distinct name
-// and shared read-only; every point builds its own policy instance, so
-// points share no mutable state and the result of a point is identical
-// to running Simulate() sequentially. Result ordering is deterministic
-// (grid expansion order) regardless of how the pool schedules work.
+// Parallel sweep engine: expands a declarative (trace × policy × CLIC
+// variant × cache-size) grid — the shape of every figure and ablation
+// in the paper's evaluation — into independent simulation points and
+// executes them on a fixed-size thread pool. Traces are resolved once
+// per distinct name and shared read-only; every point builds its own
+// policy instance, so points share no mutable state and the result of a
+// point is identical to running Simulate() sequentially. Result
+// ordering is deterministic (grid expansion order) regardless of how
+// the pool schedules work.
 #pragma once
 
 #include <cstddef>
@@ -20,24 +21,35 @@
 
 namespace clic::sweep {
 
+/// One labelled CLIC configuration on a grid's variant axis.
+struct ClicVariant {
+  std::string label;  // comma-free; fills the variant column of its rows
+  ClicOptions options;
+};
+
 /// Declarative grid. Expansion order is fixed — traces outermost, then
-/// policies, then cache sizes, matching the nesting of the figure
-/// benches — so a spec always yields the same row order no matter how
-/// (or on how many threads) it runs.
+/// policies, then CLIC variants, then cache sizes — so a spec always
+/// yields the same row order no matter how (or on how many threads) it
+/// runs.
 struct SweepSpec {
   std::vector<std::string> traces;
   std::vector<PolicyKind> policies;
   std::vector<std::size_t> cache_sizes;
-  /// Applied to kClic points; other policies ignore it. Defaults to
-  /// the paper's Section 6.1 configuration (W=1e5, r=1, Noutq=5,
-  /// metadata charged).
-  ClicOptions clic;
+  /// kClic expands once per variant; every other policy expands once
+  /// and ignores them. The default is one unlabelled variant with the
+  /// paper's Section 6.1 options (W=1e5, r=1, Noutq=5, metadata
+  /// charged).
+  std::vector<ClicVariant> variants = {ClicVariant{}};
 };
 
 struct SweepPoint {
   std::size_t index = 0;  // position in ExpandGrid order
   std::string trace;
   PolicyKind policy = PolicyKind::kLru;
+  /// The CLIC variant; an empty label and default options on the
+  /// points of other policies.
+  std::string variant;
+  ClicOptions clic;
   std::size_t cache_pages = 0;
 };
 
@@ -49,14 +61,20 @@ struct SweepRow {
 
 std::vector<SweepPoint> ExpandGrid(const SweepSpec& spec);
 
-/// The preset grid of a paper figure — "6", "7", "8" (Figures 6-8),
-/// "ablation" (the Section-7 extended policy comparison) — or of a
-/// workload scenario: "zipf-sweep", "scan-pollution", "phase-shift",
-/// "tenant-mix" (grids over workload/scenario.h generators). The single
-/// source of truth for these grids — the figure bench drivers and the
-/// `clic_sweep --figure` presets both call it, and the valid-name list
-/// is cli::FigurePresetNames() (common/cli_util.h), pinned equal by
-/// tests/test_sweep.cc. Returns nullopt for unknown names.
+/// A named grid: a paper figure, an ablation, or a scenario grid.
+struct FigurePreset {
+  std::string name;
+  SweepSpec spec;
+};
+
+/// The one table of `clic_sweep --figure` presets, in help-text order:
+/// Figures "6"-"11", the ablations "ablation" (Section 7 policies),
+/// "window", "outqueue" and "tracker", and the scenario grids over
+/// workload/scenario.h generators. Figures 10 and 11 are grids over
+/// derived workload tokens (workload/token.h).
+const std::vector<FigurePreset>& FigurePresets();
+
+/// The preset grid named `figure`; nullopt for unknown names.
 std::optional<SweepSpec> FigureSpec(const std::string& figure);
 
 class SweepRunner {

@@ -11,7 +11,9 @@
 #include <sys/stat.h>
 
 #include "sim/trace_io.h"
+#include "sim/trace_ops.h"
 #include "workload/scenario.h"
+#include "workload/token.h"
 #include "workload/trace_factory.h"
 
 namespace clic::sweep {
@@ -83,31 +85,33 @@ const Trace& TraceCache::Get(const std::string& name) {
 }
 
 void TraceCache::Fill(const std::string& name, Entry& entry) {
-  std::uint64_t target = 0;
-  bool named = false;
-  for (const NamedTraceInfo& info : NamedTraces()) {
-    if (info.name == name) {
-      target = info.target_requests;
-      named = true;
-    }
+  std::string error;
+  const std::optional<WorkloadToken> token = ResolveWorkloadToken(name, &error);
+  if (!token) {
+    std::fprintf(stderr, "TraceCache: unknown workload '%s': %s\n",
+                 name.c_str(), error.c_str());
+    std::exit(1);
   }
-  // Not one of the eight paper traces: a scenario preset or inline
-  // workload spec (workload/scenario.h). Scenario traces share the same
-  // disk cache with their own generator-version suffix.
-  std::optional<WorkloadSpec> scenario;
-  if (!named) {
-    std::string error;
-    scenario = ResolveWorkload(name, &error);
-    if (!scenario) {
-      std::fprintf(stderr,
-                   "TraceCache: unknown workload '%s': %s (see "
-                   "NamedTraces() and ScenarioPresets())\n",
-                   name.c_str(), error.c_str());
-      std::exit(1);
-    }
-    target = scenario->requests;
+  // Derived tokens are rebuilt from their cached parts in memory: both
+  // transformations are a single pass, cheaper than a disk round trip.
+  // Neither is capped again, so an interleave of capped parts is as
+  // long as its parts together.
+  if (token->kind == WorkloadToken::Kind::kNoise) {
+    const int types = token->noise_types;
+    Trace noisy = InjectNoiseHints(Get(token->parts[0]), types, kNoiseDomain,
+                                   kNoiseZipf, kNoiseSeedBase + types);
+    noisy.name = name;
+    entry.trace = std::make_unique<const Trace>(std::move(noisy));
+    return;
   }
-  target = std::min(target, request_cap_);
+  if (token->kind == WorkloadToken::Kind::kInterleave) {
+    std::vector<const Trace*> parts;
+    for (const std::string& part : token->parts) parts.push_back(&Get(part));
+    entry.trace = std::make_unique<const Trace>(Interleave(name, parts));
+    return;
+  }
+  const bool named = token->kind == WorkloadToken::Kind::kNamed;
+  const std::uint64_t target = std::min(token->length, request_cap_);
 
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "TraceCache: mkdir('%s') failed: %s\n", dir_.c_str(),
@@ -130,7 +134,7 @@ void TraceCache::Fill(const std::string& name, Entry& entry) {
     return;
   }
   Trace generated = named ? MakeNamedTrace(name, target)
-                          : MakeScenarioTrace(*scenario, target);
+                          : MakeScenarioTrace(token->scenario, target);
   if (!SaveTrace(generated, path)) {
     std::fprintf(stderr,
                  "TraceCache: warning: could not cache trace to %s\n",

@@ -1,7 +1,7 @@
 // Process-wide trace cache with per-trace once-initialization.
 //
-// The figure benches and the sweep runner both replay the same eight
-// named traces; this cache generates (or disk-loads) each trace exactly
+// The sweep runner, the server and the benches replay the same
+// workloads; this cache generates (or disk-loads) each trace exactly
 // once per process and hands out shared immutable references. Locking
 // is per trace: concurrent Get() calls for the *same* name block until
 // one generation finishes, calls for *distinct* names generate in
@@ -49,9 +49,9 @@ class TraceCache {
   /// length (the cap is part of the on-disk cache key).
   TraceCache(std::string dir, std::uint64_t request_cap);
 
-  /// Returns the named workload — one of the eight paper traces, a
-  /// scenario preset, or an inline scenario spec (workload/scenario.h)
-  /// — generated once and cached on disk across processes. Thread-safe
+  /// Returns the trace of a workload token (workload/token.h). Named
+  /// traces and scenarios are generated once and cached on disk across
+  /// processes; derived tokens are rebuilt from their parts. Thread-safe
   /// (per-trace granularity, see file comment). The reference stays
   /// valid for the cache's lifetime. Unknown names and an unusable
   /// cache directory exit(1): silently replaying an empty trace would

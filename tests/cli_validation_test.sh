@@ -35,6 +35,11 @@ expect_reject() {
     failures=$((failures + 1))
     return
   fi
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: $desc: exit $status, expected the usage exit code 2" >&2
+    failures=$((failures + 1))
+    return
+  fi
   case "$err" in
     *"$token"*) : ;;
     *) echo "FAIL: $desc: stderr does not name the offending token '$token':" >&2
@@ -58,14 +63,22 @@ expect_reject "clic_sweep unknown trace among known ones" "BOGUS" "MY_H65" -- \
   "$SWEEP" --traces=DB2_C60,BOGUS --policies=LRU --cache-pages=100
 expect_reject "clic_sweep unknown policy" "LRUU" "CLIC" -- \
   "$SWEEP" --traces=DB2_C60 --policies=LRUU --cache-pages=100
-expect_reject "clic_sweep unknown figure" "9" "ablation" -- \
-  "$SWEEP" --figure=9
-expect_reject "clic_sweep unknown figure lists scenario grids" "9" "scan-pollution" -- \
-  "$SWEEP" --figure=9
+expect_reject "clic_sweep unknown figure" "12" "ablation" -- \
+  "$SWEEP" --figure=12
+expect_reject "clic_sweep unknown figure lists scenario grids" "12" "scan-pollution" -- \
+  "$SWEEP" --figure=12
 expect_reject "clic_sweep unknown trace lists scenario presets" "BOGUS" "scan-pollute" -- \
   "$SWEEP" --traces=BOGUS --policies=LRU --cache-pages=100
 expect_reject "clic_sweep bad inline scenario spec" "theta" "zipf" -- \
   "$SWEEP" --traces=zipf:theta=banana --policies=LRU --cache-pages=100
+expect_reject "clic_sweep noise over an unknown base" "NOPE~noise=1" "derived token" -- \
+  "$SWEEP" --traces=NOPE~noise=1 --policies=CLIC --cache-pages=100
+expect_reject "clic_sweep noise T out of range" "DB2_C60~noise=9" "[0, 8]" -- \
+  "$SWEEP" --traces=DB2_C60~noise=9 --policies=CLIC --cache-pages=100
+expect_reject "clic_sweep empty interleave component" "DB2_C60++DB2_C300" "derived token" -- \
+  "$SWEEP" --traces=DB2_C60++DB2_C300 --policies=CLIC --cache-pages=100
+expect_reject "clic_serve empty interleave component" "DB2_C60+" "derived token" -- \
+  "$SERVE" --workload=DB2_C60+
 expect_reject "clic_sweep empty policy token" "empty token" "--policies" -- \
   "$SWEEP" --traces=DB2_C60 --policies=LRU,,CLIC --cache-pages=100
 expect_reject "clic_sweep trailing comma in traces" "empty token" "--traces" -- \

@@ -11,12 +11,14 @@ produced them) are kept, timings are dropped, and the rows are compared
 one by one with the expected files under tests/golden/. The first row
 that differs is printed with the columns that moved.
 
-The runs: every `clic_sweep --figure=` preset at 20000 requests; Figure
-6 CLIC at 20000 with a 2000-request window (as is, with decay 0, with a
+The runs: every `clic_sweep --figure=` preset at 20000 requests; at
+200000 requests every preset with a CLIC variant axis, where the paper's
+W = 1e5 closes windows and the variants actually re-rank; Figure 6 CLIC
+at 20000 with a 2000-request window (as is, with decay 0, with a
 5-entry Space-Saving tracker and with the adaptive window), so window
-closes and rank rebuilds actually happen; full-length
-phase-shift-adaptive; and the CLIC server with the same small window in
-deterministic verify mode, in-process and over loopback.
+closes and rank rebuilds happen there too; full-length phase-shift; and
+the CLIC server with the same small window in deterministic verify
+mode, in-process and over loopback.
 
 --update rewrites the expected files from the binaries given. Use it
 only in a change whose notes say which decisions moved and why.
@@ -33,9 +35,11 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
 CAP = "20000"
+# Presets whose CLIC variants only differ once windows close.
+VARIANT_PRESETS_200K = ["9", "10", "11", "window", "outqueue", "tracker"]
 
 SWEEP_COLUMNS = [
-    "trace", "policy", "cache_pages", "requests", "reads", "writes",
+    "trace", "policy", "variant", "cache_pages", "requests", "reads", "writes",
     "read_hits", "write_hits", "read_hit_ratio", "write_hit_ratio",
     "per_client",
 ]
@@ -72,6 +76,10 @@ def runs(sweep, serve, cache_dir):
         out.append(("fig-" + fig,
                     sweep_base + ["--figure=" + fig, "--requests=" + CAP],
                     SWEEP_COLUMNS))
+    for fig in VARIANT_PRESETS_200K:
+        out.append(("fig-%s-200k" % fig,
+                    sweep_base + ["--figure=" + fig, "--requests=200000"],
+                    SWEEP_COLUMNS))
     for suffix, extra in [("", []),
                           ("-decay0", ["--decay=0"]),
                           ("-space-saving",
@@ -79,9 +87,8 @@ def runs(sweep, serve, cache_dir):
                           ("-adaptive", ["--adaptive-window"])]:
         out.append(("fig-6-clic-w2000" + suffix,
                     sweep_base + FIG6_CLIC_W2000 + extra, SWEEP_COLUMNS))
-    out.append(("fig-phase-shift-adaptive-full",
-                sweep_base + ["--figure=phase-shift-adaptive"],
-                SWEEP_COLUMNS))
+    out.append(("fig-phase-shift-full",
+                sweep_base + ["--figure=phase-shift"], SWEEP_COLUMNS))
     out.append(("serve-clic-w2000", [serve] + base + SERVE_ARGS,
                 SERVE_COLUMNS))
     out.append(("serve-clic-w2000-connect",

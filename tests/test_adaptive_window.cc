@@ -245,21 +245,18 @@ TEST(AdaptiveWindowTest, WindowBoundsNeverViolated) {
   ASSERT_GT(policy.windows_completed(), 4u);
 }
 
-// Headline regression pin (bench_scenarios-backed, same presets and
-// Simulate machinery): with the paper's W=1e5/r=1 untouched, adaptive
-// windowing must recover the phase-abrupt hit ratio the fixed window
-// loses, and must not buy that with a regression on a stable workload
-// — on zipf-hot the churn trigger never fires and the replay stays
-// within 2% of fixed (measured: bit-identical).
+// Headline regression pin (the phase-shift grid's CLIC "paper" and
+// "adaptive" variants, same presets and Simulate machinery): with the
+// paper's W=1e5/r=1 untouched, adaptive windowing must recover the
+// phase-abrupt hit ratio the fixed window loses (fixed <= 0.30 and
+// adaptive >= 0.45, so adaptive >= fixed + 0.10), and must not buy that
+// with a regression elsewhere: on zipf-hot the churn trigger never fires
+// and the replay stays within 2% of fixed (measured: bit-identical), and
+// on phase-gradual and zipf-shifted adaptive scores at least 0.98 x
+// fixed (measured at 12k: 0.2586 vs 0.1931, and 0.46724331012225412 on
+// both).
 TEST(AdaptiveWindowTest, PhaseAbruptRecoveryWithoutZipfHotRegression) {
-  const auto abrupt_spec = ResolveWorkload("phase-abrupt");
-  const auto zipf_spec = ResolveWorkload("zipf-hot");
-  ASSERT_TRUE(abrupt_spec.has_value());
-  ASSERT_TRUE(zipf_spec.has_value());
-  const Trace abrupt = MakeScenarioTrace(*abrupt_spec);
-  const Trace zipf = MakeScenarioTrace(*zipf_spec);
   constexpr std::size_t kCachePages = 12'000;
-
   const ClicOptions fixed;  // paper defaults: W=1e5, r=1
   ClicOptions adaptive = fixed;
   adaptive.adaptive_window = true;
@@ -268,7 +265,13 @@ TEST(AdaptiveWindowTest, PhaseAbruptRecoveryWithoutZipfHotRegression) {
     ClicPolicy policy(kCachePages, options);
     return Simulate(trace, policy).total.ReadHitRatio();
   };
+  const auto preset = [](const char* name) {
+    const auto spec = ResolveWorkload(name);
+    EXPECT_TRUE(spec.has_value()) << name;
+    return spec ? MakeScenarioTrace(*spec) : Trace{};
+  };
 
+  const Trace abrupt = preset("phase-abrupt");
   const double fixed_abrupt = ratio(abrupt, fixed);
   const double adaptive_abrupt = ratio(abrupt, adaptive);
   EXPECT_LE(fixed_abrupt, 0.30)
@@ -278,10 +281,19 @@ TEST(AdaptiveWindowTest, PhaseAbruptRecoveryWithoutZipfHotRegression) {
       << "adaptive CLIC lost the phase-abrupt recovery (fixed scores "
       << fixed_abrupt << ")";
 
+  const Trace zipf = preset("zipf-hot");
   const double fixed_zipf = ratio(zipf, fixed);
   const double adaptive_zipf = ratio(zipf, adaptive);
   EXPECT_NEAR(adaptive_zipf, fixed_zipf, 0.02 * fixed_zipf)
       << "adaptive mode regressed a workload that never shifts";
+
+  for (const char* name : {"phase-gradual", "zipf-shifted"}) {
+    const Trace trace = preset(name);
+    const double fixed_ratio = ratio(trace, fixed);
+    EXPECT_GE(ratio(trace, adaptive), 0.98 * fixed_ratio)
+        << name << ": adaptive CLIC materially below fixed (" << fixed_ratio
+        << ")";
+  }
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ TEST(TqTest, ReplacementWritesAreProtected) {
   read(1);    // hit under TQ, miss under LRU
   const Trace& t = trace;
 
-  TqPolicy tq(2, /*write_bonus=*/1.0);
+  TqPolicy tq(2);
   const SimResult tq_result = Simulate(t, tq);
   EXPECT_EQ(tq_result.total.read_hits, 1u);
 

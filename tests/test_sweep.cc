@@ -7,11 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "common/cli_util.h"
 #include "core/trace.h"
 #include "sim/simulator.h"
-#include "workload/scenario.h"
-#include "workload/trace_factory.h"
+#include "workload/token.h"
 
 namespace clic::sweep {
 namespace {
@@ -71,8 +69,13 @@ SweepSpec TestSpec() {
   spec.policies = {PolicyKind::kLru, PolicyKind::kArc, PolicyKind::kOpt,
                    PolicyKind::kClic};
   spec.cache_sizes = {32, 96};
-  spec.clic.window = 500;  // several windows complete within 2500 requests
-  spec.clic.outqueue_per_page = 2.0;
+  ClicOptions exact;
+  exact.window = 500;  // several windows complete within 2500 requests
+  exact.outqueue_per_page = 2.0;
+  ClicOptions top1 = exact;
+  top1.tracker = TrackerKind::kSpaceSaving;
+  top1.top_k = 1;
+  spec.variants = {{"exact", exact}, {"top1", top1}};
   return spec;
 }
 
@@ -96,19 +99,35 @@ void ExpectSameResult(const SimResult& a, const SimResult& b) {
 TEST(ExpandGridTest, FixedNestingOrderAndDenseIndices) {
   SweepSpec spec;
   spec.traces = {"t0", "t1"};
-  spec.policies = {PolicyKind::kLru, PolicyKind::kClic};
+  spec.policies = {PolicyKind::kLru, PolicyKind::kClic, PolicyKind::kArc};
   spec.cache_sizes = {10, 20, 30};
+  ClicOptions short_window;
+  short_window.window = 7;
+  ClicOptions top3;
+  top3.tracker = TrackerKind::kSpaceSaving;
+  top3.top_k = 3;
+  spec.variants = {{"w7", short_window}, {"top3", top3}, {"paper", {}}};
   const std::vector<SweepPoint> points = ExpandGrid(spec);
-  ASSERT_EQ(points.size(), 12u);
+  // Per trace: LRU and ARC once, CLIC once per variant, x 3 caches.
+  ASSERT_EQ(points.size(), 2u * (1 + 3 + 1) * 3);
   std::size_t i = 0;
   for (const std::string& trace : spec.traces) {
     for (PolicyKind policy : spec.policies) {
-      for (std::size_t cache : spec.cache_sizes) {
-        EXPECT_EQ(points[i].index, i);
-        EXPECT_EQ(points[i].trace, trace);
-        EXPECT_EQ(points[i].policy, policy);
-        EXPECT_EQ(points[i].cache_pages, cache);
-        ++i;
+      const bool clic = policy == PolicyKind::kClic;
+      for (std::size_t v = 0; v < (clic ? spec.variants.size() : 1); ++v) {
+        for (std::size_t cache : spec.cache_sizes) {
+          SCOPED_TRACE("point " + std::to_string(i));
+          EXPECT_EQ(points[i].index, i);
+          EXPECT_EQ(points[i].trace, trace);
+          EXPECT_EQ(points[i].policy, policy);
+          EXPECT_EQ(points[i].cache_pages, cache);
+          const ClicVariant expected = clic ? spec.variants[v] : ClicVariant{};
+          EXPECT_EQ(points[i].variant, expected.label);
+          EXPECT_EQ(points[i].clic.window, expected.options.window);
+          EXPECT_EQ(points[i].clic.tracker, expected.options.tracker);
+          EXPECT_EQ(points[i].clic.top_k, expected.options.top_k);
+          ++i;
+        }
       }
     }
   }
@@ -139,30 +158,56 @@ TEST(FigureSpecTest, KnownFiguresHaveExpectedGridShapes) {
   EXPECT_EQ(ablation->policies.size(), 7u);
   EXPECT_EQ(ExpandGrid(*ablation).size(), 7u);
 
-  EXPECT_FALSE(FigureSpec("9").has_value());
+  const auto fig9 = FigureSpec("9");
+  ASSERT_TRUE(fig9.has_value());
+  EXPECT_EQ(fig9->variants.size(), 9u);  // k = 1..128, then exact
+  EXPECT_EQ(ExpandGrid(*fig9).size(), 54u);
+
+  const auto fig10 = FigureSpec("10");
+  ASSERT_TRUE(fig10.has_value());
+  EXPECT_EQ(fig10->traces.size(), 12u);  // 3 traces x T = 0..3
+  EXPECT_EQ(fig10->traces[1], "DB2_C60~noise=1");
+  EXPECT_TRUE(fig10->variants[1].options.generalize);
+  EXPECT_EQ(ExpandGrid(*fig10).size(), 24u);
+
+  const auto fig11 = FigureSpec("11");
+  ASSERT_TRUE(fig11.has_value());
+  EXPECT_EQ(fig11->traces[0], "DB2_C60+DB2_C300+DB2_C540");
+  EXPECT_EQ(ExpandGrid(*fig11).size(), 8u);
+
+  const auto phase = FigureSpec("phase-shift");
+  ASSERT_TRUE(phase.has_value());
+  // 2 traces x (LRU, ARC, TQ + 3 CLIC variants) x 3 caches.
+  EXPECT_EQ(ExpandGrid(*phase).size(), 36u);
+
+  EXPECT_FALSE(FigureSpec("12").has_value());
   EXPECT_FALSE(FigureSpec("").has_value());
 }
 
 TEST(FigureSpecTest, PresetTableMatchesResolvableFigures) {
-  // The one table rule (common/cli_util.h): every token the help text
-  // and error messages advertise must resolve, every scenario-grid
-  // trace must itself be a resolvable workload, and the table must be
-  // exhaustive for the grids this test knows to exist.
-  for (const std::string& name : cli::FigurePresetNames()) {
-    const auto spec = FigureSpec(name);
-    ASSERT_TRUE(spec.has_value()) << "advertised figure '" << name
+  // Every preset in the one table resolves through FigureSpec, names
+  // only workload tokens the trace cache's resolver accepts, and labels
+  // its CLIC variants with distinct comma-free names.
+  for (const FigurePreset& preset : FigurePresets()) {
+    const auto spec = FigureSpec(preset.name);
+    ASSERT_TRUE(spec.has_value()) << "preset '" << preset.name
                                   << "' does not resolve";
-    EXPECT_FALSE(spec->traces.empty()) << name;
-    EXPECT_FALSE(spec->policies.empty()) << name;
-    EXPECT_FALSE(spec->cache_sizes.empty()) << name;
+    EXPECT_FALSE(spec->traces.empty()) << preset.name;
+    EXPECT_FALSE(spec->policies.empty()) << preset.name;
+    EXPECT_FALSE(spec->cache_sizes.empty()) << preset.name;
+    EXPECT_FALSE(spec->variants.empty()) << preset.name;
     for (const std::string& trace : spec->traces) {
-      bool named = false;
-      for (const NamedTraceInfo& info : NamedTraces()) {
-        named = named || info.name == trace;
-      }
       std::string error;
-      EXPECT_TRUE(named || ResolveWorkload(trace, &error).has_value())
-          << "figure '" << name << "' trace '" << trace << "': " << error;
+      EXPECT_TRUE(ResolveWorkloadToken(trace, &error).has_value())
+          << "figure '" << preset.name << "' trace '" << trace
+          << "': " << error;
+    }
+    for (std::size_t v = 0; v < spec->variants.size(); ++v) {
+      const std::string& label = spec->variants[v].label;
+      EXPECT_EQ(label.find(','), std::string::npos) << label;
+      for (std::size_t w = 0; w < v; ++w) {
+        EXPECT_NE(label, spec->variants[w].label) << preset.name;
+      }
     }
   }
   const auto scan = FigureSpec("scan-pollution");
@@ -185,10 +230,11 @@ TEST(SweepRunnerTest, MatchesSequentialSimulateOnEveryPoint) {
                  std::to_string(points[i].cache_pages));
     EXPECT_EQ(rows[i].point.trace, points[i].trace);
     EXPECT_EQ(rows[i].point.policy, points[i].policy);
+    EXPECT_EQ(rows[i].point.variant, points[i].variant);
     EXPECT_EQ(rows[i].point.cache_pages, points[i].cache_pages);
     const Trace& trace = fixture.Trace_(points[i].trace);
-    const auto policy =
-        MakePolicy(points[i].policy, points[i].cache_pages, &trace, spec.clic);
+    const auto policy = MakePolicy(points[i].policy, points[i].cache_pages,
+                                   &trace, points[i].clic);
     const SimResult expected = Simulate(trace, *policy);
     ExpectSameResult(rows[i].result, expected);
     EXPECT_GE(rows[i].wall_seconds, 0.0);
@@ -209,6 +255,7 @@ TEST(SweepRunnerTest, RowOrderAndValuesStableAcrossThreadCounts) {
       EXPECT_EQ(rows[i].point.index, baseline[i].point.index);
       EXPECT_EQ(rows[i].point.trace, baseline[i].point.trace);
       EXPECT_EQ(rows[i].point.policy, baseline[i].point.policy);
+      EXPECT_EQ(rows[i].point.variant, baseline[i].point.variant);
       EXPECT_EQ(rows[i].point.cache_pages, baseline[i].point.cache_pages);
       ExpectSameResult(rows[i].result, baseline[i].result);
     }
@@ -236,6 +283,7 @@ TEST(SweepFormatTest, CsvRowMatchesHeaderShape) {
   SweepRow row;
   row.point.trace = "synthA";
   row.point.policy = PolicyKind::kClic;
+  row.point.variant = "k=4";
   row.point.cache_pages = 96;
   row.result.total = {/*reads=*/100, /*writes=*/40, /*read_hits=*/40,
                       /*write_hits=*/10};
@@ -251,7 +299,7 @@ TEST(SweepFormatTest, CsvRowMatchesHeaderShape) {
     return n;
   };
   EXPECT_EQ(count_commas(header), count_commas(line));
-  EXPECT_EQ(line.rfind("synthA,CLIC,96,140,100,40,40,10,", 0), 0u)
+  EXPECT_EQ(line.rfind("synthA,CLIC,k=4,96,140,100,40,40,10,", 0), 0u)
       << line;
   EXPECT_NE(line.find("0=60:0:30:8;1=40:0:10:2"), std::string::npos) << line;
 }
@@ -273,7 +321,7 @@ TEST(SweepFormatTest, CsvRowSurvivesHostileTraceName) {
   row.point.cache_pages = 8;
   row.result.total = {4, 0, 2, 0};
   const std::string line = CsvRow(row);
-  EXPECT_EQ(line.rfind("\"evil,\"\"trace\"\"\",LRU,8,4,4,0,2,0,", 0), 0u)
+  EXPECT_EQ(line.rfind("\"evil,\"\"trace\"\"\",LRU,,8,4,4,0,2,0,", 0), 0u)
       << line;
   // Commas outside quoted fields must match the header's column count.
   auto unquoted_commas = [](const std::string& s) {
@@ -305,13 +353,15 @@ TEST(SweepFormatTest, JsonEscapesHostileTraceName) {
 TEST(SweepFormatTest, JsonRowCarriesAllFields) {
   SweepRow row;
   row.point.trace = "synthB";
-  row.point.policy = PolicyKind::kLru;
+  row.point.policy = PolicyKind::kClic;
+  row.point.variant = "W=20000/r=0.2";
   row.point.cache_pages = 32;
   row.result.total = {10, 5, 4, 1};
   row.result.per_client[3] = {10, 4, 5, 1};
   const std::string json = JsonRow(row);
   for (const char* key :
-       {"\"trace\":\"synthB\"", "\"policy\":\"LRU\"", "\"cache_pages\":32",
+       {"\"trace\":\"synthB\"", "\"policy\":\"CLIC\"",
+        "\"variant\":\"W=20000/r=0.2\"", "\"cache_pages\":32",
         "\"requests\":15", "\"reads\":10", "\"writes\":5", "\"read_hits\":4",
         "\"write_hits\":1", "\"read_hit_ratio\":", "\"write_hit_ratio\":",
         "\"wall_seconds\":", "\"per_client\":{\"3\":{\"reads\":10"}) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/trace_ops.h"
 #include "workload/trace_factory.h"
 
 namespace clic::sweep {
@@ -168,6 +169,13 @@ TEST(TraceCacheDeathTest, UnknownTraceNameExits) {
   TraceCache cache(FreshDir("unknown"), kCap);
   EXPECT_EXIT(cache.Get("NO_SUCH_TRACE"), ::testing::ExitedWithCode(1),
               "unknown workload");
+  // Malformed derived tokens fail closed too, naming the token.
+  EXPECT_EXIT(cache.Get("NOPE~noise=1"), ::testing::ExitedWithCode(1),
+              "NOPE~noise=1");
+  EXPECT_EXIT(cache.Get("DB2_C60~noise=9"), ::testing::ExitedWithCode(1),
+              "DB2_C60~noise=9");
+  EXPECT_EXIT(cache.Get("DB2_C60++DB2_C300"), ::testing::ExitedWithCode(1),
+              "empty '\\+' component");
 }
 
 TEST(TraceCacheTest, ResolvesScenarioPresetsAndInlineSpecs) {
@@ -181,6 +189,46 @@ TEST(TraceCacheTest, ResolvesScenarioPresetsAndInlineSpecs) {
   EXPECT_EQ(inline_trace.size(), 1'000u);  // below the cap: spec length
   // Second Get returns the same cached instance.
   EXPECT_EQ(&cache.Get(spec), &inline_trace);
+}
+
+void ExpectSameRequests(const Trace& actual, const Trace& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  ASSERT_EQ(actual.hints->size(), expected.hints->size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const Request& a = actual.requests[i];
+    const Request& e = expected.requests[i];
+    ASSERT_TRUE(a.page == e.page && a.hint_set == e.hint_set &&
+                a.client == e.client && a.op == e.op &&
+                a.write_kind == e.write_kind)
+        << "request " << i;
+    ASSERT_TRUE(actual.hints->Get(a.hint_set) ==
+                expected.hints->Get(e.hint_set))
+        << "request " << i;
+  }
+}
+
+// Figure 10's noise seeds (0xF16 + T, domain 10, Zipf z = 1) live in
+// the token, so the grid's rows match the published noise injection.
+TEST(TraceCacheTest, NoiseTokenMatchesInjectNoiseHints) {
+  TraceCache cache(FreshDir("noise"), kCap);
+  const Trace& noisy = cache.Get("DB2_C60~noise=2");
+  EXPECT_EQ(noisy.name, "DB2_C60~noise=2");
+  const Trace expected = InjectNoiseHints(cache.Get("DB2_C60"), 2, 10, 1.0,
+                                          0xF16 + 2);
+  EXPECT_GT(noisy.hints->size(), cache.Get("DB2_C60").hints->size());
+  ExpectSameRequests(noisy, expected);
+}
+
+TEST(TraceCacheTest, InterleaveTokenMatchesInterleaveOfItsParts) {
+  TraceCache cache(FreshDir("interleave"), kCap);
+  const std::string token = "DB2_C60+scan-pollute+DB2_C60~noise=1";
+  const Trace& merged = cache.Get(token);
+  EXPECT_EQ(merged.name, token);
+  const Trace expected = Interleave(
+      "expected", {&cache.Get("DB2_C60"), &cache.Get("scan-pollute"),
+                   &cache.Get("DB2_C60~noise=1")});
+  EXPECT_EQ(merged.size(), 3 * kCap);  // parts are capped, not the sum
+  ExpectSameRequests(merged, expected);
 }
 
 }  // namespace

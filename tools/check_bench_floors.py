@@ -32,32 +32,6 @@ connections' throughput under slow-reader + churn antagonists relative
 to the fault-free wire baseline); it is printed for the record — the
 >= 0.90 expectation is a bench/README.md baseline, not a hard gate,
 because CI boxes share cores with the antagonists themselves.
-
-Rows with mode=="scenario" (from bench_scenarios) never feed the
-throughput floors — a full policy simulation is not the micro bench.
-They instead gate the adaptive-window claim (PR 10): for every
-(preset, cache_pages, requests) where both a fixed-window CLIC row
-(adaptive=false) and a CLIC-adaptive row (adaptive=true) are present,
-the adaptive hit ratio must not be materially worse than fixed (2%
-relative slack — on stationary presets the equivalence tests pin them
-bit-identical, so any real gap is a spurious-early-close regression),
-and on a full-length phase-abrupt run (requests >= 600000, so the
-trace actually contains phase changes) adaptive must beat fixed by at
-least 0.10 absolute hit ratio — the recovery the adaptive window
-exists to buy. Phase-abrupt pairs that only exist at capped lengths
-print an explicit skip note instead of demanding a phase change the
-trace never contained.
-
-Rows with mode=="server" (from bench_server_scaling, PR 7) gate the
-thread-per-core shard-ownership claim: on a machine that actually has
-cores to scale across (any row reports cores_detected > 1), the best
-multi-consumer rate per policy must be at least as good as the best
-single-consumer rate — shard ownership that LOSES throughput when given
-more cores means the rings or the routing regressed. On a 1-core box
-the server collapses every topology to one consumer, so the gate prints
-an explicit skip note instead of demanding scaling the hardware cannot
-show. Missing expected rows (a policy with multi-core rows but no
-single- or multi-consumer sample) exits 2, same as a missing log.
 """
 import json
 import sys
@@ -85,17 +59,6 @@ def main(argv):
     net_rows = 0
     net_failures = 0
     net_ratios = []  # (bench name, healthy_ratio) for the record
-    # mode=="server" scaling samples: per policy, best rate seen with one
-    # consumer and best rate seen with more than one (plus whether any
-    # row saw a multi-core machine at all).
-    server_single = {policy: None for policy in floors}
-    server_multi = {policy: None for policy in floors}
-    server_rows = 0
-    multicore_seen = False
-    # mode=="scenario" samples: hit ratio per (preset, cache, requests,
-    # adaptive) — the adaptive-vs-fixed gate pairs them up below.
-    scenario_hits = {}
-    scenario_rows = 0
     for line in lines:
         line = line.strip()
         if not line:
@@ -103,32 +66,6 @@ def main(argv):
         row = json.loads(line)
         rows += 1
         name = row.get("bench", "")
-        if row.get("mode") == "server":
-            server_rows += 1
-            rate = float(row.get("requests_per_sec", 0.0))
-            consumers = int(row.get("consumers", 1))
-            if int(row.get("cores_detected", 1)) > 1:
-                multicore_seen = True
-            parts = name.split("/")
-            for policy in floors:
-                if policy in parts:
-                    bucket = server_single if consumers <= 1 else server_multi
-                    if bucket[policy] is None or rate > bucket[policy]:
-                        bucket[policy] = rate
-            continue  # scaling rows are gated below, not by the floors
-        if row.get("mode") == "scenario":
-            scenario_rows += 1
-            # Scenario/<preset>/<policy>/<cache>; only CLIC rows (fixed
-            # or adaptive) join the pairing — LRU/ARC rows are context.
-            parts = name.split("/")
-            if "adaptive" in row and len(parts) >= 4 and \
-                    parts[2] in ("CLIC", "CLIC-adaptive"):
-                key = (parts[1], int(row.get("cache_pages", 0)),
-                       int(row.get("requests", 0)))
-                slot = scenario_hits.setdefault(key, {})
-                slot[bool(row["adaptive"])] = \
-                    float(row.get("read_hit_ratio", 0.0))
-            continue  # scenario rows never feed the throughput floors
         if row.get("mode") == "net":
             net_rows += 1
             submitted = int(row.get("submitted", -1))
@@ -184,53 +121,6 @@ def main(argv):
             print(f"check_bench_floors: {name}: healthy_ratio = "
                   f"{ratio:.2f} (README baseline: >= 0.90)")
     failed = overload_failures > 0 or net_failures > 0
-    if scenario_rows:
-        pairs = {k: v for k, v in scenario_hits.items()
-                 if False in v and True in v}
-        abrupt_full_seen = False
-        abrupt_pair_seen = False
-        for (preset, cache, requests), v in sorted(pairs.items()):
-            fixed, adaptive = v[False], v[True]
-            point = f"{preset}@{cache} (n={requests})"
-            if adaptive < fixed * 0.98:
-                print(f"check_bench_floors: {point}: adaptive hit "
-                      f"{adaptive:.4f} materially below fixed {fixed:.4f} "
-                      f"REGRESSED", file=sys.stderr)
-                failed = True
-            if preset == "phase-abrupt":
-                abrupt_pair_seen = True
-                if requests >= 600000:
-                    abrupt_full_seen = True
-                    verdict = "OK" if adaptive >= fixed + 0.10 else \
-                        "NO RECOVERY"
-                    print(f"check_bench_floors: {point}: adaptive "
-                          f"{adaptive:.4f} vs fixed {fixed:.4f} "
-                          f"(need >= fixed + 0.10) {verdict}")
-                    failed = failed or adaptive < fixed + 0.10
-        if abrupt_pair_seen and not abrupt_full_seen:
-            print("check_bench_floors: adaptive recovery gate SKIPPED "
-                  "(phase-abrupt pairs only at capped lengths: the trace "
-                  "never reaches a phase change)")
-    if server_rows:
-        if not multicore_seen:
-            print("check_bench_floors: server scaling gate SKIPPED "
-                  "(cores_detected=1 everywhere: one consumer is the only "
-                  "topology this box can run)")
-        else:
-            for policy in floors:
-                single, multi = server_single[policy], server_multi[policy]
-                if single is None or multi is None:
-                    print(f"check_bench_floors: {policy}: multi-core server "
-                          f"rows present but missing a "
-                          f"{'single' if single is None else 'multi'}"
-                          f"-consumer sample in {path}", file=sys.stderr)
-                    return 2
-                ratio = multi / single if single > 0 else 0.0
-                verdict = "OK" if multi >= single else "REGRESSED"
-                print(f"check_bench_floors: {policy:5s} server scaling "
-                      f"multi/single = {multi/1e6:.2f}M/{single/1e6:.2f}M "
-                      f"req/s ({ratio:.2f}x) {verdict}")
-                failed = failed or multi < single
     for policy, floor in floors.items():
         rate = best[policy]
         if rate is None:

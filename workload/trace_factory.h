@@ -22,8 +22,9 @@ struct NamedTraceInfo {
 };
 
 /// Bump whenever any generator's output changes for the same
-/// (name, target) pair. Cache filenames embed it (see bench_util.h), so
-/// stale .trc files are never silently reused.
+/// (name, target) pair. Cache filenames embed it (see
+/// sweep/trace_cache.cc), so stale .trc files are never silently
+/// reused.
 inline constexpr int kTraceGeneratorVersion = 1;
 
 /// The eight traces of the evaluation, in Figure 5 order.
