@@ -70,7 +70,7 @@ void Usage(std::FILE* out) {
       "  --trace=NAME       named trace to replay (see --list)\n"
       "  --workload=SPEC    synthetic scenario: a preset name or inline\n"
       "                     spec like 'zipf:pages=120000,theta=0.9'\n"
-      "                     (see --list; workload/scenario.h has the\n"
+      "                     (see --list; workload/token.h has the\n"
       "                     grammar). Alias of --trace — both accept\n"
       "                     every workload token; give exactly one.\n"
       "  --requests=N       request budget (overrides CLIC_BENCH_REQUESTS)\n"

@@ -16,9 +16,11 @@ The runs: every `clic_sweep --figure=` preset at 20000 requests; at
 W = 1e5 closes windows and the variants actually re-rank; Figure 6 CLIC
 at 20000 with a 2000-request window (as is, with decay 0, with a
 5-entry Space-Saving tracker and with the adaptive window), so window
-closes and rank rebuilds happen there too; full-length phase-shift; and
-the CLIC server with the same small window in deterministic verify
-mode, in-process and over loopback.
+closes and rank rebuilds happen there too; phase-shift at 200000 with
+that window, which overrides the window of every CLIC variant and
+keeps their other options; full-length phase-shift; and the CLIC
+server with the same small window in deterministic verify mode,
+in-process and over loopback.
 
 --update rewrites the expected files from the binaries given. Use it
 only in a change whose notes say which decisions moved and why.
@@ -87,6 +89,9 @@ def runs(sweep, serve, cache_dir):
                           ("-adaptive", ["--adaptive-window"])]:
         out.append(("fig-6-clic-w2000" + suffix,
                     sweep_base + FIG6_CLIC_W2000 + extra, SWEEP_COLUMNS))
+    out.append(("fig-phase-shift-w2000-200k",
+                sweep_base + ["--figure=phase-shift", "--requests=200000",
+                              "--window=2000"], SWEEP_COLUMNS))
     out.append(("fig-phase-shift-full",
                 sweep_base + ["--figure=phase-shift"], SWEEP_COLUMNS))
     out.append(("serve-clic-w2000", [serve] + base + SERVE_ARGS,
