@@ -1,41 +1,32 @@
-// Figure 5: the I/O request trace inventory table. Generates all eight
-// scaled traces and prints the same columns the paper reports: DBMS,
-// workload, DB size, client buffer size, number of requests, distinct
-// hint sets, distinct pages.
+// Figure 5: the I/O request trace inventory. Generates (or loads from
+// the trace cache) all eight scaled traces and prints, as CSV, the
+// columns the paper reports: DBMS, workload, database and client
+// buffer size in pages, and each trace's requests, distinct hint sets
+// and distinct pages. CLIC_BENCH_REQUESTS caps the traces and
+// CLIC_TRACE_CACHE_DIR relocates the trace cache.
 #include <cstdio>
+#include <string>
 
-#include "bench_util.h"
+#include "sweep/sweep.h"
+#include "sweep/trace_cache.h"
+#include "workload/trace_factory.h"
 
-namespace clic::bench {
-namespace {
-
-void Fig5(benchmark::State& state) {
-  std::uint64_t total_requests = 0;
-  for (auto _ : state) {
-    std::printf(
-        "\n# Figure 5: I/O request traces (page counts at 1/10 paper "
-        "scale)\n");
-    std::printf("%-10s %-6s %-6s %10s %10s %12s %10s %10s\n", "trace",
-                "dbms", "wkld", "db_pages", "buf_pages", "requests",
-                "hintsets", "pages");
-    for (const NamedTraceInfo& info : NamedTraces()) {
-      const Trace& trace = GetTrace(info.name);
-      const TraceStats stats = ComputeStats(trace);
-      std::printf("%-10s %-6s %-6s %10llu %10llu %12llu %10llu %10llu\n",
-                  info.name.c_str(), info.dbms.c_str(),
-                  info.workload.c_str(),
-                  static_cast<unsigned long long>(info.db_pages),
-                  static_cast<unsigned long long>(info.buffer_pages),
-                  static_cast<unsigned long long>(stats.requests),
-                  static_cast<unsigned long long>(stats.distinct_hint_sets),
-                  static_cast<unsigned long long>(stats.distinct_pages));
-      total_requests += stats.requests;
-    }
+int main() {
+  using namespace clic;
+  sweep::TraceCache cache(sweep::CacheDirFromEnv(),
+                          sweep::RequestCapFromEnv());
+  std::string out =
+      "trace,dbms,workload,db_pages,buffer_pages,requests,hint_sets,pages\n";
+  for (const NamedTraceInfo& info : NamedTraces()) {
+    const TraceStats stats = ComputeStats(cache.Get(info.name));
+    out += sweep::CsvField(info.name) + ',' + sweep::CsvField(info.dbms) +
+           ',' + sweep::CsvField(info.workload) + ',' +
+           std::to_string(info.db_pages) + ',' +
+           std::to_string(info.buffer_pages) + ',' +
+           std::to_string(stats.requests) + ',' +
+           std::to_string(stats.distinct_hint_sets) + ',' +
+           std::to_string(stats.distinct_pages) + '\n';
   }
-  state.counters["total_requests"] = static_cast<double>(total_requests);
+  std::fwrite(out.data(), 1, out.size(), stdout);
+  return std::fflush(stdout) == 0 && std::ferror(stdout) == 0 ? 0 : 1;
 }
-
-BENCHMARK(Fig5)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-}  // namespace
-}  // namespace clic::bench

@@ -164,7 +164,6 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
       batch_deadline_ms_(options.batch_deadline_ms),
       watchdog_ms_(options.watchdog_ms),
       hint_bound_(options.hint_bound),
-      record_drain_latency_(options.record_drain_latency),
       fault_(options.fault) {
   if (options.shards == 0) {
     throw std::invalid_argument("CacheServer: shards must be >= 1");
@@ -738,10 +737,9 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
         shard.entered.exchange(true, std::memory_order_acq_rel);
     assert(!reentered && "two consumers inside one shard's policy");
 #endif
-    const std::int64_t drain_start_ns = NowNs();
     // Published before any injected stall so the watchdog sees the full
     // in-flight time of a wedged drain.
-    shard.busy_since_ns.store(drain_start_ns, std::memory_order_relaxed);
+    shard.busy_since_ns.store(NowNs(), std::memory_order_relaxed);
     if (fault_ != nullptr && fault_->HasStalls()) {
       StallIfPlanned(shard, run.shard);
     }
@@ -767,10 +765,6 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
     }
     shard.requests += run.count;
     ++shard.drains;
-    if (record_drain_latency_) {
-      shard.drain_us.push_back(static_cast<double>(NowNs() - drain_start_ns) /
-                               1e3);
-    }
     shard.busy_since_ns.store(0, std::memory_order_relaxed);
 #ifndef NDEBUG
     // release: publishes this run's shard writes to whichever consumer
@@ -1037,15 +1031,26 @@ std::uint64_t CacheServer::watchdog_sheds() const {
   return watchdog_sheds_.load(std::memory_order_relaxed);
 }
 
-std::vector<double> CacheServer::DrainLatenciesUs() const {
-  std::vector<double> merged;
-  for (const auto& shard : shards_) {
-    shard->ownership.AssertHeld();  // quiescent (post-join) read
-    merged.insert(merged.end(), shard->drain_us.begin(),
-                  shard->drain_us.end());
-  }
-  std::sort(merged.begin(), merged.end());
-  return merged;
+ServeResult QuiescentServeResult(const CacheServer& server) {
+  ServeResult result;
+  result.total = server.TotalStats();
+  result.per_client = server.PerClientStats();
+  result.per_shard = server.PerShardStats();
+  result.requests = server.requests_applied();
+  result.batches = server.batches_applied();
+  result.shard_drains = server.shard_drains();
+  result.avg_drained_batch =
+      result.shard_drains > 0
+          ? static_cast<double>(result.requests) /
+                static_cast<double>(result.shard_drains)
+          : 0.0;
+  result.consumers = server.consumers();
+  result.cores_detected = std::max(1u, std::thread::hardware_concurrency());
+  result.per_consumer_requests = server.PerConsumerRequests();
+  result.admission = server.TotalAdmission();
+  result.quarantined = server.quarantined();
+  result.watchdog_sheds = server.watchdog_sheds();
+  return result;
 }
 
 namespace {
@@ -1079,7 +1084,6 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   CacheServer server(options, load.clients);
   const std::size_t clients = load.clients;
   std::vector<std::vector<double>> latencies_us(clients);
-  std::vector<ClientLoadStats> driver_stats(clients);
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> drivers;
@@ -1091,7 +1095,6 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
       const std::uint64_t begin = n * c / clients;
       const std::uint64_t end = n * (c + 1) / clients;
       std::vector<double>& lat = latencies_us[c];
-      ClientLoadStats& stats = driver_stats[c];
       const bool timed = load.duration_seconds > 0.0;
       bool first_pass = true;
       bool out_of_time = false;
@@ -1108,27 +1111,10 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
               server.Submit(c, trace.requests.data() + pos, count);
           const std::chrono::duration<double, std::micro> took =
               std::chrono::steady_clock::now() - t0;
-          stats.requests += count;
-          ++stats.batches;
-          switch (outcome) {
-            case SubmitResult::kApplied:
-              lat.push_back(took.count());
-              break;
-            case SubmitResult::kShed:
-              ++stats.shed_batches;
-              break;
-            case SubmitResult::kTimedOut:
-              ++stats.timed_out_batches;
-              break;
-            case SubmitResult::kExpired:
-              ++stats.expired_batches;
-              break;
-            case SubmitResult::kStopped:
-              stopped = true;
-              break;
-            case SubmitResult::kEnqueued:
-              break;  // unreachable for closed-loop Submit
-          }
+          // Shed, timed-out and expired batches are counted by the
+          // server's ledger and skipped.
+          if (outcome == SubmitResult::kApplied) lat.push_back(took.count());
+          stopped = outcome == SubmitResult::kStopped;
           if (stopped) break;
           if (timed) {
             const std::chrono::duration<double> elapsed =
@@ -1146,45 +1132,18 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;
 
-  ServeResult result;
-  result.total = server.TotalStats();
-  result.per_client = server.PerClientStats();
-  result.per_shard = server.PerShardStats();
-  result.requests = server.requests_applied();
-  result.batches = server.batches_applied();
-  result.shard_drains = server.shard_drains();
-  result.avg_drained_batch =
-      result.shard_drains > 0
-          ? static_cast<double>(result.requests) /
-                static_cast<double>(result.shard_drains)
-          : 0.0;
-  result.consumers = server.consumers();
-  result.cores_detected = std::max(1u, std::thread::hardware_concurrency());
-  result.per_consumer_requests = server.PerConsumerRequests();
-  result.admission = server.TotalAdmission();
-  result.quarantined = server.quarantined();
-  result.watchdog_sheds = server.watchdog_sheds();
-  if (options.record_drain_latency) {
-    const std::vector<double> drain_us = server.DrainLatenciesUs();
-    result.drain_p50_us = PercentileUs(drain_us, 0.50);
-    result.drain_p99_us = PercentileUs(drain_us, 0.99);
-  }
+  ServeResult result = QuiescentServeResult(server);
   result.wall_seconds = wall.count();
   result.throughput_rps =
       wall.count() > 0 ? static_cast<double>(result.requests) / wall.count()
                        : 0.0;
   std::vector<double> all_us;
-  for (std::size_t c = 0; c < clients; ++c) {
-    std::vector<double>& lat = latencies_us[c];
-    std::sort(lat.begin(), lat.end());
-    driver_stats[c].p50_us = PercentileUs(lat, 0.50);
-    driver_stats[c].p99_us = PercentileUs(lat, 0.99);
+  for (const std::vector<double>& lat : latencies_us) {
     all_us.insert(all_us.end(), lat.begin(), lat.end());
   }
   std::sort(all_us.begin(), all_us.end());
   result.p50_us = PercentileUs(all_us, 0.50);
   result.p99_us = PercentileUs(all_us, 0.99);
-  result.per_driver = std::move(driver_stats);
   return result;
 }
 

@@ -132,8 +132,8 @@ const char* ShardAssignmentName(ShardAssignment a);
 std::optional<ShardAssignment> ParseShardAssignment(const std::string& name);
 
 /// Exact admission/backpressure accounting, per client and aggregated.
-/// Invariants (asserted by tests/test_fault_injection.cc and gated in
-/// CI by tools/check_bench_floors.py on bench_overload rows):
+/// Invariants (asserted by tests/test_fault_injection.cc, per client
+/// and in aggregate, under a stalled shard with every admission policy):
 ///   submitted == enqueued + shed + timed_out + stopped_at_admission
 ///   enqueued  == applied + expired + stopped_in_queue
 /// so submitted == applied + shed + timed_out + expired + stopped,
@@ -221,10 +221,6 @@ struct ServerOptions {
   /// priority; within its rank bucket eviction order is LRU, so
   /// degraded service stays sane. 0 = guard off (trusted callers).
   std::uint32_t hint_bound = 0;
-  /// Record per-drain latencies (per-shard batch application time) so
-  /// DrainLatencyPercentiles() works. Off by default: the sample
-  /// vectors allocate during serving.
-  bool record_drain_latency = false;
   /// Deterministic fault injection; not owned, may be nullptr (no
   /// faults — the hooks cost one branch per drain). A plan with
   /// corruption requires hint_bound > 0 (constructor-enforced).
@@ -350,9 +346,6 @@ class CacheServer {
   std::uint64_t quarantined() const;
   /// Batches shed by the watchdog (subset of the shed counts).
   std::uint64_t watchdog_sheds() const;
-  /// Sorted per-drain latencies in microseconds, merged across shards.
-  /// Empty unless options.record_drain_latency was set.
-  std::vector<double> DrainLatenciesUs() const;
 
   std::size_t shards() const { return shards_.size(); }
   std::size_t pages_per_shard() const { return pages_per_shard_; }
@@ -491,7 +484,6 @@ class CacheServer {
     std::uint64_t requests CLIC_GUARDED_BY(ownership) = 0;
     std::uint64_t drains CLIC_GUARDED_BY(ownership) = 0;
     std::uint64_t quarantined CLIC_GUARDED_BY(ownership) = 0;
-    std::vector<double> drain_us CLIC_GUARDED_BY(ownership);
     /// Nanoseconds-since-steady-epoch when the in-flight drain started,
     /// 0 when idle. Written by the owning consumer, read lock-free by
     /// the admission watchdog — deliberately NOT role-guarded.
@@ -569,7 +561,6 @@ class CacheServer {
   double batch_deadline_ms_ = 0.0;
   double watchdog_ms_ = 0.0;
   std::uint32_t hint_bound_ = 0;
-  bool record_drain_latency_ = false;
   const fault::FaultPlan* fault_ = nullptr;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> batches_applied_{0};
@@ -593,21 +584,10 @@ struct LoadOptions {
   double duration_seconds = 0.0;
 };
 
-struct ClientLoadStats {
-  std::uint64_t requests = 0;  // submitted by this driver
-  std::uint64_t batches = 0;   // submitted by this driver
-  std::uint64_t shed_batches = 0;
-  std::uint64_t timed_out_batches = 0;
-  std::uint64_t expired_batches = 0;
-  double p50_us = 0.0;  // per-batch submit-to-applied latency
-  double p99_us = 0.0;
-};
-
 struct ServeResult {
   CacheStats total;
   std::map<ClientId, CacheStats> per_client;  // keyed by Request::client
   std::vector<CacheStats> per_shard;
-  std::vector<ClientLoadStats> per_driver;  // indexed by driver client
   /// Applied requests/batches (what reached a shard policy).
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
@@ -617,11 +597,11 @@ struct ServeResult {
   std::uint64_t shard_drains = 0;
   double avg_drained_batch = 0.0;
   /// Ownership topology actually used, and what the machine offered:
-  /// consumer (owning-core) count, std::thread::hardware_concurrency,
-  /// and requests applied per consumer. per-core req/s is
-  /// requests / consumers / wall_seconds; clic_serve and
-  /// bench_overload emit it so multi-core runners can gate scaling
-  /// while a 1-core container is recognizable as such.
+  /// consumer (owning-core) count, std::thread::hardware_concurrency
+  /// (at least 1), and requests applied per consumer. per-core req/s
+  /// is requests / consumers / wall_seconds; clic_serve emits it so
+  /// multi-core runners can gate scaling while a 1-core container is
+  /// recognizable as such.
   unsigned consumers = 0;
   unsigned cores_detected = 0;
   std::vector<std::uint64_t> per_consumer_requests;
@@ -629,13 +609,18 @@ struct ServeResult {
   AdmissionStats admission;
   std::uint64_t quarantined = 0;
   std::uint64_t watchdog_sheds = 0;
+  /// Filled by the load driver, not the server: ServeTrace's in-process
+  /// submit latencies, or the wire latencies of a loopback run.
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;
   double p50_us = 0.0;  // across all drivers' applied batches
   double p99_us = 0.0;
-  double drain_p50_us = 0.0;  // per-shard-drain latency (opt-in)
-  double drain_p99_us = 0.0;
 };
+
+/// The server-side half of a ServeResult — every field but the
+/// driver's wall clock, throughput and latencies — read from a
+/// quiescent server (after Shutdown(), Stop() or a NetServer drain).
+ServeResult QuiescentServeResult(const CacheServer& server);
 
 /// Replays `trace` against a fresh CacheServer with `load.clients`
 /// closed-loop driver threads. Throws std::invalid_argument for

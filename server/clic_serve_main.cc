@@ -879,24 +879,7 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
                  wire.wire_errors == 1 ? "" : "s");
   }
 
-  const CacheServer& cache = server->cache();
-  result->total = cache.TotalStats();
-  result->per_client = cache.PerClientStats();
-  result->per_shard = cache.PerShardStats();
-  result->requests = cache.requests_applied();
-  result->batches = cache.batches_applied();
-  result->shard_drains = cache.shard_drains();
-  result->avg_drained_batch =
-      result->shard_drains > 0
-          ? static_cast<double>(result->requests) /
-                static_cast<double>(result->shard_drains)
-          : 0.0;
-  result->consumers = cache.consumers();
-  result->cores_detected = std::thread::hardware_concurrency();
-  result->per_consumer_requests = cache.PerConsumerRequests();
-  result->admission = cache.TotalAdmission();
-  result->quarantined = cache.quarantined();
-  result->watchdog_sheds = cache.watchdog_sheds();
+  *result = QuiescentServeResult(server->cache());
   // Wall clock and latency percentiles are the wire-level numbers: what
   // a client sees through real sockets, not the in-process view.
   result->wall_seconds = wire.wall_seconds;

@@ -8,7 +8,7 @@ namespace clic::server::fault {
 namespace {
 
 constexpr char kValidClauses[] =
-    "valid clauses: seed=N, burst=N, "
+    "valid clauses: seed=N, "
     "stall:shard=N,after=N,drains=N,ms=F, "
     "pause:consumer=N,after=N,batches=N,ms=F, "
     "shed:every=N, corrupt:every=N,flips=N, "
@@ -85,7 +85,7 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* out,
     }
     const std::size_t colon = clause.find(':');
     if (colon == std::string::npos) {
-      // Top-level key=value: seed or burst.
+      // Top-level key=value: seed.
       const std::size_t eq = clause.find('=');
       if (eq == std::string::npos) {
         return Fail(error, "fault plan clause '" + clause +
@@ -95,12 +95,6 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* out,
       const std::string value = clause.substr(eq + 1);
       if (key == "seed") {
         if (!ParseCount(clause, key, value, &plan.seed, error)) return false;
-      } else if (key == "burst") {
-        if (!ParseCount(clause, key, value, &plan.burst, error)) return false;
-        if (plan.burst == 0) {
-          return Fail(error, "fault plan clause '" + clause +
-                                 "': burst must be >= 1");
-        }
       } else {
         return Fail(error,
                     "fault plan: unknown top-level key '" + key + "'");

@@ -8,8 +8,7 @@
 // consumer pauses (the drain thread naps between batches, as a noisy
 // neighbour or a GC pause would), deterministic admission shedding
 // (every k-th batch of every client is rejected, simulating an
-// overloaded front end with a reproducible victim set), client burst
-// multipliers (drivers submit bursts of batches back to back), and
+// overloaded front end with a reproducible victim set), and
 // hint-corruption byte flips (seeded bit flips in Request::hint_set at
 // drain time, feeding the kind of garbage a torn wire message would).
 //
@@ -67,9 +66,6 @@ struct FaultPlan {
   /// a pure function of the plan, so a verify run can simulate exactly
   /// the surviving requests.
   std::uint64_t shed_every = 0;
-  /// >= 1: load drivers (bench_overload, open-loop tests) submit this
-  /// many batches back to back per cycle instead of one.
-  std::uint64_t burst = 1;
   /// > 0: every `corrupt_every`-th drained batch of each client gets
   /// `corrupt_flips` seeded single-bit flips in Request::hint_set
   /// fields. Requires the server's hint-sanity guard (hint_bound > 0):
@@ -122,7 +118,7 @@ struct FaultPlan {
 /// Parses the textual plan grammar:
 ///
 ///   plan    := clause (';' clause)*
-///   clause  := 'seed=' N | 'burst=' N
+///   clause  := 'seed=' N
 ///            | 'stall:'   'shard=' N ',after=' N ',drains=' N ',ms=' F
 ///            | 'pause:'   'consumer=' N ',after=' N ',batches=' N ',ms=' F
 ///            | 'shed:'    'every=' N

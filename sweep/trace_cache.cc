@@ -69,11 +69,6 @@ std::size_t CollectStaleTempFiles(const std::string& dir,
 TraceCache::TraceCache(std::string dir, std::uint64_t request_cap)
     : dir_(std::move(dir)), request_cap_(request_cap) {}
 
-TraceCache& TraceCache::Global() {
-  static TraceCache cache(CacheDirFromEnv(), RequestCapFromEnv());
-  return cache;
-}
-
 const Trace& TraceCache::Get(const std::string& name) {
   Entry* entry = nullptr;
   {

@@ -1,8 +1,8 @@
-// Process-wide trace cache with per-trace once-initialization.
+// Trace cache with per-trace once-initialization.
 //
-// The sweep runner, the server and the benches replay the same
-// workloads; this cache generates (or disk-loads) each trace exactly
-// once per process and hands out shared immutable references. Locking
+// The sweep runner, the server and the figure programs replay the same
+// workloads; a cache generates (or disk-loads) each trace exactly once
+// and hands out shared immutable references. Locking
 // is per trace: concurrent Get() calls for the *same* name block until
 // one generation finishes, calls for *distinct* names generate in
 // parallel — a whole-trace generation is a multi-second job, so a
@@ -60,9 +60,6 @@ class TraceCache {
 
   const std::string& dir() const { return dir_; }
   std::uint64_t request_cap() const { return request_cap_; }
-
-  /// The env-configured process-wide instance the benches share.
-  static TraceCache& Global();
 
  private:
   struct Entry {

@@ -2,7 +2,7 @@
 """Golden decision outputs, run by CTest:
 
     golden_outputs_test.py --sweep CLIC_SWEEP --serve CLIC_SERVE \
-        --cache-dir DIR [--update]
+        --fig3 FIG3 --fig5 FIG5 --cache-dir DIR [--update]
 
 Contract under test: caching decisions do not change unless a change
 says so. Every run below prints CSV rows; only the decision columns
@@ -18,9 +18,10 @@ at 20000 with a 2000-request window (as is, with decay 0, with a
 5-entry Space-Saving tracker and with the adaptive window), so window
 closes and rank rebuilds happen there too; phase-shift at 200000 with
 that window, which overrides the window of every CLIC variant and
-keeps their other options; full-length phase-shift; and the CLIC
+keeps their other options; full-length phase-shift; the CLIC
 server with the same small window in deterministic verify mode,
-in-process and over loopback.
+in-process and over loopback; and the Figure 3 priority scatter and
+Figure 5 trace inventory programs at 20000 requests, every column kept.
 
 --update rewrites the expected files from the binaries given. Use it
 only in a change whose notes say which decisions moved and why.
@@ -69,8 +70,8 @@ def figure_presets(sweep):
     sys.exit("golden_outputs: no 'Figure presets:' line in clic_sweep --list")
 
 
-def runs(sweep, serve, cache_dir):
-    """(name, argv, columns) for every golden run."""
+def runs(sweep, serve, fig3, fig5, cache_dir):
+    """(name, argv, columns) for every golden run; columns None keeps all."""
     base = ["--cache-dir=" + cache_dir, "--format=csv"]
     sweep_base = [sweep, "--threads=2"] + base
     out = []
@@ -98,6 +99,12 @@ def runs(sweep, serve, cache_dir):
                 SERVE_COLUMNS))
     out.append(("serve-clic-w2000-connect",
                 [serve] + base + SERVE_ARGS + ["--connect"], SERVE_COLUMNS))
+    # The figure programs take their length cap and cache dir from the
+    # environment only.
+    env = ["env", "CLIC_BENCH_REQUESTS=" + CAP,
+           "CLIC_TRACE_CACHE_DIR=" + cache_dir]
+    out.append(("fig-3", env + [fig3], None))
+    out.append(("fig-5", env + [fig5], None))
     return out
 
 
@@ -111,6 +118,8 @@ def decision_rows(name, argv, columns, env):
     if not table:
         raise RuntimeError("%s: no CSV output" % name)
     header = table[0]
+    if columns is None:
+        return table
     missing = [c for c in columns if c not in header]
     if missing:
         raise RuntimeError("%s: output lacks columns %s" % (name, missing))
@@ -147,6 +156,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--sweep", required=True, help="clic_sweep binary")
     ap.add_argument("--serve", required=True, help="clic_serve binary")
+    ap.add_argument("--fig3", required=True,
+                    help="bench_fig3_hint_priorities binary")
+    ap.add_argument("--fig5", required=True,
+                    help="bench_fig5_trace_table binary")
     ap.add_argument("--cache-dir", required=True, help="trace cache dir")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the expected files")
@@ -162,7 +175,8 @@ def main():
         os.makedirs(GOLDEN_DIR, exist_ok=True)
 
     failures = 0
-    planned = runs(args.sweep, args.serve, args.cache_dir)
+    planned = runs(args.sweep, args.serve, args.fig3, args.fig5,
+                   args.cache_dir)
     for name, argv, columns in planned:
         path = os.path.join(GOLDEN_DIR, name + ".csv")
         try:

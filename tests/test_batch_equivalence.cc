@@ -6,11 +6,15 @@
 // option space (trackers, decay, outqueue, generalization — the
 // incremental window close has to reproduce the eager analysis
 // exactly), and for the one case that is easy to get wrong: a CLIC
-// window boundary falling in the middle of a batch.
+// window boundary falling in the middle of a batch. The same contract
+// is checked at bench scale with the paper's options, next to the
+// throughput floors of the batched Simulate() loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -51,6 +55,43 @@ Trace RandomTrace(std::uint64_t seed, std::size_t n) {
   trace.CacheMaxClient();
   return trace;
 }
+
+/// The micro trace shape: `n` Zipf(`zipf_z`) requests over `pages`
+/// pages, 30% writes (half replacement, half recovery), and 64 hint
+/// sets chosen by page. Requests are drawn in order from one seeded
+/// stream, so a shorter `n` is a prefix of a longer one.
+Trace MakeMicroTrace(std::uint64_t pages, double zipf_z, std::size_t n) {
+  Trace trace;
+  trace.name = "micro";
+  Rng rng(0xBEEF);
+  ZipfGenerator zipf(pages, zipf_z);
+  std::vector<HintSetId> hints;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    hints.push_back(trace.hints->Intern(HintVector{0, {i}}));
+  }
+  trace.requests.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Request r;
+    r.page = zipf(rng);
+    r.hint_set = hints[r.page % hints.size()];
+    if (rng.Chance(0.3)) {
+      r.op = OpType::kWrite;
+      r.write_kind =
+          rng.Chance(0.5) ? WriteKind::kReplacement : WriteKind::kRecovery;
+    }
+    trace.requests.push_back(r);
+  }
+  trace.CacheMaxClient();
+  return trace;
+}
+
+/// 1M requests over 100k pages (Zipf 0.9), replayed at 16,384 cache
+/// pages: the shape the throughput floors are stated for.
+const Trace& MicroTrace() {
+  static const Trace trace = MakeMicroTrace(100'000, 0.9, 1'000'000);
+  return trace;
+}
+constexpr std::size_t kMicroCachePages = 16'384;
 
 std::vector<std::uint8_t> ScalarDecisions(Policy& policy,
                                           const Trace& trace) {
@@ -103,8 +144,9 @@ TEST(BatchEquivalenceTest, EveryPolicyEveryBatchSize) {
   const Trace trace = RandomTrace(0xA11CE, 5'000);
   const std::size_t n = trace.size();
   // 1 and 7: degenerate and prime; 256: typical; n: one whole-trace
-  // batch; 999: leaves an odd tail (5000 % 999 = 5).
-  const std::vector<std::size_t> batch_sizes = {1, 7, 256, n, 999};
+  // batch; 999: leaves an odd tail (5000 % 999 = 5); 4096: the
+  // bench-scale batch below, with a 904-request tail.
+  const std::vector<std::size_t> batch_sizes = {1, 7, 256, n, 999, 4096};
   for (PolicyKind kind : AllPolicies()) {
     auto scalar_policy =
         MakePolicy(kind, 64, &trace, SmallWindowOptions());
@@ -234,6 +276,80 @@ TEST(BatchEquivalenceTest, SimulateMatchesManualScalarReplay) {
       EXPECT_EQ(b.write_hits, stats.write_hits) << PolicyName(kind) << client;
     }
   }
+}
+
+// Batch == scalar at bench scale with the paper's options: the micro
+// trace at 16,384 pages, and the server-scale shape (4M pages, Zipf
+// 0.8) at 262,144 pages, cut to its first 1M requests so a sanitizer
+// run stays short. Both grow the page table in the middle of a
+// 4096-request batch and evict, and CLIC closes nine windows at
+// W = 1e5, none of them on a batch boundary.
+TEST(BatchEquivalenceTest, BenchScaleLruAndClicAtBatch4096) {
+  const Trace server_scale = MakeMicroTrace(4'000'000, 0.8, 1'000'000);
+  const struct {
+    const char* name;
+    const Trace* trace;
+    std::size_t cache_pages;
+  } shapes[] = {{"micro", &MicroTrace(), kMicroCachePages},
+                {"server-scale", &server_scale, 262'144}};
+  for (const auto& shape : shapes) {
+    for (PolicyKind kind : {PolicyKind::kLru, PolicyKind::kClic}) {
+      auto scalar_policy =
+          MakePolicy(kind, shape.cache_pages, shape.trace, ClicOptions{});
+      const std::vector<std::uint8_t> expected =
+          ScalarDecisions(*scalar_policy, *shape.trace);
+      auto batched_policy =
+          MakePolicy(kind, shape.cache_pages, shape.trace, ClicOptions{});
+      const std::vector<std::uint8_t> got =
+          BatchedDecisions(*batched_policy, *shape.trace, {4096});
+      EXPECT_EQ(FirstDivergence(expected, got), -1)
+          << PolicyName(kind) << " on " << shape.name
+          << " diverged at request " << FirstDivergence(expected, got);
+      const auto misses = static_cast<std::size_t>(
+          std::count(expected.begin(), expected.end(), 0));
+      EXPECT_GT(misses, shape.cache_pages)
+          << PolicyName(kind) << " on " << shape.name << " never evicted";
+      if (const auto* clic = dynamic_cast<const ClicPolicy*>(
+              batched_policy.get())) {
+        EXPECT_EQ(clic->windows_completed(), 9u) << shape.name;
+      }
+    }
+  }
+}
+
+// The throughput floors of the batched Simulate() loop over the micro
+// trace: LRU >= 10M and CLIC >= 2M requests per second, best of three
+// passes, each with a fresh policy. They catch an access path that
+// went asymptotically wrong (an allocation or a search per request),
+// not small regressions; benchmark/ measures those. Only an optimized
+// build without sanitizers measures anything, so others skip.
+TEST(ThroughputFloorTest, LruAndClicSimulateAboveFloors) {
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "throughput floors need an NDEBUG build without "
+                  "sanitizers";
+#else
+  const Trace& trace = MicroTrace();
+  const struct {
+    PolicyKind kind;
+    double floor;
+  } floors[] = {{PolicyKind::kLru, 10e6}, {PolicyKind::kClic, 2e6}};
+  for (const auto& f : floors) {
+    double best = 0.0;
+    for (int pass = 0; pass < 3; ++pass) {
+      const auto t0 = std::chrono::steady_clock::now();
+      auto policy = MakePolicy(f.kind, kMicroCachePages, &trace, ClicOptions{});
+      const SimResult result = Simulate(trace, *policy);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - t0;
+      ASSERT_EQ(result.total.reads + result.total.writes, trace.size());
+      best = std::max(best, static_cast<double>(trace.size()) / took.count());
+    }
+    std::printf("%s: best of 3 passes %.1f M req/s (floor %.0f M)\n",
+                PolicyName(f.kind), best / 1e6, f.floor / 1e6);
+    EXPECT_GE(best, f.floor) << PolicyName(f.kind);
+  }
+#endif
 }
 
 }  // namespace

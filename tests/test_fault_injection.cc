@@ -2,11 +2,13 @@
 // offending clause named), injected faults replay deterministically,
 // admission accounting stays exact under every outcome, the hint-sanity
 // guard quarantines corruption instead of crashing or polluting CLIC
-// state, and the watchdog/deadline/timeout paths all fire and count.
+// state, the watchdog/deadline/timeout paths all fire and count, and a
+// stalled shard costs only the client routed at it.
 #include "server/fault_injection.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -72,13 +74,12 @@ TEST(FaultPlanParseTest, ParsesEveryClauseKind) {
   FaultPlan plan;
   std::string error;
   ASSERT_TRUE(ParseFaultPlan(
-      "seed=42;burst=3;stall:shard=1,after=10,drains=5,ms=2.5;"
+      "seed=42;stall:shard=1,after=10,drains=5,ms=2.5;"
       "pause:consumer=0,after=7,batches=2,ms=0.5;shed:every=9;"
       "corrupt:every=4,flips=3",
       &plan, &error))
       << error;
   EXPECT_EQ(plan.seed, 42u);
-  EXPECT_EQ(plan.burst, 3u);
   ASSERT_EQ(plan.stalls.size(), 1u);
   EXPECT_EQ(plan.stalls[0].shard, 1u);
   EXPECT_EQ(plan.stalls[0].after_drain, 10u);
@@ -116,7 +117,7 @@ TEST(FaultPlanParseTest, RejectsMalformedSpecsNamingTheClause) {
       {"bogus:every=1", "bogus"},
       {"seed=abc", "abc"},
       {"seed=-3", "-3"},
-      {"burst=0", "burst"},
+      {"burst=2", "burst"},
       {"stall:shard=0,after=1,ms=nope", "nope"},
       {"stall:shard=0,whatever=1", "whatever"},
       {"pause:consumer=0,ms=-1", "-1"},
@@ -451,6 +452,85 @@ TEST(FaultInjectionTest, WatchdogShedsTrafficAtStalledShard) {
   EXPECT_EQ(a.submitted_batches, submitted);
   EXPECT_GE(a.shed_batches, server.watchdog_sheds());
   ExpectExactLedger(a);
+}
+
+// A wedged shard under load, with every admission policy: 4 shards
+// with one owning consumer each, LRU at 12,000 pages, at most 16 queued
+// batches per client, a 5 ms submit timeout, a 50 ms batch deadline, a
+// 10 ms watchdog, and a 20 ms stall on every drain of shard 0. Client c
+// replays only shard c's partition: client 0 open-loop into the stall,
+// clients 1-3 closed-loop. The ledger balances in total and per client,
+// and only client 0 is turned away. Clients 1-3 cannot be: their shards
+// never stall, and a closed loop keeps one batch in flight under a cap
+// of 16.
+TEST(FaultInjectionTest, StalledShardLedgerExactUnderEveryAdmission) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kBatch = 256;
+  const Trace trace =
+      MakeSynthetic("overload", 41, kShards * 24 * kBatch, 1);
+  const std::vector<Trace> parts = PartitionByShard(trace, kShards);
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan("stall:shard=0,after=0,drains=1000000,ms=20",
+                             &plan, &error))
+      << error;
+  for (AdmissionPolicy admission :
+       {AdmissionPolicy::kShed, AdmissionPolicy::kBlockWithDeadline,
+        AdmissionPolicy::kBlock}) {
+    SCOPED_TRACE(AdmissionPolicyName(admission));
+    ServerOptions options;
+    options.shards = kShards;
+    options.max_consumers = kShards;
+    options.cache_pages = 12'000;
+    options.policy = PolicyKind::kLru;
+    options.queue_cap = 16;
+    options.admission = admission;
+    options.submit_timeout_ms = 5.0;
+    options.batch_deadline_ms = 50.0;
+    options.watchdog_ms = 10.0;
+    options.fault = &plan;
+    CacheServer server(options, kShards);
+    std::vector<std::uint64_t> driver_batches(kShards, 0);
+    std::vector<std::thread> drivers;
+    for (std::size_t c = 0; c < kShards; ++c) {
+      drivers.emplace_back([&, c] {
+        const std::vector<Request>& reqs = parts[c].requests;
+        for (std::size_t pos = 0; pos < reqs.size(); pos += kBatch) {
+          const std::size_t count = std::min(kBatch, reqs.size() - pos);
+          ++driver_batches[c];
+          if (c == 0) {
+            server.SubmitAsync(c, reqs.data() + pos, count);
+          } else {
+            server.Submit(c, reqs.data() + pos, count);
+          }
+        }
+        server.Finish(c);
+      });
+    }
+    for (std::thread& t : drivers) t.join();
+    server.Shutdown();
+
+    const AdmissionStats total = server.TotalAdmission();
+    std::uint64_t submitted = 0;
+    for (std::uint64_t n : driver_batches) submitted += n;
+    EXPECT_EQ(total.submitted_batches, submitted);
+    ExpectExactLedger(total);
+    EXPECT_GT(total.applied_requests, 0u);
+    const std::vector<AdmissionStats> per_client = server.PerClientAdmission();
+    ASSERT_EQ(per_client.size(), kShards);
+    for (std::size_t c = 0; c < kShards; ++c) {
+      SCOPED_TRACE("client " + std::to_string(c));
+      ExpectExactLedger(per_client[c]);
+      if (c == 0) {
+        EXPECT_GT(per_client[c].shed_batches + per_client[c].timed_out_batches +
+                      per_client[c].expired_batches,
+                  0u);
+      } else {
+        EXPECT_EQ(per_client[c].shed_batches, 0u);
+        EXPECT_EQ(per_client[c].timed_out_batches, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // flushes in-flight frames into the `stopped` bucket, the
 // deterministic wire mode is bit-identical to per-shard sequential
 // Simulate(), pipelined bursts are answered once each, in order, in
-// coalesced writes, and the wire client fails closed on an extra frame.
+// coalesced writes, the wire client fails closed on an extra frame, and
+// misbehaving peers leave the healthy clients' ledgers exact.
 #include "server/net/net_server.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -566,6 +569,91 @@ TEST(NetServerPipelineTest, DrainAnswersEveryFrameOfABurstOnce) {
   EXPECT_EQ(adm.applied_batches + adm.stopped_batches, frames + 1);
   EXPECT_EQ(server.Stats().frames, adm.submitted_batches);
   ExpectExactLedger(adm);
+}
+
+// Two real misbehaving peers against healthy wire load: while
+// RunWireLoad drives 4 clients, a slowloris peer sends a full header
+// plus 4 payload bytes and goes silent until the 5 ms read deadline
+// evicts it, and a churn peer sends a checksum-corrupted frame, takes
+// its typed error and close, and reconnects every millisecond. Their
+// traffic lands only in the wire-edge counters: every request of a
+// well-formed frame reached Submit, the healthy clients' ledger
+// balances, and so does the server's.
+TEST(NetServerTest, AntagonistsLeaveWireLedgersExact) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kBatch = 256;
+  const Trace trace =
+      MakeSynthetic("net_antagonists", 23, kClients * 100 * kBatch);
+  NetServerOptions opts;
+  opts.io_threads = 2;
+  opts.conn_limit = kClients + 2 + 4;  // both antagonists, plus headroom
+  opts.read_timeout_ms = 5.0;
+  opts.server.shards = 4;
+  opts.server.cache_pages = 12'000;
+  opts.server.max_consumers = 4;
+  NetServer server(opts);
+
+  std::string frame;
+  AppendBatchFrame(trace.requests.data(), kBatch, 1, &frame);
+  const std::string slow_prefix = frame.substr(0, kFrameHeaderBytes + 4);
+  std::string corrupt = frame;
+  corrupt[kFrameHeaderBytes + 1] ^= 0x5A;
+  std::atomic<bool> stop{false};
+  // Connects, sends `bytes`, and waits for the server to close the
+  // connection; a receive timeout keeps a server that never does from
+  // hanging the test.
+  const auto antagonist = [&](const std::string& bytes) {
+    while (!stop.load(std::memory_order_acquire)) {
+      const int fd = ConnectRaw(server.port());
+      if (fd >= 0) {
+        const timeval one_second{1, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &one_second,
+                     sizeof(one_second));
+        if (WriteAll(fd, bytes)) ReadEof(fd);
+        ::close(fd);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::thread slowloris(antagonist, slow_prefix);
+  std::thread churn(antagonist, corrupt);
+
+  WireLoadOptions load;
+  load.port = server.port();
+  load.clients = kClients;
+  load.batch_size = kBatch;
+  const WireLoadResult wire = RunWireLoad(trace, load);
+  // The antagonists stop only once both have bitten: a ledger checked
+  // against peers that never misbehaved proves nothing.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  NetStats net = server.Stats();
+  while ((net.evicted_read == 0 || net.rejected_requests == 0) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    net = server.Stats();
+  }
+  stop.store(true, std::memory_order_release);
+  slowloris.join();
+  churn.join();
+  EXPECT_GE(net.evicted_read, 1u) << "the slowloris peer was never evicted";
+  EXPECT_GE(net.rejected_requests, 1u) << "no corrupted frame was rejected";
+  server.Drain();
+
+  net = server.Stats();
+  const AdmissionStats adm = server.cache().TotalAdmission();
+  EXPECT_EQ(net.frame_requests, adm.submitted_requests);
+  EXPECT_EQ(net.frames, adm.submitted_batches);
+  EXPECT_EQ(wire.submitted_requests,
+            wire.applied_requests + wire.shed_requests +
+                wire.timed_out_requests + wire.expired_requests +
+                wire.stopped_requests + wire.conn_lost_requests);
+  EXPECT_EQ(wire.submitted_batches,
+            wire.applied_batches + wire.shed_batches +
+                wire.timed_out_batches + wire.expired_batches +
+                wire.stopped_batches + wire.conn_lost_batches);
+  ExpectExactLedger(adm);
+  EXPECT_GT(adm.applied_requests, 0u);
 }
 
 // A reply stream carrying more than the one frame a Call expects must

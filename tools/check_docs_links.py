@@ -11,7 +11,7 @@ Three classes of reference are verified, all relative to the repo root
    then the repo root).
 2. Backticked source paths — tokens ending in .h/.cc/.md/.py/.sh/.yml.
    With a '/' they must exist as given; bare filenames must match some
-   file in the tree (so `bench_util.h` works without its directory).
+   file in the tree (so `wire_format.h` works without its directory).
    Runtime artifacts (.json/.csv/.trc logs) are deliberately excluded.
 3. Backticked `./binary` invocations — the binary name must be a build
    target: clic_sweep, clic_serve, or a bench_*/test_* source basename.
