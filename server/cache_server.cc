@@ -97,48 +97,6 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
   return out;
 }
 
-const char* SubmitResultName(SubmitResult r) {
-  switch (r) {
-    case SubmitResult::kApplied: return "applied";
-    case SubmitResult::kEnqueued: return "enqueued";
-    case SubmitResult::kShed: return "shed";
-    case SubmitResult::kTimedOut: return "timed_out";
-    case SubmitResult::kExpired: return "expired";
-    case SubmitResult::kStopped: return "stopped";
-  }
-  return "unknown";
-}
-
-const char* AdmissionPolicyName(AdmissionPolicy p) {
-  switch (p) {
-    case AdmissionPolicy::kBlock: return "block";
-    case AdmissionPolicy::kBlockWithDeadline: return "deadline";
-    case AdmissionPolicy::kShed: return "shed";
-  }
-  return "unknown";
-}
-
-std::optional<AdmissionPolicy> ParseAdmissionPolicy(const std::string& name) {
-  if (name == "block") return AdmissionPolicy::kBlock;
-  if (name == "deadline") return AdmissionPolicy::kBlockWithDeadline;
-  if (name == "shed") return AdmissionPolicy::kShed;
-  return std::nullopt;
-}
-
-const char* ShardAssignmentName(ShardAssignment a) {
-  switch (a) {
-    case ShardAssignment::kStripe: return "stripe";
-    case ShardAssignment::kBlock: return "block";
-  }
-  return "unknown";
-}
-
-std::optional<ShardAssignment> ParseShardAssignment(const std::string& name) {
-  if (name == "stripe") return ShardAssignment::kStripe;
-  if (name == "block") return ShardAssignment::kBlock;
-  return std::nullopt;
-}
-
 namespace {
 
 std::int64_t NowNs() {
@@ -152,15 +110,6 @@ std::int64_t NowNs() {
 CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
     : pages_per_shard_(ShardCachePages(options.cache_pages, options.shards)),
       deterministic_(options.deterministic),
-      ring_capacity_(options.ring_capacity),
-      queue_cap_(options.queue_cap),
-      // Never deeper than the cap or a ring: with at most depth - 1
-      // other batches of its own in flight, a Begin always finds room.
-      pipeline_depth_(std::min({kPipelineDepth,
-                                queue_cap_ > 0 ? queue_cap_ : kPipelineDepth,
-                                ring_capacity_})),
-      admission_(options.admission),
-      submit_timeout_ms_(options.submit_timeout_ms),
       batch_deadline_ms_(options.batch_deadline_ms),
       watchdog_ms_(options.watchdog_ms),
       hint_bound_(options.hint_bound),
@@ -186,17 +135,6 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
     throw std::invalid_argument(
         "CacheServer: deterministic mode runs exactly one consumer, got "
         "consumers=" + std::to_string(options.consumers));
-  }
-  if (ring_capacity_ < 2 ||
-      (ring_capacity_ & (ring_capacity_ - 1)) != 0) {
-    throw std::invalid_argument(
-        "CacheServer: ring_capacity must be a power of two >= 2, got " +
-        std::to_string(ring_capacity_));
-  }
-  if (queue_cap_ > 0 && admission_ == AdmissionPolicy::kBlockWithDeadline &&
-      submit_timeout_ms_ <= 0.0) {
-    throw std::invalid_argument(
-        "CacheServer: admission=deadline needs submit_timeout_ms > 0");
   }
   if (fault_ != nullptr) {
     if (fault_->HasCorruption() && hint_bound_ == 0) {
@@ -233,20 +171,13 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
   } else if (options.consumers > 0) {
     workers = options.consumers;
   } else {
-    const unsigned cap = options.max_consumers > 0
-                             ? options.max_consumers
-                             : std::max(1u, std::thread::hardware_concurrency());
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(shards_.size(), std::max(1u, cap)));
+    workers = static_cast<unsigned>(std::min<std::size_t>(
+        shards_.size(), std::max(1u, std::thread::hardware_concurrency())));
   }
+  // Stripe: neighbouring shards land on different cores.
   owner_of_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    owner_of_[s] =
-        options.assignment == ShardAssignment::kStripe
-            ? static_cast<std::uint32_t>(s % workers)
-            // Balanced contiguous blocks; floor(s*W/S) hits every
-            // consumer at least once when W <= S.
-            : static_cast<std::uint32_t>(s * workers / shards_.size());
+    owner_of_[s] = static_cast<std::uint32_t>(s % workers);
   }
   consumers_.reserve(workers);
   for (unsigned k = 0; k < workers; ++k) {
@@ -261,7 +192,7 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
     port->rings.reserve(workers);
     for (unsigned k = 0; k < workers; ++k) {
       port->rings.push_back(
-          std::make_unique<SpscRing<Batch*>>(ring_capacity_));
+          std::make_unique<SpscRing<Batch*>>(kPipelineDepth));
     }
     ports_.push_back(std::move(port));
   }
@@ -329,12 +260,12 @@ void CacheServer::RouteBatch(ClientPort& port, Batch* batch,
   }
   batch->runs.clear();
   if (S == 1) {
-    if (mutated || batch->async) {
+    if (mutated) {
       batch->routed.assign(src, src + n);
       batch->reqs = batch->routed.data();
     } else {
-      // Closed-loop fast path: the caller's buffer outlives Submit, so
-      // a single-shard unmutated batch is served zero-copy.
+      // The caller's buffer outlives the Await, so a single-shard
+      // unmutated batch is served zero-copy.
       batch->reqs = src;
     }
     batch->runs.push_back({0, 0, static_cast<std::uint32_t>(n)});
@@ -387,24 +318,21 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
   batch->n = n;
   batch->submit_index = ++port.submit_counter;
   if (stop_.load(std::memory_order_acquire)) {
-    port.adm.stopped_batches += 1;
-    port.adm.stopped_requests += n;
+    port.adm.Add(SubmitResult::kStopped, n);
     return SubmitResult::kStopped;
   }
   // Deterministic overload injection: a pure function of (client,
   // submit index), so a verify run can reconstruct the shed set.
   if (fault_ != nullptr && fault_->shed_every > 0 &&
       batch->submit_index % fault_->shed_every == 0) {
-    port.adm.shed_batches += 1;
-    port.adm.shed_requests += n;
+    port.adm.Add(SubmitResult::kShed, n);
     return SubmitResult::kShed;
   }
   RouteBatch(port, batch, requests, n);
   // Watchdog: shed traffic aimed at a shard whose in-flight drain has
   // been running past the threshold.
   if (watchdog_ms_ > 0.0 && TouchesStalledShard(*batch, NowNs())) {
-    port.adm.shed_batches += 1;
-    port.adm.shed_requests += n;
+    port.adm.Add(SubmitResult::kShed, n);
     watchdog_sheds_.fetch_add(1, std::memory_order_relaxed);
     return SubmitResult::kShed;
   }
@@ -418,64 +346,6 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
     }
     if (!seen) port.targets.push_back(owner);
   }
-  // All-or-nothing space reservation: the depth cap plus a free slot in
-  // EVERY target ring. Both are monotone from this producer's view
-  // (only this thread adds load for this client; consumers only free),
-  // so once true it stays true through the pushes below.
-  const auto space_ok = [this, &port] {
-    if (queue_cap_ > 0 &&
-        port.queued.load(std::memory_order_seq_cst) >= queue_cap_) {
-      return false;
-    }
-    for (std::size_t t : port.targets) {
-      if (port.rings[t]->FreeSlots() == 0) return false;
-    }
-    return true;
-  };
-  if (!space_ok()) {
-    const bool cap_full =
-        queue_cap_ > 0 &&
-        port.queued.load(std::memory_order_seq_cst) >= queue_cap_;
-    if (admission_ == AdmissionPolicy::kShed && cap_full) {
-      port.adm.shed_batches += 1;
-      port.adm.shed_requests += n;
-      return SubmitResult::kShed;
-    }
-    // Slow control path: park on the space CV. The space_waiter flag +
-    // seq_cst fence pair with the consumer's post-free fence/load so a
-    // wakeup can never be missed (see NoteSlicePopped).
-    // clic-lint: begin-allow(no-mutex-data-path) reason=full-queue admission wait; reached only when space_ok() already failed
-    {
-      std::unique_lock<std::mutex> lock(port.mu.native());
-      port.space_waiter.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      bool satisfied = true;
-      const auto pred = [this, &space_ok] {
-        return space_ok() || stop_.load(std::memory_order_acquire);
-      };
-      if (admission_ == AdmissionPolicy::kBlockWithDeadline &&
-          queue_cap_ > 0) {
-        satisfied = port.space_cv.wait_for(
-            lock,
-            std::chrono::duration<double, std::milli>(submit_timeout_ms_),
-            pred);
-      } else {
-        port.space_cv.wait(lock, pred);
-      }
-      port.space_waiter.store(false, std::memory_order_relaxed);
-      if (!satisfied && !stop_.load(std::memory_order_acquire)) {
-        port.adm.timed_out_batches += 1;
-        port.adm.timed_out_requests += n;
-        return SubmitResult::kTimedOut;
-      }
-    }
-    // clic-lint: end-allow(no-mutex-data-path)
-    if (stop_.load(std::memory_order_acquire)) {
-      port.adm.stopped_batches += 1;
-      port.adm.stopped_requests += n;
-      return SubmitResult::kStopped;
-    }
-  }
   batch->deadline = Clock::time_point{};
   if (batch_deadline_ms_ > 0.0) {
     batch->deadline =
@@ -483,9 +353,8 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
                            std::chrono::duration<double, std::milli>(
                                batch_deadline_ms_));
   }
-  const auto slices = static_cast<std::uint32_t>(port.targets.size());
-  batch->unpopped.store(slices, std::memory_order_relaxed);
-  batch->pending.store(slices, std::memory_order_relaxed);
+  batch->pending.store(static_cast<std::uint32_t>(port.targets.size()),
+                       std::memory_order_relaxed);
   batch->fail_bits.store(0, std::memory_order_relaxed);
   batch->done.store(false, std::memory_order_relaxed);
   batch->waiting.store(false, std::memory_order_relaxed);
@@ -497,17 +366,15 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
   port.submitting.store(true, std::memory_order_seq_cst);
   if (stop_.load(std::memory_order_seq_cst)) {
     port.submitting.store(false, std::memory_order_release);
-    port.adm.stopped_batches += 1;
-    port.adm.stopped_requests += n;
+    port.adm.Add(SubmitResult::kStopped, n);
     return SubmitResult::kStopped;
   }
-  port.adm.enqueued_batches += 1;
-  port.adm.enqueued_requests += n;
-  port.queued.fetch_add(1, std::memory_order_seq_cst);
+  port.adm.Add(SubmitResult::kEnqueued, n);
   for (std::size_t t : port.targets) {
     const bool pushed = port.rings[t]->TryPush(batch);
-    // space_ok reserved a slot in every target ring and only this
-    // thread pushes to them, so this cannot fail.
+    // Each of the client's kPipelineDepth slots sits in a ring at most
+    // once until it is awaited, and every ring has kPipelineDepth
+    // slots, so this cannot fail.
     assert(pushed);
     if (!pushed) std::abort();
   }
@@ -546,9 +413,8 @@ SubmitResult CacheServer::Begin(std::size_t client, std::size_t slot,
                                 const Request* requests, std::size_t n) {
   if (n == 0) return SubmitResult::kApplied;
   ClientPort& port = *ports_.at(client);
-  Batch& batch = port.sync_batch.at(slot);
+  Batch& batch = port.slots.at(slot);
   batch.client = static_cast<ClientId>(client);
-  batch.async = false;
   // By the threading contract this thread IS the client's one producer.
   port.producer.Acquire();
   const SubmitResult admitted = Admit(port, &batch, requests, n);
@@ -558,21 +424,7 @@ SubmitResult CacheServer::Begin(std::size_t client, std::size_t slot,
 
 SubmitResult CacheServer::Await(std::size_t client, std::size_t slot) {
   ClientPort& port = *ports_.at(client);
-  return WaitDone(port, port.sync_batch.at(slot));
-}
-
-SubmitResult CacheServer::SubmitAsync(std::size_t client,
-                                      const Request* requests, std::size_t n) {
-  if (n == 0) return SubmitResult::kEnqueued;
-  ClientPort& port = *ports_.at(client);
-  auto* batch = new Batch;
-  batch->client = static_cast<ClientId>(client);
-  batch->async = true;
-  port.producer.Acquire();
-  const SubmitResult admitted = Admit(port, batch, requests, n);
-  port.producer.Release();
-  if (admitted != SubmitResult::kEnqueued) delete batch;
-  return admitted;
+  return WaitDone(port, port.slots.at(slot));
 }
 
 void CacheServer::Finish(std::size_t client) {
@@ -594,7 +446,6 @@ void CacheServer::Stop() {
     // Empty critical section: any waiter that re-checks its predicate
     // after this point holds the mutex and therefore observes stop_.
     { MutexLock lock(pp->mu); }
-    pp->space_cv.notify_all();
     pp->done_cv.notify_all();
   }
   for (auto& cp : consumers_) {
@@ -615,26 +466,8 @@ void CacheServer::Stop() {
     }
     for (auto& ring : port.rings) {
       Batch* batch = nullptr;
-      while (ring->TryPop(&batch)) {
-        NoteSlicePopped(port, batch);
-        FinishSlice(port, batch, kStoppedBit);
-      }
+      while (ring->TryPop(&batch)) FinishSlice(port, batch, kStoppedBit);
     }
-  }
-}
-
-void CacheServer::NoteSlicePopped(ClientPort& port, Batch* batch) {
-  if (batch->unpopped.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  // Last slice popped: the batch no longer counts against the client's
-  // depth cap (matching the old queue-depth semantics: cap batches
-  // queued plus one in flight per consumer).
-  port.queued.fetch_sub(1, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (port.space_waiter.load(std::memory_order_relaxed)) {
-    // clic-lint: begin-allow(no-mutex-data-path) reason=wakes a producer that already parked on the admission CV; skipped entirely unless space_waiter is set
-    { MutexLock lock(port.mu); }
-    port.space_cv.notify_all();
-    // clic-lint: end-allow(no-mutex-data-path)
   }
 }
 
@@ -650,7 +483,6 @@ void CacheServer::FinishSlice(ClientPort& port, Batch* batch,
                                          ? SubmitResult::kExpired
                                          : SubmitResult::kApplied;
   const std::size_t n = batch->n;
-  const bool async = batch->async;
   switch (outcome) {
     case SubmitResult::kApplied:
       port.applied_batches.fetch_add(1, std::memory_order_relaxed);
@@ -667,10 +499,6 @@ void CacheServer::FinishSlice(ClientPort& port, Batch* batch,
       break;
   }
   batch->result = outcome;
-  if (async) {
-    delete batch;
-    return;
-  }
   batch->done.store(true, std::memory_order_release);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (batch->waiting.load(std::memory_order_relaxed)) {
@@ -780,7 +608,6 @@ bool CacheServer::PopAndProcess(std::size_t k, Consumer& me, std::size_t c) {
   ClientPort& port = *ports_[c];
   Batch* batch = nullptr;
   if (!port.rings[k]->TryPop(&batch)) return false;
-  NoteSlicePopped(port, batch);
   if (fault_ != nullptr && fault_->HasPauses()) {
     PauseIfPlanned(k, me.batches_processed);
   }
@@ -1111,8 +938,8 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
               server.Submit(c, trace.requests.data() + pos, count);
           const std::chrono::duration<double, std::micro> took =
               std::chrono::steady_clock::now() - t0;
-          // Shed, timed-out and expired batches are counted by the
-          // server's ledger and skipped.
+          // Shed and expired batches are counted by the server's
+          // ledger and skipped.
           if (outcome == SubmitResult::kApplied) lat.push_back(took.count());
           stopped = outcome == SubmitResult::kStopped;
           if (stopped) break;

@@ -10,9 +10,8 @@
 // consumer that owns one of its shards. The steady-state drain path
 // (submit -> ring -> owning-core apply -> completion) acquires no
 // std::mutex at all; mutexes and condition variables survive only on
-// the slow control path — block/deadline admission at a full queue,
-// a producer parking after its spin wait, an idle consumer's 1ms nap,
-// and Stop().
+// the slow control path — a producer parking after its spin wait, an
+// idle consumer's 1ms nap, and Stop().
 //
 // Determinism rule: with `deterministic == true` the server runs exactly
 // one consumer thread (owning every shard) that drains client rings in
@@ -27,18 +26,18 @@
 // client chunks so their concatenation is the original trace.
 //
 // Failure model (see DESIGN.md "Failure model & degradation"): every
-// resource a producer can exhaust is bounded and every wait can be
-// bounded. Admission into the rings honours a per-client depth cap
-// under one of three policies (block / block-with-deadline / shed),
-// admitted batches can carry a service deadline past which they are
-// dropped instead of served stale, a watchdog sheds traffic routed at a
-// shard whose in-flight drain has exceeded a threshold, a hint-sanity
-// guard quarantines corrupted hint ids into an untrusted fallback
-// bucket instead of letting them index (or explode) policy state, and
-// Stop() aborts a wedged run — unblocking producers, discarding queued
-// work with exact accounting, and joining all consumers. Deterministic
-// fault injection (server/fault_injection.h) drives all of it
-// reproducibly.
+// resource a producer can exhaust is bounded by construction — a client
+// keeps at most kPipelineDepth batches in flight, one per closed-loop
+// slot, and every ring has that many slots, so admission never waits
+// for space. Admitted batches can carry a service deadline past which
+// they are dropped instead of served stale, a watchdog sheds traffic
+// routed at a shard whose in-flight drain has exceeded a threshold, a
+// hint-sanity guard quarantines corrupted hint ids into an untrusted
+// fallback bucket instead of letting them index (or explode) policy
+// state, and Stop() aborts a wedged run — resolving every in-flight
+// batch, discarding queued work with exact accounting, and joining all
+// consumers. Deterministic fault injection (server/fault_injection.h)
+// drives all of it reproducibly.
 #pragma once
 
 #include <array>
@@ -48,7 +47,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +55,7 @@
 #include "common/thread_annotations.h"
 #include "core/clic.h"
 #include "server/fault_injection.h"
+#include "server/ledger.h"
 #include "sim/policy_factory.h"
 #include "sim/simulator.h"
 
@@ -101,76 +100,6 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
                         const fault::FaultPlan* plan,
                         std::uint64_t request_budget);
 
-/// What Submit/SubmitAsync did with a batch.
-enum class SubmitResult : std::uint8_t {
-  kApplied,   // closed-loop Submit: every request was applied
-  kEnqueued,  // open-loop SubmitAsync: admitted; applied later
-  kShed,      // rejected at admission (cap, watchdog, or fault plan)
-  kTimedOut,  // kBlockWithDeadline wait for queue space expired
-  kExpired,   // admitted, but its service deadline passed before drain
-  kStopped,   // Stop() aborted it (while waiting, queued, or in flight)
-};
-const char* SubmitResultName(SubmitResult r);
-
-/// Producer behaviour when a client queue is at its depth cap.
-enum class AdmissionPolicy : std::uint8_t {
-  kBlock,              // wait for space (the pre-cap closed-loop behaviour)
-  kBlockWithDeadline,  // wait up to submit_timeout_ms, then kTimedOut
-  kShed,               // reject immediately with kShed
-};
-const char* AdmissionPolicyName(AdmissionPolicy p);
-std::optional<AdmissionPolicy> ParseAdmissionPolicy(const std::string& name);
-
-/// How shards are assigned to the consumer threads that own them.
-/// kStripe gives shard s to consumer s % consumers (neighbouring shards
-/// land on different cores — the default); kBlock gives each consumer a
-/// contiguous range of shards (friendlier when shard ids correlate with
-/// data placement). Either way the assignment is a static disjoint
-/// partition fixed at construction.
-enum class ShardAssignment : std::uint8_t { kStripe, kBlock };
-const char* ShardAssignmentName(ShardAssignment a);
-std::optional<ShardAssignment> ParseShardAssignment(const std::string& name);
-
-/// Exact admission/backpressure accounting, per client and aggregated.
-/// Invariants (asserted by tests/test_fault_injection.cc, per client
-/// and in aggregate, under a stalled shard with every admission policy):
-///   submitted == enqueued + shed + timed_out + stopped_at_admission
-///   enqueued  == applied + expired + stopped_in_queue
-/// so submitted == applied + shed + timed_out + expired + stopped,
-/// batch- and request-granular, with nothing counted twice or lost.
-/// A batch whose shard runs straddle several consumers completes with
-/// one outcome (stopped beats expired beats applied), so the ledger
-/// stays batch-exact even when Stop() interrupts a half-applied batch —
-/// in that case the shard-side requests_applied() may exceed the
-/// ledger's applied_requests, which counts whole batches.
-struct AdmissionStats {
-  std::uint64_t submitted_batches = 0, submitted_requests = 0;
-  std::uint64_t enqueued_batches = 0, enqueued_requests = 0;
-  std::uint64_t applied_batches = 0, applied_requests = 0;
-  std::uint64_t shed_batches = 0, shed_requests = 0;
-  std::uint64_t timed_out_batches = 0, timed_out_requests = 0;
-  std::uint64_t expired_batches = 0, expired_requests = 0;
-  std::uint64_t stopped_batches = 0, stopped_requests = 0;
-
-  AdmissionStats& operator+=(const AdmissionStats& o) {
-    submitted_batches += o.submitted_batches;
-    submitted_requests += o.submitted_requests;
-    enqueued_batches += o.enqueued_batches;
-    enqueued_requests += o.enqueued_requests;
-    applied_batches += o.applied_batches;
-    applied_requests += o.applied_requests;
-    shed_batches += o.shed_batches;
-    shed_requests += o.shed_requests;
-    timed_out_batches += o.timed_out_batches;
-    timed_out_requests += o.timed_out_requests;
-    expired_batches += o.expired_batches;
-    expired_requests += o.expired_requests;
-    stopped_batches += o.stopped_batches;
-    stopped_requests += o.stopped_requests;
-    return *this;
-  }
-};
-
 struct ServerOptions {
   std::size_t shards = 1;
   /// Total cache budget in pages, split evenly across shards.
@@ -178,33 +107,16 @@ struct ServerOptions {
   PolicyKind policy = PolicyKind::kLru;
   ClicOptions clic;  // applied when policy == kClic
   /// Single consumer draining clients in strict id order (see file
-  /// comment). Off: consumer count from `consumers`/`max_consumers`.
+  /// comment). Off: consumer count from `consumers`.
   bool deterministic = false;
   /// Explicit consumer (owning-core) count; 0 = auto. Must be
   /// <= shards (a consumer owning zero shards would idle forever) and
-  /// 1 when deterministic. Auto picks min(shards, max_consumers > 0 ?
-  /// max_consumers : hardware_concurrency).
+  /// 1 when deterministic. Auto picks min(shards, hardware_concurrency).
+  /// Shard s is owned by consumer s % consumers.
   unsigned consumers = 0;
-  /// Consumer thread cap for the auto mode; 0 = hardware concurrency.
-  unsigned max_consumers = 0;
-  /// How shards map to owning consumers (see ShardAssignment).
-  ShardAssignment assignment = ShardAssignment::kStripe;
-  /// Capacity of each (client, consumer) SPSC ring, in batches. Must be
-  /// a power of two >= 2 (the ring masks instead of dividing); the
-  /// constructor throws naming the offending value otherwise.
-  std::size_t ring_capacity = 256;
 
-  // ---- overload resilience (all off by default: the pre-existing
-  // infinite-patience closed-loop behaviour) ----
+  // ---- overload resilience (all off by default) ----
 
-  /// Max admitted-but-not-yet-drained batches per client; 0 = bounded
-  /// only by the rings themselves.
-  std::size_t queue_cap = 0;
-  /// What a producer does when the queue is at queue_cap.
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Wait bound for kBlockWithDeadline, in milliseconds (must be > 0
-  /// when that policy is selected and queue_cap > 0).
-  double submit_timeout_ms = 0.0;
   /// > 0: a drained batch older than this (submit-to-drain) is dropped
   /// as kExpired instead of served stale.
   double batch_deadline_ms = 0.0;
@@ -234,26 +146,24 @@ struct ServerOptions {
 ///   server.Shutdown();   // joins consumers; stats become readable
 /// Submit blocks until the batch has been applied (closed loop);
 /// Begin/Await split that into admission and completion so one
-/// producer can keep up to pipeline_depth() closed-loop batches in
-/// flight (the wire front end's pipelining); SubmitAsync returns at
-/// admission (open loop, server copies the batch). Stop() aborts a run
-/// from any thread: blocked producers return kStopped, queued batches
-/// are discarded with exact accounting, and consumers join.
+/// producer can keep up to kPipelineDepth batches in flight (the wire
+/// front end's pipelining). Stop() aborts a run from any thread:
+/// waiting producers return kStopped, queued batches are discarded
+/// with exact accounting, and consumers join.
 ///
 /// Threading contract: each client id must be driven by AT MOST ONE
-/// producer thread at a time (Submit / Begin / Await / SubmitAsync /
-/// Finish for one client never race with themselves) — the SPSC rings
-/// and the plain producer-side ledger fields depend on it. Distinct
-/// clients may be driven from distinct threads freely, and
-/// Stop()/Shutdown() may be called from any thread.
+/// producer thread at a time (Submit / Begin / Await / Finish for one
+/// client never race with themselves) — the SPSC rings and the plain
+/// producer-side ledger fields depend on it. Distinct clients may be
+/// driven from distinct threads freely, and Stop()/Shutdown() may be
+/// called from any thread.
 class CacheServer {
  public:
   /// Builds shards, wires the ownership topology, and starts consumer
   /// threads. Throws std::invalid_argument for unusable options (zero
   /// shards/clients, OPT policy, consumers > shards, more than one
-  /// consumer in deterministic mode, non-power-of-two ring capacity,
-  /// deadline admission without a timeout, corruption injection without
-  /// a hint guard).
+  /// consumer in deterministic mode, corruption injection without a
+  /// hint guard).
   CacheServer(const ServerOptions& options, std::size_t num_clients);
   ~CacheServer();
 
@@ -261,20 +171,23 @@ class CacheServer {
   CacheServer& operator=(const CacheServer&) = delete;
 
   /// Closed-loop batches one client may keep in flight through
-  /// Begin/Await (the slot count per client).
+  /// Begin/Await (the slot count per client), and the slot count of
+  /// every (client, consumer) ring: a client can never have more
+  /// batches queued at one consumer than the ring holds, so admission
+  /// never waits for space.
   static constexpr std::size_t kPipelineDepth = 16;
 
   /// Closed loop: admits one batch for `client` and blocks until every
   /// request in it has been applied by its owning consumers — or until
-  /// admission rejects it (kShed / kTimedOut), its deadline expires in
-  /// queue (kExpired), or Stop() aborts the run (kStopped). The caller
-  /// keeps ownership of `requests`; they must stay valid until return.
+  /// admission rejects it (kShed), its deadline expires in queue
+  /// (kExpired), or Stop() aborts the run (kStopped). The caller keeps
+  /// ownership of `requests`; they must stay valid until return.
   /// Exactly Begin + Await on slot 0.
   SubmitResult Submit(std::size_t client, const Request* requests,
                       std::size_t n);
 
   /// Pipelined closed loop, admission half: admits one batch for
-  /// `client` into closed-loop slot `slot` (< pipeline_depth()) and
+  /// `client` into closed-loop slot `slot` (< kPipelineDepth) and
   /// returns without waiting. kEnqueued means the batch is in flight
   /// and the caller must Await(client, slot) before reusing the slot or
   /// releasing `requests`, which stay caller-owned and must remain valid
@@ -291,19 +204,6 @@ class CacheServer {
   /// contract as Submit.
   SubmitResult Await(std::size_t client, std::size_t slot);
 
-  /// Slots a caller may use with Begin: kPipelineDepth, clamped to
-  /// queue_cap (when set) and ring_capacity. At that depth a client's
-  /// own in-flight batches can never fill its queue cap or a ring, so
-  /// pipelining alone never sheds, times out or blocks at admission.
-  std::size_t pipeline_depth() const { return pipeline_depth_; }
-
-  /// Open loop: admits one batch and returns immediately (kEnqueued on
-  /// success). The server copies the requests, so the caller's buffer
-  /// may be reused at once. Outcomes past admission (applied / expired
-  /// / stopped) land in the admission stats, not the return value.
-  SubmitResult SubmitAsync(std::size_t client, const Request* requests,
-                           std::size_t n);
-
   /// Marks `client`'s stream complete. Every client must be finished
   /// before Shutdown() returns.
   void Finish(std::size_t client);
@@ -312,13 +212,13 @@ class CacheServer {
   /// Idempotent; called by the destructor if needed.
   void Shutdown();
 
-  /// Aborts the run: producers blocked at admission (or waiting for a
-  /// closed-loop batch) return kStopped, every still-queued batch is
-  /// discarded and counted as stopped, and consumers exit after the
-  /// batch slice they are currently applying (a fault-injected stall
-  /// checks the stop flag every millisecond, so even a stalled shard
-  /// unwinds promptly). Joins the consumers before returning;
-  /// idempotent, and a later Shutdown() is a no-op.
+  /// Aborts the run: producers waiting for a closed-loop batch return
+  /// kStopped, every still-queued batch is discarded and counted as
+  /// stopped, and consumers exit after the batch slice they are
+  /// currently applying (a fault-injected stall checks the stop flag
+  /// every millisecond, so even a stalled shard unwinds promptly).
+  /// Joins the consumers before returning; idempotent, and a later
+  /// Shutdown() is a no-op.
   void Stop();
 
   // Stats. Exact (every applied request is counted by its shard's
@@ -350,7 +250,7 @@ class CacheServer {
   std::size_t shards() const { return shards_.size(); }
   std::size_t pages_per_shard() const { return pages_per_shard_; }
   unsigned consumers() const { return static_cast<unsigned>(consumers_.size()); }
-  /// The consumer that owns shard `s` under the configured assignment.
+  /// The consumer that owns shard `s` (s % consumers()).
   std::size_t OwnerOf(std::size_t shard) const { return owner_of_[shard]; }
 
  private:
@@ -371,13 +271,12 @@ class CacheServer {
   static constexpr std::uint8_t kExpiredBit = 1;
   static constexpr std::uint8_t kStoppedBit = 2;
 
-  /// One submitted batch. Closed-loop batches are reusable per-client
-  /// slots inside ClientPort (up to kPipelineDepth in flight per client,
-  /// one per slot, each Begun and Awaited by the client's one producer
-  /// thread); open-loop batches are heap-allocated and deleted by the
-  /// consumer that completes the last slice. The producer fully routes
-  /// and publishes the batch before the ring pushes; the ring's
-  /// release/acquire pair makes every plain field visible to consumers.
+  /// One submitted batch: a reusable per-client slot inside ClientPort
+  /// (up to kPipelineDepth in flight per client, one per slot, each
+  /// Begun and Awaited by the client's one producer thread). The
+  /// producer fully routes and publishes the batch before the ring
+  /// pushes; the ring's release/acquire pair makes every plain field
+  /// visible to consumers.
   struct Batch {
     const Request* reqs = nullptr;   // shard-grouped span (or caller's,
                                      // single-shard unmutated fast path)
@@ -387,10 +286,8 @@ class CacheServer {
     Clock::time_point deadline{};    // epoch = no deadline
     std::uint64_t submit_index = 0;  // 1-based per client; drives faults
     ClientId client = 0;
-    bool async = false;
     bool has_quarantine = false;     // any request remapped by the guard
-    /// Slices (owning consumers) that have not yet popped / finished.
-    std::atomic<std::uint32_t> unpopped{0};
+    /// Slices (owning consumers) that have not yet finished.
     std::atomic<std::uint32_t> pending{0};
     std::atomic<std::uint8_t> fail_bits{0};
     std::atomic<bool> done{false};
@@ -406,10 +303,10 @@ class CacheServer {
   /// per client — the clang thread-safety build enforces that every
   /// touch declares the role), atomic completion-side counters (any
   /// consumer may finish a batch), and the mutex+CV control path for
-  /// admission waits and post-spin completion parking.
+  /// post-spin completion parking.
   struct ClientPort {
     /// The "I am this client's one producer thread" role. Acquired by
-    /// Submit/SubmitAsync, asserted by the quiescent stats snapshot.
+    /// Begin, asserted by the quiescent stats snapshot.
     ThreadRole producer;
     // --- producer-side (plain: one producer thread per client) ---
     AdmissionStats adm CLIC_GUARDED_BY(producer);
@@ -418,30 +315,28 @@ class CacheServer {
     /// flight (Submit uses slot 0). Role-guarded use, but consumers read
     /// them through the ring, so the pointer-shaped contract lives in
     /// Batch's docs.
-    std::array<Batch, kPipelineDepth> sync_batch;
+    std::array<Batch, kPipelineDepth> slots;
     std::vector<Request> staging CLIC_GUARDED_BY(producer);
     std::vector<std::uint32_t> shard_ids CLIC_GUARDED_BY(producer);
     std::vector<std::uint32_t> run_offset CLIC_GUARDED_BY(producer);
     std::vector<std::size_t> targets CLIC_GUARDED_BY(producer);
     // --- shared ---
-    std::vector<std::unique_ptr<SpscRing<Batch*>>> rings;  // one/consumer
-    std::atomic<std::uint64_t> queued{0};  // admitted, not yet fully popped
+    /// One per consumer, kPipelineDepth slots each.
+    std::vector<std::unique_ptr<SpscRing<Batch*>>> rings;
     std::atomic<bool> eos{false};
-    /// Producer is inside the push phase (reserve..push). Stop()'s
-    /// drain spins this flag out so a push can never land in a ring
-    /// after the final drain pass (see Admit/Stop).
+    /// Producer is inside the push phase. Stop()'s drain spins this
+    /// flag out so a push can never land in a ring after the final
+    /// drain pass (see Admit/Stop).
     std::atomic<bool> submitting{false};
     // --- completion-side (atomics: consumers finish batches) ---
     std::atomic<std::uint64_t> applied_batches{0}, applied_requests{0};
     std::atomic<std::uint64_t> expired_batches{0}, expired_requests{0};
     std::atomic<std::uint64_t> stopped_batches{0}, stopped_requests{0};
-    // --- control path (slow: admission waits, post-spin parking) ---
-    // clic-lint: begin-allow(no-mutex-data-path) reason=CV parking for full-queue admission waits and post-spin completion parking; never touched by a non-full, non-idle drain
+    // --- control path (slow: post-spin completion parking) ---
+    // clic-lint: begin-allow(no-mutex-data-path) reason=CV parking for a producer whose completion spin failed; never touched by a batch that completes within the spin
     Mutex mu;
-    std::condition_variable space_cv;  // producer waits: space/cap/stop
     std::condition_variable done_cv;   // producer waits: batch done
     // clic-lint: end-allow(no-mutex-data-path)
-    std::atomic<bool> space_waiter{false};
   };
 
   /// One owning consumer: its shard set, per-core apply scratch and
@@ -493,17 +388,14 @@ class CacheServer {
 #endif
   };
 
-  /// Shared admission + routing path. Computes every request's shard
-  /// once, groups the batch into per-shard runs, applies seeded
-  /// corruption and the hint-sanity quarantine on the producer side,
-  /// reserves space in every target ring (all-or-nothing, so a batch is
-  /// never half-pushed), and pushes one slice per owning consumer.
-  /// Returns kEnqueued on success; any other result means nothing was
-  /// pushed. All admission-side accounting happens here on the plain
-  /// producer fields.
+  /// Admission + routing. Computes every request's shard once, groups
+  /// the batch into per-shard runs, applies seeded corruption and the
+  /// hint-sanity quarantine on the producer side, and pushes one slice
+  /// per owning consumer. Returns kEnqueued on success; any other
+  /// result means nothing was pushed. All admission-side accounting
+  /// happens here on the plain producer fields.
   SubmitResult Admit(ClientPort& port, Batch* batch, const Request* requests,
-                     std::size_t n)
-      CLIC_REQUIRES(port.producer) CLIC_EXCLUDES(port.mu);
+                     std::size_t n) CLIC_REQUIRES(port.producer);
   /// Builds batch->reqs/runs from `requests`, including the corruption
   /// and quarantine passes (both submit-time now; corruption stays
   /// bit-identical because it draws from the same (seed, client,
@@ -518,17 +410,13 @@ class CacheServer {
   /// port's done_cv with the waiting flag handshake.
   SubmitResult WaitDone(ClientPort& port, Batch& batch)
       CLIC_EXCLUDES(port.mu);
-  /// Pop-side bookkeeping shared by consumers and the Stop() drain:
-  /// decrements unpopped/queued and wakes a space-waiting producer.
-  void NoteSlicePopped(ClientPort& port, Batch* batch)
-      CLIC_EXCLUDES(port.mu);
   /// Applies consumer `me`'s owned runs of `batch` to their shards,
   /// acquiring each shard's ownership capability for the run.
   void ApplySlice(std::size_t k, Consumer& me, Batch& batch)
       CLIC_REQUIRES(me.self);
   /// Finishes one slice: last finisher resolves the batch outcome
   /// (stopped > expired > applied), updates the completion ledger,
-  /// publishes done, wakes a parked producer, frees async batches.
+  /// publishes done, wakes a parked producer.
   void FinishSlice(ClientPort& port, Batch* batch, std::uint8_t bits)
       CLIC_EXCLUDES(port.mu);
   /// Pops and fully processes one batch slice from client `c`'s ring of
@@ -553,11 +441,6 @@ class CacheServer {
   std::size_t pages_per_shard_ = 0;
   bool deterministic_ = false;
   bool joined_ = false;
-  std::size_t ring_capacity_ = 256;
-  std::size_t queue_cap_ = 0;
-  std::size_t pipeline_depth_ = kPipelineDepth;
-  AdmissionPolicy admission_ = AdmissionPolicy::kBlock;
-  double submit_timeout_ms_ = 0.0;
   double batch_deadline_ms_ = 0.0;
   double watchdog_ms_ = 0.0;
   std::uint32_t hint_bound_ = 0;
@@ -625,7 +508,7 @@ ServeResult QuiescentServeResult(const CacheServer& server);
 /// Replays `trace` against a fresh CacheServer with `load.clients`
 /// closed-loop driver threads. Throws std::invalid_argument for
 /// incompatible options (deterministic + duration, zero clients/batch).
-/// Batches rejected by admission (shed / timed out / expired) are
+/// Batches rejected by admission (shed) or expired in queue are
 /// counted and skipped; the driver moves on to the next batch.
 ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
                        const LoadOptions& load);

@@ -88,14 +88,10 @@ void Usage(std::FILE* out) {
       "                     (default 12000)\n"
       "  --clients=C        closed-loop client threads (default 4)\n"
       "  --batch=B          requests per submitted batch (default 64)\n"
-      "  --consumers=K      owning-consumer (core) threads; each consumer\n"
-      "                     owns a disjoint set of shards. 0 = auto\n"
+      "  --consumers=K      owning-consumer (core) threads; consumer k\n"
+      "                     owns shards k, k+K, k+2K, ...; 0 = auto\n"
       "                     (min(shards, hardware cores)). Must be\n"
       "                     <= shards; forced to 1 by --deterministic\n"
-      "  --owned-shards=A   stripe | block: how shards map to owning\n"
-      "                     consumers (default stripe)\n"
-      "  --ring-capacity=N  per-(client,consumer) SPSC ring capacity in\n"
-      "                     batches; a power of two >= 2 (default 256)\n"
       "  --deterministic    single consumer, strict client order: hit\n"
       "                     counts match per-shard sequential Simulate()\n"
       "  --verify           with --deterministic: check that equivalence\n"
@@ -104,11 +100,6 @@ void Usage(std::FILE* out) {
       "                     the deterministically shed batches)\n"
       "\n"
       "Overload resilience (all off by default):\n"
-      "  --queue-cap=N      max pending batches per client queue\n"
-      "  --admission=P      block | deadline | shed: producer behaviour\n"
-      "                     at a full queue (deadline needs\n"
-      "                     --submit-timeout-ms)\n"
-      "  --submit-timeout-ms=F  wait bound for --admission=deadline\n"
       "  --deadline-ms=F    drop batches older than this at drain time\n"
       "                     instead of serving them stale\n"
       "  --watchdog-ms=F    shed batches routed at a shard whose\n"
@@ -244,22 +235,6 @@ CliOptions Parse(int argc, char** argv) {
       const std::uint64_t consumers = cli::ParseU64(kProg, key, value);
       if (consumers > 4096) Die(key + "='" + value + "' is unreasonably large");
       opts.server.consumers = static_cast<unsigned>(consumers);
-    } else if (key == "--owned-shards") {
-      const std::optional<ShardAssignment> assignment =
-          ParseShardAssignment(value);
-      if (!assignment) {
-        Die("unknown --owned-shards='" + value +
-            "' (valid: stripe, block)");
-      }
-      opts.server.assignment = *assignment;
-    } else if (key == "--ring-capacity") {
-      const std::uint64_t capacity = cli::ParseU64(kProg, key, value);
-      if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
-        Die("--ring-capacity='" + value +
-            "' must be a power of two >= 2 (the ring masks instead of "
-            "dividing)");
-      }
-      opts.server.ring_capacity = static_cast<std::size_t>(capacity);
     } else if (key == "--clients") {
       const std::uint64_t clients = cli::ParseU64(kProg, key, value);
       if (clients > 4096) Die(key + "='" + value + "' is unreasonably large");
@@ -269,19 +244,6 @@ CliOptions Parse(int argc, char** argv) {
           static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
     } else if (key == "--requests") {
       opts.requests = cli::ParseU64(kProg, key, value);
-    } else if (key == "--queue-cap") {
-      opts.server.queue_cap =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--admission") {
-      const std::optional<AdmissionPolicy> policy =
-          ParseAdmissionPolicy(value);
-      if (!policy) {
-        Die("unknown --admission='" + value +
-            "' (valid: block, deadline, shed)");
-      }
-      opts.server.admission = *policy;
-    } else if (key == "--submit-timeout-ms") {
-      opts.server.submit_timeout_ms = cli::ParseDouble(kProg, key, value);
     } else if (key == "--deadline-ms") {
       opts.server.batch_deadline_ms = cli::ParseDouble(kProg, key, value);
     } else if (key == "--watchdog-ms") {
@@ -380,12 +342,6 @@ CliOptions Parse(int argc, char** argv) {
     Die("--deterministic runs exactly one consumer (strict client order); "
         "drop --consumers=" + std::to_string(opts.server.consumers));
   }
-  if (opts.server.queue_cap > 0 &&
-      opts.server.admission == AdmissionPolicy::kBlockWithDeadline &&
-      opts.server.submit_timeout_ms <= 0.0) {
-    Die("--admission=deadline requires --submit-timeout-ms > 0 (got " +
-        std::to_string(opts.server.submit_timeout_ms) + ")");
-  }
   if (opts.listen && opts.connect) {
     Die("--listen and --connect are mutually exclusive: serve remote "
         "clients OR drive a loopback server (valid combinations: "
@@ -444,11 +400,6 @@ CliOptions Parse(int argc, char** argv) {
           "expiry is wall-clock dependent, so the served set is not "
           "reproducible)");
     }
-    if (opts.server.queue_cap > 0 &&
-        opts.server.admission != AdmissionPolicy::kBlock) {
-      Die("--verify needs --admission=block (shed/deadline admission "
-          "makes the served set timing-dependent)");
-    }
   }
   return opts;
 }
@@ -464,10 +415,10 @@ SimResult AsSimResult(const ServeResult& result) {
 
 std::string CsvSummaryHeader() {
   return "trace,policy,shards,clients,cache_pages,pages_per_shard,batch,"
-         "deterministic,admission,queue_cap,requests,batches,shard_drains,"
+         "deterministic,requests,batches,shard_drains,"
          "avg_drained_batch,reads,writes,read_hits,write_hits,"
          "read_hit_ratio,write_hit_ratio,submitted_requests,shed_requests,"
-         "timed_out_requests,expired_requests,quarantined,watchdog_sheds,"
+         "expired_requests,quarantined,watchdog_sheds,"
          "wall_seconds,throughput_rps,consumers,cores_detected,per_core_rps,"
          "p50_us,p99_us,per_client";
 }
@@ -490,10 +441,6 @@ std::string CsvSummaryRow(const CliOptions& opts, const ServeResult& r,
   out.append(std::to_string(opts.load.batch_size));
   out.push_back(',');
   out.append(opts.server.deterministic ? "1" : "0");
-  out.push_back(',');
-  out.append(AdmissionPolicyName(opts.server.admission));
-  out.push_back(',');
-  out.append(std::to_string(opts.server.queue_cap));
   out.push_back(',');
   out.append(std::to_string(r.requests));
   out.push_back(',');
@@ -518,8 +465,6 @@ std::string CsvSummaryRow(const CliOptions& opts, const ServeResult& r,
   out.append(std::to_string(r.admission.submitted_requests));
   out.push_back(',');
   out.append(std::to_string(r.admission.shed_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.admission.timed_out_requests));
   out.push_back(',');
   out.append(std::to_string(r.admission.expired_requests));
   out.push_back(',');
@@ -564,16 +509,10 @@ std::string JsonSummary(const CliOptions& opts, const ServeResult& r,
   out.append(std::to_string(opts.load.batch_size));
   out.append(",\"deterministic\":");
   out.append(opts.server.deterministic ? "true" : "false");
-  out.append(",\"admission\":\"");
-  out.append(AdmissionPolicyName(opts.server.admission));
-  out.append("\",\"queue_cap\":");
-  out.append(std::to_string(opts.server.queue_cap));
   out.append(",\"submitted_requests\":");
   out.append(std::to_string(r.admission.submitted_requests));
   out.append(",\"shed_requests\":");
   out.append(std::to_string(r.admission.shed_requests));
-  out.append(",\"timed_out_requests\":");
-  out.append(std::to_string(r.admission.timed_out_requests));
   out.append(",\"expired_requests\":");
   out.append(std::to_string(r.admission.expired_requests));
   out.append(",\"quarantined\":");
@@ -721,6 +660,16 @@ int Verify(const ServeResult& served, const SimResult& expected) {
   return 0;
 }
 
+/// The one ledger check every mode runs: a request the server neither
+/// applied nor accounted for as rejected is a lost write from the
+/// client's point of view. Prints the ledger when it does not balance.
+bool LedgerBalanced(const char* which, const AdmissionStats& ledger) {
+  if (ledger.Balanced()) return true;
+  std::fprintf(stderr, "clic_serve: %s LEDGER BROKEN: %s\n", which,
+               ledger.Describe().c_str());
+  return false;
+}
+
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
@@ -784,12 +733,7 @@ int RunListen(const CliOptions& opts) {
   server->Drain();
   PrintNetStats(server->Stats());
   const AdmissionStats adm = server->cache().TotalAdmission();
-  if (adm.submitted_requests !=
-      adm.applied_requests + adm.shed_requests + adm.timed_out_requests +
-          adm.expired_requests + adm.stopped_requests) {
-    std::fprintf(stderr, "clic_serve: ADMISSION LEDGER BROKEN after drain\n");
-    return 1;
-  }
+  if (!LedgerBalanced("ADMISSION", adm)) return 1;
   std::fprintf(stderr,
                "clic_serve: drained cleanly; %llu requests applied\n",
                static_cast<unsigned long long>(adm.applied_requests));
@@ -841,36 +785,7 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
 
   // Wire-side ledger: every batch the drivers sent must be accounted
   // for by a status reply or an observed transport loss.
-  if (wire.submitted_requests !=
-          wire.applied_requests + wire.shed_requests +
-              wire.timed_out_requests + wire.expired_requests +
-              wire.stopped_requests + wire.conn_lost_requests ||
-      wire.submitted_batches !=
-          wire.applied_batches + wire.shed_batches + wire.timed_out_batches +
-              wire.expired_batches + wire.stopped_batches +
-              wire.conn_lost_batches) {
-    std::fprintf(
-        stderr,
-        "clic_serve: WIRE LEDGER BROKEN: submitted=%llu/%llu != "
-        "applied=%llu/%llu + shed=%llu/%llu + timed_out=%llu/%llu + "
-        "expired=%llu/%llu + stopped=%llu/%llu + conn_lost=%llu/%llu "
-        "(batches/requests)\n",
-        static_cast<unsigned long long>(wire.submitted_batches),
-        static_cast<unsigned long long>(wire.submitted_requests),
-        static_cast<unsigned long long>(wire.applied_batches),
-        static_cast<unsigned long long>(wire.applied_requests),
-        static_cast<unsigned long long>(wire.shed_batches),
-        static_cast<unsigned long long>(wire.shed_requests),
-        static_cast<unsigned long long>(wire.timed_out_batches),
-        static_cast<unsigned long long>(wire.timed_out_requests),
-        static_cast<unsigned long long>(wire.expired_batches),
-        static_cast<unsigned long long>(wire.expired_requests),
-        static_cast<unsigned long long>(wire.stopped_batches),
-        static_cast<unsigned long long>(wire.stopped_requests),
-        static_cast<unsigned long long>(wire.conn_lost_batches),
-        static_cast<unsigned long long>(wire.conn_lost_requests));
-    return 1;
-  }
+  if (!LedgerBalanced("WIRE", wire)) return 1;
   if (wire.wire_errors > 0) {
     std::fprintf(stderr,
                  "clic_serve: wire drivers received %llu typed error "
@@ -953,34 +868,8 @@ int Main(int argc, char** argv) {
   }
 
   // The admission ledger must balance exactly on every run, fault plan
-  // or not: a request the server neither applied nor accounted for as
-  // rejected is a lost write from the client's point of view.
-  const AdmissionStats& adm = result.admission;
-  if (adm.submitted_requests !=
-          adm.applied_requests + adm.shed_requests + adm.timed_out_requests +
-              adm.expired_requests + adm.stopped_requests ||
-      adm.submitted_batches !=
-          adm.applied_batches + adm.shed_batches + adm.timed_out_batches +
-              adm.expired_batches + adm.stopped_batches) {
-    std::fprintf(
-        stderr,
-        "clic_serve: ADMISSION LEDGER BROKEN: submitted=%llu/%llu != "
-        "applied=%llu/%llu + shed=%llu/%llu + timed_out=%llu/%llu + "
-        "expired=%llu/%llu + stopped=%llu/%llu (batches/requests)\n",
-        static_cast<unsigned long long>(adm.submitted_batches),
-        static_cast<unsigned long long>(adm.submitted_requests),
-        static_cast<unsigned long long>(adm.applied_batches),
-        static_cast<unsigned long long>(adm.applied_requests),
-        static_cast<unsigned long long>(adm.shed_batches),
-        static_cast<unsigned long long>(adm.shed_requests),
-        static_cast<unsigned long long>(adm.timed_out_batches),
-        static_cast<unsigned long long>(adm.timed_out_requests),
-        static_cast<unsigned long long>(adm.expired_batches),
-        static_cast<unsigned long long>(adm.expired_requests),
-        static_cast<unsigned long long>(adm.stopped_batches),
-        static_cast<unsigned long long>(adm.stopped_requests));
-    return 1;
-  }
+  // or not.
+  if (!LedgerBalanced("ADMISSION", result.admission)) return 1;
 
   int exit_code = 0;
   if (opts.verify) {
@@ -1026,16 +915,14 @@ int Main(int argc, char** argv) {
                result.throughput_rps /
                    static_cast<double>(std::max(1u, result.consumers)),
                result.p50_us, result.p99_us, result.avg_drained_batch);
-  if (result.admission.shed_requests + result.admission.timed_out_requests +
-          result.admission.expired_requests + result.quarantined >
+  if (result.admission.shed_requests + result.admission.expired_requests +
+          result.quarantined >
       0) {
     std::fprintf(
         stderr,
-        "clic_serve: degraded-mode counters: shed %llu, timed out %llu, "
-        "expired %llu requests; quarantined hints %llu; watchdog sheds "
-        "%llu batches\n",
+        "clic_serve: degraded-mode counters: shed %llu, expired %llu "
+        "requests; quarantined hints %llu; watchdog sheds %llu batches\n",
         static_cast<unsigned long long>(result.admission.shed_requests),
-        static_cast<unsigned long long>(result.admission.timed_out_requests),
         static_cast<unsigned long long>(result.admission.expired_requests),
         static_cast<unsigned long long>(result.quarantined),
         static_cast<unsigned long long>(result.watchdog_sheds));

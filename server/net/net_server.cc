@@ -43,7 +43,6 @@ std::uint16_t WireCodeFor(SubmitResult r) {
   switch (r) {
     case SubmitResult::kApplied: return kWireApplied;
     case SubmitResult::kShed: return kWireShed;
-    case SubmitResult::kTimedOut: return kWireTimedOut;
     case SubmitResult::kExpired: return kWireExpired;
     case SubmitResult::kStopped: return kWireStopped;
     case SubmitResult::kEnqueued: return kWireApplied;  // unreachable:
@@ -340,11 +339,11 @@ void NetServer::HandleReadable(Connection& conn) {
 bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
                               std::size_t len, bool draining) {
   const fault::FaultPlan* plan = options_.server.fault;
-  const std::size_t depth = server_->pipeline_depth();
+  constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
   for (;;) {
     // The pipeline always has a free entry here: it is retired down
-    // below `depth` right after each Begin.
-    const std::size_t slot = (conn.head + conn.inflight) % depth;
+    // below kDepth right after each Begin.
+    const std::size_t slot = (conn.head + conn.inflight) % kDepth;
     Connection::InFlight& next = conn.pipe[slot];
     const ParseStatus st = conn.parser.Consume(&data, &len, &next.frame);
     if (st == ParseStatus::kNeedMore) {
@@ -400,7 +399,7 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
       CloseConnection(conn, false);
       return false;
     }
-    if (conn.inflight == depth) RetireOldest(conn);
+    if (conn.inflight == kDepth) RetireOldest(conn);
     if (conn.closed) return false;
   }
 }
@@ -414,7 +413,7 @@ void NetServer::RetireOldest(Connection& conn) {
   // one frame at a time keeps reusing one warm slot.
   --conn.inflight;
   conn.head =
-      conn.inflight == 0 ? 0 : (conn.head + 1) % server_->pipeline_depth();
+      conn.inflight == 0 ? 0 : (conn.head + 1) % CacheServer::kPipelineDepth;
   QueueReply(conn, FrameType::kStatus, WireCodeFor(res), f.frame.seq);
 }
 

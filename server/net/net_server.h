@@ -19,10 +19,9 @@
 // slot, and slot recycling hands the port to the next connection
 // through the free-list mutex (a happens-before edge).
 //
-// Pipelining: a connection keeps up to CacheServer::pipeline_depth()
-// frames in flight (kPipelineDepth, clamped to queue_cap when one is
-// set, so a connection's own frames never trip its admission cap). Each
-// frame is parsed into its own slot and Begun as soon as it parses; the
+// Pipelining: a connection keeps up to CacheServer::kPipelineDepth
+// frames in flight, one per closed-loop slot of its port. Each frame
+// is parsed into its own slot and Begun as soon as it parses; the
 // oldest is Awaited only when the pipeline is full, and the rest once
 // the bytes of that read() are used up. Replies are queued strictly in
 // frame order (FIFO, the order a one-frame-at-a-time server would send
@@ -171,8 +170,8 @@ class NetServer {
       ParsedFrame frame;
       SubmitResult begun = SubmitResult::kApplied;
     };
-    /// FIFO of in-flight frames over entries [0, pipeline_depth());
-    /// entry i uses CacheServer closed-loop slot i.
+    /// FIFO of in-flight frames; entry i uses CacheServer closed-loop
+    /// slot i.
     std::array<InFlight, CacheServer::kPipelineDepth> pipe CLIC_GUARDED_BY(io);
     std::size_t head CLIC_GUARDED_BY(io) = 0;      // oldest in-flight entry
     std::size_t inflight CLIC_GUARDED_BY(io) = 0;  // entries in flight

@@ -160,80 +160,63 @@ WireLoadResult RunWireLoad(const Trace& trace,
     // order yields the capped trace.
     const std::uint64_t begin = total * c / clients;
     const std::uint64_t end = total * (c + 1) / clients;
+    WireLoadResult& tally = st->tally;
+    // The transport is gone for good: every batch of [from, end) is
+    // submitted and lost.
+    const auto lose_rest = [&](std::uint64_t from) {
+      for (std::uint64_t off = from; off < end; off += options.batch_size) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(options.batch_size, end - off);
+        ++tally.submitted_batches;
+        tally.submitted_requests += n;
+        ++tally.conn_lost_batches;
+        tally.conn_lost_requests += n;
+      }
+    };
     WireClient client;
     if (!client.Connect(options.addr, options.port)) {
-      ++st->tally.failed_connects;
-      const std::uint64_t reqs = end - begin;
-      st->tally.submitted_requests += reqs;
-      st->tally.conn_lost_requests += reqs;
-      for (std::uint64_t b = begin; b < end; b += options.batch_size) {
-        ++st->tally.submitted_batches;
-        ++st->tally.conn_lost_batches;
-      }
+      ++tally.failed_connects;
+      lose_rest(begin);
       return;
     }
-    ++st->tally.connections;
+    ++tally.connections;
     for (std::uint64_t off = begin; off < end; off += options.batch_size) {
       const std::size_t n = static_cast<std::size_t>(
           std::min<std::uint64_t>(options.batch_size, end - off));
-      ++st->tally.submitted_batches;
-      st->tally.submitted_requests += n;
+      ++tally.submitted_batches;
+      tally.submitted_requests += n;
       const auto t0 = Clock::now();
-      std::uint16_t code = client.Call(&trace.requests[off], n);
+      const std::uint16_t code = client.Call(&trace.requests[off], n);
       if (code == WireClient::kWireConnClosed && !client.connected()) {
         // Transport died (e.g. net:reset): this batch's reply is gone.
         // Reconnect once and move on to the next batch.
-        ++st->tally.conn_lost_batches;
-        st->tally.conn_lost_requests += n;
+        ++tally.conn_lost_batches;
+        tally.conn_lost_requests += n;
         if (client.Connect(options.addr, options.port)) {
-          ++st->tally.connections;
+          ++tally.connections;
           continue;
         }
-        ++st->tally.failed_connects;
-        for (std::uint64_t rest = off + n; rest < end;
-             rest += options.batch_size) {
-          const std::size_t m = static_cast<std::size_t>(
-              std::min<std::uint64_t>(options.batch_size, end - rest));
-          ++st->tally.submitted_batches;
-          st->tally.submitted_requests += m;
-          ++st->tally.conn_lost_batches;
-          st->tally.conn_lost_requests += m;
-        }
+        ++tally.failed_connects;
+        lose_rest(off + n);
         return;
       }
       st->latencies_us.push_back(
           std::chrono::duration<double, std::micro>(Clock::now() - t0)
               .count());
       switch (code) {
-        case kWireApplied:
-          ++st->tally.applied_batches;
-          st->tally.applied_requests += n;
-          break;
-        case kWireShed:
-          ++st->tally.shed_batches;
-          st->tally.shed_requests += n;
-          break;
-        case kWireTimedOut:
-          ++st->tally.timed_out_batches;
-          st->tally.timed_out_requests += n;
-          break;
-        case kWireExpired:
-          ++st->tally.expired_batches;
-          st->tally.expired_requests += n;
-          break;
-        case kWireStopped:
-          ++st->tally.stopped_batches;
-          st->tally.stopped_requests += n;
-          break;
+        case kWireApplied: tally.Add(SubmitResult::kApplied, n); break;
+        case kWireShed: tally.Add(SubmitResult::kShed, n); break;
+        case kWireExpired: tally.Add(SubmitResult::kExpired, n); break;
+        case kWireStopped: tally.Add(SubmitResult::kStopped, n); break;
         default:
           // A typed error frame (or server_busy): the batch was not
           // served and the server closed the connection.
-          ++st->tally.wire_errors;
-          ++st->tally.conn_lost_batches;
-          st->tally.conn_lost_requests += n;
+          ++tally.wire_errors;
+          ++tally.conn_lost_batches;
+          tally.conn_lost_requests += n;
           if (!client.connected() &&
               client.Connect(options.addr, options.port)) {
-            ++st->tally.connections;
+            ++tally.connections;
           }
           break;
       }
@@ -262,20 +245,7 @@ WireLoadResult RunWireLoad(const Trace& trace,
   std::vector<double> latencies;
   for (auto& st : states) {
     const WireLoadResult& t = st.tally;
-    out.submitted_batches += t.submitted_batches;
-    out.submitted_requests += t.submitted_requests;
-    out.applied_batches += t.applied_batches;
-    out.applied_requests += t.applied_requests;
-    out.shed_batches += t.shed_batches;
-    out.shed_requests += t.shed_requests;
-    out.timed_out_batches += t.timed_out_batches;
-    out.timed_out_requests += t.timed_out_requests;
-    out.expired_batches += t.expired_batches;
-    out.expired_requests += t.expired_requests;
-    out.stopped_batches += t.stopped_batches;
-    out.stopped_requests += t.stopped_requests;
-    out.conn_lost_batches += t.conn_lost_batches;
-    out.conn_lost_requests += t.conn_lost_requests;
+    out += t;
     out.wire_errors += t.wire_errors;
     out.connections += t.connections;
     out.failed_connects += t.failed_connects;

@@ -9,8 +9,8 @@
 // budget-capped trace, batched on the same fixed grid), driven either
 // sequentially in client order (deterministic mode — the wire replay of
 // the strict-client-order stream the deterministic consumer expects) or
-// from one thread per client. Every reply code is tallied into a
-// wire-side ledger mirroring AdmissionStats, and per-call wire
+// from one thread per client. Every reply code is tallied into the
+// same AdmissionStats ledger the server keeps, and per-call wire
 // latencies (send-to-status) feed p50/p99.
 #pragma once
 
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/trace.h"
+#include "server/ledger.h"
 #include "server/net/wire_format.h"
 
 namespace clic::server::net {
@@ -78,18 +79,11 @@ struct WireLoadOptions {
   bool deterministic = false;
 };
 
-/// Wire-side ledger: what the status replies said happened. With a
-/// healthy server, submitted == applied + shed + timed_out + expired +
-/// stopped + conn_lost (conn_lost counts batches whose reply never
-/// arrived because the transport died — e.g. under net:reset).
-struct WireLoadResult {
-  std::uint64_t submitted_batches = 0, submitted_requests = 0;
-  std::uint64_t applied_batches = 0, applied_requests = 0;
-  std::uint64_t shed_batches = 0, shed_requests = 0;
-  std::uint64_t timed_out_batches = 0, timed_out_requests = 0;
-  std::uint64_t expired_batches = 0, expired_requests = 0;
-  std::uint64_t stopped_batches = 0, stopped_requests = 0;
-  std::uint64_t conn_lost_batches = 0, conn_lost_requests = 0;
+/// Wire-side ledger: what the status replies said happened, with
+/// conn_lost counting batches whose reply never arrived because the
+/// transport died (e.g. under net:reset). enqueued stays 0: a reply
+/// carries the final outcome. Balanced() must hold on every run.
+struct WireLoadResult : AdmissionStats {
   /// Typed error frames received (connection then closed by server).
   std::uint64_t wire_errors = 0;
   /// Connections opened (reconnects after a transport loss included).

@@ -66,7 +66,6 @@ const char* WireCodeName(std::uint16_t code) {
   switch (code) {
     case kWireApplied: return "applied";
     case kWireShed: return "shed";
-    case kWireTimedOut: return "timed_out";
     case kWireExpired: return "expired";
     case kWireStopped: return "stopped";
     case kWireBadMagic: return "bad_magic";

@@ -69,8 +69,7 @@ enum class FrameType : std::uint8_t {
 enum WireCode : std::uint16_t {
   kWireApplied = 0,
   kWireShed = 1,
-  kWireTimedOut = 2,
-  kWireExpired = 3,
+  kWireExpired = 3,  // 2 is unassigned
   kWireStopped = 4,
   kWireBadMagic = 16,
   kWireBadVersion = 17,

@@ -107,9 +107,9 @@ expect_reject "clic_serve verify without deterministic" "--verify" "--determinis
 expect_reject "clic_serve deterministic duration clash" "--duration" "--deterministic" -- \
   "$SERVE" --trace=DB2_C60 --deterministic --duration=1
 
-# Overload-resilience flags (PR 6): zero and negative numeric values
-# must be rejected up front — strtoull would otherwise wrap "-3" to
-# 2^64-3 and size a 16-exabyte queue.
+# Server sizing and overload-resilience flags: zero and negative
+# numeric values must be rejected up front — strtoull would otherwise
+# wrap "-3" to 2^64-3 and size 16 exabytes of client state.
 expect_reject "clic_serve zero shards" "--shards" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --shards=0
 expect_reject "clic_serve negative clients wraparound" "-3" "positive integer" -- \
@@ -118,37 +118,24 @@ expect_reject "clic_serve zero batch" "--batch" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --batch=0
 expect_reject "clic_serve zero cache pages" "--cache-pages" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --cache-pages=0
-expect_reject "clic_serve negative queue cap" "--queue-cap" "positive integer" -- \
-  "$SERVE" --trace=DB2_C60 --queue-cap=-1
-expect_reject "clic_serve unknown admission policy" "bogus" "deadline" -- \
-  "$SERVE" --trace=DB2_C60 --admission=bogus
 expect_reject "clic_serve unknown fault clause" "flood" "stall:" -- \
   "$SERVE" --trace=DB2_C60 --fault-plan=flood:every=2
 expect_reject "clic_serve fault clause missing field" "shed" "every" -- \
   "$SERVE" --trace=DB2_C60 --fault-plan=shed:
-expect_reject "clic_serve deadline admission without timeout" "--submit-timeout-ms" "--admission=deadline" -- \
-  "$SERVE" --trace=DB2_C60 --queue-cap=4 --admission=deadline
 expect_reject "clic_serve verify vs corruption" "corrupt" "baseline" -- \
   "$SERVE" --trace=DB2_C60 --deterministic --verify --fault-plan=corrupt:every=3
 expect_reject "clic_serve verify vs watchdog" "--watchdog-ms" "reproducible" -- \
   "$SERVE" --trace=DB2_C60 --deterministic --verify --watchdog-ms=5
-expect_reject "clic_serve verify vs shed admission" "shed" "--admission=block" -- \
-  "$SERVE" --trace=DB2_C60 --deterministic --verify --queue-cap=4 --admission=shed
 
 # Thread-per-core topology flags (PR 7): a consumer owning zero shards
-# would idle forever, deterministic mode is one consumer by definition,
-# and the SPSC ring masks its cursors so the capacity must be a power
-# of two — each misuse must fail fast naming the offending value.
+# would idle forever and deterministic mode is one consumer by
+# definition — each misuse must fail fast naming the offending value.
 expect_reject "clic_serve zero consumers" "--consumers" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --consumers=0
 expect_reject "clic_serve consumers exceed shards" "--consumers=4" "exceeds --shards" -- \
   "$SERVE" --trace=DB2_C60 --shards=2 --consumers=4
 expect_reject "clic_serve deterministic with multiple consumers" "--consumers=2" "exactly one consumer" -- \
   "$SERVE" --trace=DB2_C60 --deterministic --consumers=2
-expect_reject "clic_serve non-power-of-two ring capacity" "96" "power of two" -- \
-  "$SERVE" --trace=DB2_C60 --ring-capacity=96
-expect_reject "clic_serve unknown ownership assignment" "bogus" "stripe, block" -- \
-  "$SERVE" --trace=DB2_C60 --owned-shards=bogus
 
 # Network front-end flags (PR 9): numeric garbage fails fast before a
 # socket is opened, net tuning without a net mode is a typo, and the

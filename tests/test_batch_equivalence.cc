@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -241,6 +242,35 @@ TEST(BatchEquivalenceTest, ClicWindowBoundaryMidBatch) {
   EXPECT_EQ(batched_policy.windows_completed(),
             scalar_policy.windows_completed());
   EXPECT_GE(batched_policy.windows_completed(), 39u);
+
+  // A hand-built close whose effect the random trace need not show:
+  // the first request of window 2 is a miss whose victim depends on
+  // the ranks window 1's close assigns. Window 1 (seqs 0-5) re-
+  // references hint set A's pages 1 and 2 and never B's pages 3 and 4,
+  // so the close at seq 6 ranks A above B. B's miss on page 5 at seq 6
+  // must evict B's LRU page 3, not the global LRU page 1, and A's page
+  // 1 hits at seq 7. Serving seq 6 before the close (a span one request
+  // too long) would evict page 1 and miss at seq 7.
+  Trace small;
+  const HintSetId a = small.hints->Intern(HintVector{0, {1}});
+  const HintSetId b = small.hints->Intern(HintVector{0, {2}});
+  const std::pair<PageId, HintSetId> accesses[] = {
+      {1, a}, {1, a}, {2, a}, {2, a}, {3, b}, {4, b}, {5, b}, {1, a}};
+  for (const auto& [page, hint] : accesses) {
+    Request r;
+    r.page = page;
+    r.hint_set = hint;
+    small.requests.push_back(r);
+  }
+  ClicOptions tight;
+  tight.window = 6;
+  tight.outqueue_per_page = 0.0;
+  tight.charge_metadata = false;
+  const std::vector<std::uint8_t> want = {0, 1, 0, 1, 0, 0, 0, 1};
+  ClicPolicy scalar_small(4, tight);
+  EXPECT_EQ(ScalarDecisions(scalar_small, small), want);
+  ClicPolicy batched_small(4, tight);
+  EXPECT_EQ(BatchedDecisions(batched_small, small, {8}), want);
 }
 
 TEST(BatchEquivalenceTest, SimulateMatchesManualScalarReplay) {

@@ -2,14 +2,14 @@
 // offending clause named), injected faults replay deterministically,
 // admission accounting stays exact under every outcome, the hint-sanity
 // guard quarantines corruption instead of crashing or polluting CLIC
-// state, the watchdog/deadline/timeout paths all fire and count, and a
+// state, the watchdog and deadline paths both fire and count, and a
 // stalled shard costs only the client routed at it.
 #include "server/fault_injection.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -57,15 +57,6 @@ void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
   EXPECT_EQ(a.writes, b.writes);
   EXPECT_EQ(a.read_hits, b.read_hits);
   EXPECT_EQ(a.write_hits, b.write_hits);
-}
-
-void ExpectExactLedger(const AdmissionStats& a) {
-  EXPECT_EQ(a.submitted_batches, a.applied_batches + a.shed_batches +
-                                     a.timed_out_batches + a.expired_batches +
-                                     a.stopped_batches);
-  EXPECT_EQ(a.submitted_requests,
-            a.applied_requests + a.shed_requests + a.timed_out_requests +
-                a.expired_requests + a.stopped_requests);
 }
 
 // ---- plan grammar ----------------------------------------------------------
@@ -170,7 +161,7 @@ TEST(FaultInjectionTest, StallsAndPausesPreserveDecisions) {
   ExpectSameStats(first.total, expected.total);
   ExpectSameStats(second.total, expected.total);
   EXPECT_EQ(first.requests, trace.size());
-  ExpectExactLedger(first.admission);
+  EXPECT_TRUE(first.admission.Balanced()) << first.admission.Describe();
   EXPECT_EQ(first.admission.shed_requests, 0u);
 }
 
@@ -205,10 +196,9 @@ TEST(FaultInjectionTest, ShedEveryIsExactAndBitIdentical) {
   EXPECT_EQ(a.submitted_batches, 64u);
   EXPECT_EQ(a.shed_batches, 16u);
   EXPECT_EQ(a.applied_batches, 48u);
-  EXPECT_EQ(a.timed_out_batches, 0u);
   EXPECT_EQ(a.expired_batches, 0u);
   EXPECT_EQ(a.stopped_batches, 0u);
-  ExpectExactLedger(a);
+  EXPECT_TRUE(a.Balanced()) << a.Describe();
   EXPECT_EQ(served.requests, filtered.size());
   EXPECT_EQ(a.submitted_requests, trace.size());
 }
@@ -279,7 +269,7 @@ TEST(FaultInjectionTest, GuardQuarantinesCraftedOutOfRangeHints) {
   const ServeResult served = ServeTrace(trace, options, load);
   EXPECT_EQ(served.quarantined, bad);
   EXPECT_EQ(served.requests, trace.size());
-  ExpectExactLedger(served.admission);
+  EXPECT_TRUE(served.admission.Balanced()) << served.admission.Describe();
 }
 
 TEST(FaultInjectionTest, ConstructorRejectsUnusableFaultConfigs) {
@@ -302,93 +292,9 @@ TEST(FaultInjectionTest, ConstructorRejectsUnusableFaultConfigs) {
   stall_opts.cache_pages = 16;
   stall_opts.fault = &far_stall;
   EXPECT_THROW(CacheServer(stall_opts, 1), std::invalid_argument);
-
-  ServerOptions bad_deadline;
-  bad_deadline.shards = 1;
-  bad_deadline.cache_pages = 16;
-  bad_deadline.queue_cap = 2;
-  bad_deadline.admission = AdmissionPolicy::kBlockWithDeadline;
-  bad_deadline.submit_timeout_ms = 0.0;
-  EXPECT_THROW(CacheServer(bad_deadline, 1), std::invalid_argument);
 }
 
-// ---- bounded admission under pressure --------------------------------------
-
-// Shed admission at a full queue: with the only consumer wedged in a
-// long stall, a burst of async submits can keep at most cap batches
-// queued plus one in flight; the rest must come back kShed and the
-// ledger must balance.
-TEST(FaultInjectionTest, ShedPolicyRejectsAtFullQueue) {
-  const Trace trace = MakeSynthetic("shed-cap", 17, 64 * 12, 1);
-  FaultPlan plan;
-  std::string error;
-  ASSERT_TRUE(
-      ParseFaultPlan("stall:shard=0,after=0,drains=100000,ms=200", &plan,
-                     &error));
-  ServerOptions options;
-  options.shards = 1;
-  options.cache_pages = 32;
-  options.queue_cap = 1;
-  options.admission = AdmissionPolicy::kShed;
-  options.fault = &plan;
-  CacheServer server(options, 1);
-  std::uint64_t shed = 0, enqueued = 0;
-  for (std::size_t pos = 0; pos < trace.requests.size(); pos += 64) {
-    const SubmitResult r = server.SubmitAsync(0, trace.requests.data() + pos,
-                                              64);
-    (r == SubmitResult::kShed ? shed : enqueued) += 1;
-  }
-  EXPECT_GE(shed, 1u);
-  server.Finish(0);
-  server.Stop();  // don't ride out 200ms x queued drains in a unit test
-  const AdmissionStats a = server.TotalAdmission();
-  EXPECT_EQ(a.submitted_batches, 12u);
-  EXPECT_EQ(a.shed_batches, shed);
-  EXPECT_EQ(a.enqueued_batches, enqueued);
-  ExpectExactLedger(a);
-}
-
-// Deadline admission: a producer waiting on a full queue must give up
-// after submit_timeout_ms with kTimedOut, exactly counted.
-TEST(FaultInjectionTest, DeadlineAdmissionTimesOut) {
-  const Trace trace = MakeSynthetic("timeout", 19, 64 * 3, 1);
-  FaultPlan plan;
-  std::string error;
-  ASSERT_TRUE(
-      ParseFaultPlan("stall:shard=0,after=0,drains=100000,ms=500", &plan,
-                     &error));
-  ServerOptions options;
-  options.shards = 1;
-  options.cache_pages = 32;
-  options.queue_cap = 1;
-  options.admission = AdmissionPolicy::kBlockWithDeadline;
-  options.submit_timeout_ms = 20.0;
-  options.fault = &plan;
-  CacheServer server(options, 1);
-  // Batch 1 is popped within the consumer's 1ms poll and wedges in the
-  // 500ms stall; the sleep makes that ordering certain. Batch 2 then
-  // fills the cap, and batch 3 must time out after ~20ms — the consumer
-  // stays wedged for ~470ms more, so the queue cannot drain under it.
-  EXPECT_EQ(server.SubmitAsync(0, trace.requests.data(), 64),
-            SubmitResult::kEnqueued);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(server.SubmitAsync(0, trace.requests.data() + 64, 64),
-            SubmitResult::kEnqueued);
-  const auto t0 = std::chrono::steady_clock::now();
-  const SubmitResult third =
-      server.Submit(0, trace.requests.data() + 128, 64);
-  const double waited =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_EQ(third, SubmitResult::kTimedOut);
-  EXPECT_GE(waited, 19.0);
-  server.Finish(0);
-  server.Stop();
-  const AdmissionStats a = server.TotalAdmission();
-  EXPECT_EQ(a.timed_out_batches, 1u);
-  ExpectExactLedger(a);
-}
+// ---- admission under pressure ---------------------------------------------
 
 // Per-batch service deadlines: batches queued behind a wedged drain
 // longer than batch_deadline_ms are dropped as kExpired, never served
@@ -405,9 +311,13 @@ TEST(FaultInjectionTest, QueuedBatchesExpireBehindAStall) {
   options.batch_deadline_ms = 40.0;
   options.fault = &plan;
   CacheServer server(options, 1);
-  for (std::size_t pos = 0; pos < trace.requests.size(); pos += 64) {
-    ASSERT_EQ(server.SubmitAsync(0, trace.requests.data() + pos, 64),
+  for (std::size_t slot = 0; slot < 6; ++slot) {
+    ASSERT_EQ(server.Begin(0, slot, trace.requests.data() + 64 * slot, 64),
               SubmitResult::kEnqueued);
+  }
+  std::uint64_t expired = 0;
+  for (std::size_t slot = 0; slot < 6; ++slot) {
+    expired += server.Await(0, slot) == SubmitResult::kExpired ? 1 : 0;
   }
   server.Finish(0);
   server.Shutdown();
@@ -415,9 +325,10 @@ TEST(FaultInjectionTest, QueuedBatchesExpireBehindAStall) {
   // Batch 1 is in flight before its deadline can pass; the 150ms stall
   // then pushes every queued batch far past the 40ms deadline.
   EXPECT_GE(a.expired_batches, 1u);
+  EXPECT_EQ(a.expired_batches, expired);
   EXPECT_EQ(a.enqueued_batches,
             a.applied_batches + a.expired_batches + a.stopped_batches);
-  ExpectExactLedger(a);
+  EXPECT_TRUE(a.Balanced()) << a.Describe();
 }
 
 // The watchdog: while shard 0's drain is wedged past watchdog_ms,
@@ -435,37 +346,46 @@ TEST(FaultInjectionTest, WatchdogShedsTrafficAtStalledShard) {
   options.watchdog_ms = 10.0;
   options.fault = &plan;
   CacheServer server(options, 1);
-  // Paced open-loop submits: the first lands in the stall, and once the
+  // Paced pipelined Begins: the first lands in the stall, and once the
   // drain has been in flight > 10ms the watchdog starts shedding the
-  // rest at admission instead of queueing them behind the wedge.
+  // rest at admission instead of queueing them behind the wedge. A shed
+  // Begin leaves its slot free; an admitted one is Awaited before the
+  // slot is reused.
+  std::array<bool, CacheServer::kPipelineDepth> in_flight{};
   std::uint64_t submitted = 0;
   for (std::size_t pos = 0; pos + 32 <= trace.requests.size(); pos += 32) {
-    server.SubmitAsync(0, trace.requests.data() + pos, 32);
+    const std::size_t slot = submitted % in_flight.size();
+    if (in_flight[slot]) server.Await(0, slot);
+    in_flight[slot] = server.Begin(0, slot, trace.requests.data() + pos,
+                                   32) == SubmitResult::kEnqueued;
     ++submitted;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     if (server.watchdog_sheds() >= 3) break;  // proven; stop early
   }
   server.Finish(0);
   server.Stop();
+  for (std::size_t slot = 0; slot < in_flight.size(); ++slot) {
+    if (in_flight[slot]) server.Await(0, slot);
+  }
   EXPECT_GE(server.watchdog_sheds(), 1u);
   const AdmissionStats a = server.TotalAdmission();
   EXPECT_EQ(a.submitted_batches, submitted);
   EXPECT_GE(a.shed_batches, server.watchdog_sheds());
-  ExpectExactLedger(a);
+  EXPECT_TRUE(a.Balanced()) << a.Describe();
 }
 
-// A wedged shard under load, with every admission policy: 4 shards
-// with one owning consumer each, LRU at 12,000 pages, at most 16 queued
-// batches per client, a 5 ms submit timeout, a 50 ms batch deadline, a
-// 10 ms watchdog, and a 20 ms stall on every drain of shard 0. Client c
-// replays only shard c's partition: client 0 open-loop into the stall,
-// clients 1-3 closed-loop. The ledger balances in total and per client,
-// and only client 0 is turned away. Clients 1-3 cannot be: their shards
-// never stall, and a closed loop keeps one batch in flight under a cap
-// of 16.
-TEST(FaultInjectionTest, StalledShardLedgerExactUnderEveryAdmission) {
+// A wedged shard under pipelined load: 4 shards with one owning
+// consumer each, LRU at 12,000 pages, a 50 ms batch deadline, a 10 ms
+// watchdog, and a 20 ms stall on every drain of shard 0. Client c
+// replays only shard c's partition: client 0 keeps kPipelineDepth
+// batches in flight into the stall, clients 1-3 drive closed-loop. The
+// ledger balances in total and per client, and only client 0 is turned
+// away: its queued batches outlive the deadline or meet the watchdog,
+// while clients 1-3 never touch the stalled shard.
+TEST(FaultInjectionTest, StalledShardLedgerExactUnderPipelinedLoad) {
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kBatch = 256;
+  constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
   const Trace trace =
       MakeSynthetic("overload", 41, kShards * 24 * kBatch, 1);
   const std::vector<Trace> parts = PartitionByShard(trace, kShards);
@@ -474,61 +394,59 @@ TEST(FaultInjectionTest, StalledShardLedgerExactUnderEveryAdmission) {
   ASSERT_TRUE(ParseFaultPlan("stall:shard=0,after=0,drains=1000000,ms=20",
                              &plan, &error))
       << error;
-  for (AdmissionPolicy admission :
-       {AdmissionPolicy::kShed, AdmissionPolicy::kBlockWithDeadline,
-        AdmissionPolicy::kBlock}) {
-    SCOPED_TRACE(AdmissionPolicyName(admission));
-    ServerOptions options;
-    options.shards = kShards;
-    options.max_consumers = kShards;
-    options.cache_pages = 12'000;
-    options.policy = PolicyKind::kLru;
-    options.queue_cap = 16;
-    options.admission = admission;
-    options.submit_timeout_ms = 5.0;
-    options.batch_deadline_ms = 50.0;
-    options.watchdog_ms = 10.0;
-    options.fault = &plan;
-    CacheServer server(options, kShards);
-    std::vector<std::uint64_t> driver_batches(kShards, 0);
-    std::vector<std::thread> drivers;
-    for (std::size_t c = 0; c < kShards; ++c) {
-      drivers.emplace_back([&, c] {
-        const std::vector<Request>& reqs = parts[c].requests;
-        for (std::size_t pos = 0; pos < reqs.size(); pos += kBatch) {
-          const std::size_t count = std::min(kBatch, reqs.size() - pos);
-          ++driver_batches[c];
-          if (c == 0) {
-            server.SubmitAsync(c, reqs.data() + pos, count);
-          } else {
-            server.Submit(c, reqs.data() + pos, count);
-          }
+  ServerOptions options;
+  options.shards = kShards;
+  options.consumers = kShards;
+  options.cache_pages = 12'000;
+  options.policy = PolicyKind::kLru;
+  options.batch_deadline_ms = 50.0;
+  options.watchdog_ms = 10.0;
+  options.fault = &plan;
+  CacheServer server(options, kShards);
+  std::vector<std::uint64_t> driver_batches(kShards, 0);
+  std::vector<std::thread> drivers;
+  for (std::size_t c = 0; c < kShards; ++c) {
+    drivers.emplace_back([&, c] {
+      const std::vector<Request>& reqs = parts[c].requests;
+      // Client 0 reuses its slots round-robin, awaiting each admitted
+      // batch just before its slot is reused.
+      std::array<bool, kDepth> in_flight{};
+      for (std::size_t pos = 0; pos < reqs.size(); pos += kBatch) {
+        const std::size_t count = std::min(kBatch, reqs.size() - pos);
+        const std::size_t slot = driver_batches[c]++ % kDepth;
+        if (c != 0) {
+          server.Submit(c, reqs.data() + pos, count);
+          continue;
         }
-        server.Finish(c);
-      });
-    }
-    for (std::thread& t : drivers) t.join();
-    server.Shutdown();
-
-    const AdmissionStats total = server.TotalAdmission();
-    std::uint64_t submitted = 0;
-    for (std::uint64_t n : driver_batches) submitted += n;
-    EXPECT_EQ(total.submitted_batches, submitted);
-    ExpectExactLedger(total);
-    EXPECT_GT(total.applied_requests, 0u);
-    const std::vector<AdmissionStats> per_client = server.PerClientAdmission();
-    ASSERT_EQ(per_client.size(), kShards);
-    for (std::size_t c = 0; c < kShards; ++c) {
-      SCOPED_TRACE("client " + std::to_string(c));
-      ExpectExactLedger(per_client[c]);
-      if (c == 0) {
-        EXPECT_GT(per_client[c].shed_batches + per_client[c].timed_out_batches +
-                      per_client[c].expired_batches,
-                  0u);
-      } else {
-        EXPECT_EQ(per_client[c].shed_batches, 0u);
-        EXPECT_EQ(per_client[c].timed_out_batches, 0u);
+        if (in_flight[slot]) server.Await(c, slot);
+        in_flight[slot] = server.Begin(c, slot, reqs.data() + pos, count) ==
+                          SubmitResult::kEnqueued;
       }
+      for (std::size_t slot = 0; slot < kDepth; ++slot) {
+        if (in_flight[slot]) server.Await(c, slot);
+      }
+      server.Finish(c);
+    });
+  }
+  for (std::thread& t : drivers) t.join();
+  server.Shutdown();
+
+  const AdmissionStats total = server.TotalAdmission();
+  std::uint64_t submitted = 0;
+  for (std::uint64_t n : driver_batches) submitted += n;
+  EXPECT_EQ(total.submitted_batches, submitted);
+  EXPECT_TRUE(total.Balanced()) << total.Describe();
+  EXPECT_GT(total.applied_requests, 0u);
+  const std::vector<AdmissionStats> per_client = server.PerClientAdmission();
+  ASSERT_EQ(per_client.size(), kShards);
+  for (std::size_t c = 0; c < kShards; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    EXPECT_TRUE(per_client[c].Balanced()) << per_client[c].Describe();
+    if (c == 0) {
+      EXPECT_GT(per_client[c].shed_batches + per_client[c].expired_batches,
+                0u);
+    } else {
+      EXPECT_EQ(per_client[c].shed_batches, 0u);
     }
   }
 }
