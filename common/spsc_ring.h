@@ -82,15 +82,6 @@ class SpscRing {
     return true;
   }
 
-  /// Producer-side free-slot count. Conservative: the consumer can only
-  /// make more room between this call and a TryPush, never less, so a
-  /// producer that sees space for k pushes may issue them unchecked.
-  std::size_t FreeSlots() const {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    return capacity_ - static_cast<std::size_t>(tail - head);
-  }
-
   /// Consumer-side emptiness. Exact for the consumer: the producer can
   /// only add elements, so `true` means everything pushed so far (with
   /// acquire visibility) has been popped.

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/fnv1a.h"
@@ -357,7 +356,6 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
                        std::memory_order_relaxed);
   batch->fail_bits.store(0, std::memory_order_relaxed);
   batch->done.store(false, std::memory_order_relaxed);
-  batch->waiting.store(false, std::memory_order_relaxed);
   batch->result = SubmitResult::kApplied;
   // Push phase, guarded by the submitting flag: Stop()'s final drain
   // spins this flag out after raising stop_, so either we observe stop_
@@ -379,27 +377,8 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
     if (!pushed) std::abort();
   }
   port.submitting.store(false, std::memory_order_release);
-  for (std::size_t t : port.targets) WakeConsumer(t);
+  for (std::size_t t : port.targets) consumers_[t]->work.Wake();
   return SubmitResult::kEnqueued;
-}
-
-SubmitResult CacheServer::WaitDone(ClientPort& port, Batch& batch) {
-  // Spin briefly (with yields so a 1-core box schedules the consumer),
-  // then park on the control path.
-  for (int spin = 0; spin < 1024; ++spin) {
-    if (batch.done.load(std::memory_order_acquire)) return batch.result;
-    if (spin >= 64) std::this_thread::yield();
-  }
-  // clic-lint: begin-allow(no-mutex-data-path) reason=post-spin completion parking; reached only after the 1024-iteration spin failed
-  std::unique_lock<std::mutex> lock(port.mu.native());
-  // clic-lint: end-allow(no-mutex-data-path)
-  batch.waiting.store(true, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  port.done_cv.wait(lock, [&batch] {
-    return batch.done.load(std::memory_order_acquire);
-  });
-  batch.waiting.store(false, std::memory_order_relaxed);
-  return batch.result;
 }
 
 SubmitResult CacheServer::Submit(std::size_t client, const Request* requests,
@@ -424,13 +403,19 @@ SubmitResult CacheServer::Begin(std::size_t client, std::size_t slot,
 
 SubmitResult CacheServer::Await(std::size_t client, std::size_t slot) {
   ClientPort& port = *ports_.at(client);
-  return WaitDone(port, port.slots.at(slot));
+  const Batch& batch = port.slots.at(slot);
+  // The batch's last slice publishes done, then wakes the port's parker
+  // (FinishSlice); after Stop() that slice is finished by the final
+  // drain, so every admitted batch completes.
+  port.done.Wait(
+      [&batch] { return batch.done.load(std::memory_order_acquire); });
+  return batch.result;
 }
 
 void CacheServer::Finish(std::size_t client) {
   ClientPort& port = *ports_.at(client);
   port.eos.store(true, std::memory_order_release);
-  for (std::size_t k = 0; k < consumers_.size(); ++k) WakeConsumer(k);
+  for (auto& cp : consumers_) cp->work.Wake();
 }
 
 void CacheServer::Shutdown() {
@@ -441,18 +426,10 @@ void CacheServer::Shutdown() {
 
 void CacheServer::Stop() {
   stop_.store(true, std::memory_order_seq_cst);
-  // clic-lint: begin-allow(no-mutex-data-path) reason=Stop() abort path; not reachable from steady-state serving
-  for (auto& pp : ports_) {
-    // Empty critical section: any waiter that re-checks its predicate
-    // after this point holds the mutex and therefore observes stop_.
-    { MutexLock lock(pp->mu); }
-    pp->done_cv.notify_all();
-  }
-  for (auto& cp : consumers_) {
-    { MutexLock lock(cp->mu); }
-    cp->cv.notify_all();
-  }
-  // clic-lint: end-allow(no-mutex-data-path)
+  // Consumers see stop_ in their wait predicate. A producer awaiting a
+  // batch is woken when the batch finishes: by its consumer after the
+  // slice in hand, or as stopped by the final drain below.
+  for (auto& cp : consumers_) cp->work.Wake();
   Shutdown();
   // Final drain: with consumers joined, every admitted-but-unfinished
   // slice sits in exactly one ring. Quiesce any producer mid-push first
@@ -499,14 +476,10 @@ void CacheServer::FinishSlice(ClientPort& port, Batch* batch,
       break;
   }
   batch->result = outcome;
+  // The producer may reuse the slot as soon as it sees done, so the batch
+  // is not touched after this store.
   batch->done.store(true, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (batch->waiting.load(std::memory_order_relaxed)) {
-    // clic-lint: begin-allow(no-mutex-data-path) reason=wakes a producer that already parked after its completion spin; skipped entirely unless waiting is set
-    { MutexLock lock(port.mu); }
-    port.done_cv.notify_all();
-    // clic-lint: end-allow(no-mutex-data-path)
-  }
+  port.done.Wake();
 }
 
 void CacheServer::StallIfPlanned(Shard& shard, std::size_t shard_index) {
@@ -623,40 +596,16 @@ bool CacheServer::PopAndProcess(std::size_t k, Consumer& me, std::size_t c) {
   return true;
 }
 
-void CacheServer::WakeConsumer(std::size_t k) {
-  // Pairs with NapConsumer: the pushes above are visible to any
-  // consumer that decides to nap after this fence, and if it napped
-  // before, we see its napping flag and pay the one slow-path notify.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  Consumer& me = *consumers_[k];
-  if (me.napping.load(std::memory_order_relaxed)) {
-    // clic-lint: begin-allow(no-mutex-data-path) reason=wakes a napping consumer; skipped entirely unless napping is set
-    { MutexLock lock(me.mu); }
-    me.cv.notify_all();
-    // clic-lint: end-allow(no-mutex-data-path)
-  }
-}
-
-void CacheServer::NapConsumer(std::size_t k, Consumer& me) {
-  me.napping.store(true, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  bool work = stop_.load(std::memory_order_acquire);
-  if (!work) {
-    for (std::size_t c = 0; c < ports_.size() && !work; ++c) {
-      if (me.done_client[c]) continue;
-      ClientPort& port = *ports_[c];
-      work = !port.rings[k]->Empty() ||
-             port.eos.load(std::memory_order_acquire);
+bool CacheServer::HasWork(std::size_t k, const Consumer& me) const {
+  if (stop_.load(std::memory_order_acquire)) return true;
+  for (std::size_t c = 0; c < ports_.size(); ++c) {
+    if (me.done_client[c]) continue;
+    const ClientPort& port = *ports_[c];
+    if (!port.rings[k]->Empty() || port.eos.load(std::memory_order_acquire)) {
+      return true;
     }
   }
-  if (!work) {
-    // 1ms backstop: even a lost wakeup only costs one poll interval.
-    // clic-lint: begin-allow(no-mutex-data-path) reason=idle-consumer nap; reached only after the spin found every owned ring empty
-    std::unique_lock<std::mutex> lock(me.mu.native());
-    // clic-lint: end-allow(no-mutex-data-path)
-    me.cv.wait_for(lock, std::chrono::milliseconds(1));
-  }
-  me.napping.store(false, std::memory_order_relaxed);
+  return false;
 }
 
 void CacheServer::ConsumeOwned(std::size_t k) {
@@ -665,7 +614,6 @@ void CacheServer::ConsumeOwned(std::size_t k) {
   me.self.Acquire();
   me.done_client.assign(ports_.size(), 0);
   std::size_t remaining = ports_.size();
-  unsigned idle = 0;
   while (remaining > 0 && !stop_.load(std::memory_order_acquire)) {
     bool progress = false;
     for (std::size_t c = 0; c < ports_.size(); ++c) {
@@ -686,16 +634,13 @@ void CacheServer::ConsumeOwned(std::size_t k) {
         --remaining;
       }
     }
-    if (progress) {
-      idle = 0;
-    } else if (remaining > 0) {
-      // Spin briefly before the nap control path: on a busy server the
-      // next push lands within the spin and no mutex is ever touched.
-      if (++idle < 64) {
-        std::this_thread::yield();
-      } else {
-        NapConsumer(k, me);
-      }
+    if (!progress && remaining > 0) {
+      // Every ring is empty: spin, then park until a push, Finish() or
+      // Stop() wakes this consumer. The predicate runs on this thread.
+      me.work.Wait([this, k, &me] {
+        me.self.AssertHeld();
+        return HasWork(k, me);
+      });
     }
   }
   me.self.Release();
@@ -711,38 +656,20 @@ void CacheServer::ConsumeInClientOrder() {
   me.done_client.assign(ports_.size(), 0);
   for (std::size_t c = 0; c < ports_.size(); ++c) {
     ClientPort& port = *ports_[c];
-    unsigned idle = 0;
+    const SpscRing<Batch*>& ring = *port.rings[0];
     for (;;) {
       if (stop_.load(std::memory_order_acquire)) {
         me.self.Release();
         return;
       }
-      if (PopAndProcess(0, me, c)) {
-        idle = 0;
-        continue;
-      }
-      if (port.eos.load(std::memory_order_acquire) &&
-          port.rings[0]->Empty()) {
-        break;
-      }
-      if (++idle < 64) {
-        std::this_thread::yield();
-        continue;
-      }
-      // Targeted nap: strict order means only client c (or stop) can
-      // make progress, so don't scan the other rings.
-      me.napping.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      const bool work = stop_.load(std::memory_order_acquire) ||
-                        !port.rings[0]->Empty() ||
-                        port.eos.load(std::memory_order_acquire);
-      if (!work) {
-        // clic-lint: begin-allow(no-mutex-data-path) reason=idle nap while the strict-order client's ring is empty
-        std::unique_lock<std::mutex> lock(me.mu.native());
-        // clic-lint: end-allow(no-mutex-data-path)
-        me.cv.wait_for(lock, std::chrono::milliseconds(1));
-      }
-      me.napping.store(false, std::memory_order_relaxed);
+      if (PopAndProcess(0, me, c)) continue;
+      if (port.eos.load(std::memory_order_acquire) && ring.Empty()) break;
+      // Strict order means only client c (or Stop()) can make progress,
+      // so the wait looks at nothing else.
+      me.work.Wait([this, &port, &ring] {
+        return stop_.load(std::memory_order_acquire) || !ring.Empty() ||
+               port.eos.load(std::memory_order_acquire);
+      });
     }
     me.done_client[c] = 1;
   }

@@ -9,9 +9,11 @@
 // contiguous per-shard runs, and pushes the batch into the ring of each
 // consumer that owns one of its shards. The steady-state drain path
 // (submit -> ring -> owning-core apply -> completion) acquires no
-// std::mutex at all; mutexes and condition variables survive only on
-// the slow control path — a producer parking after its spin wait, an
-// idle consumer's 1ms nap, and Stop().
+// std::mutex at all. A thread with nothing to do — a producer awaiting
+// its batch, a consumer whose rings are empty — spins for one time
+// budget and then parks exactly (server/parker.h); the parker's mutex
+// and condition variable are touched only by a thread that ran out of
+// budget and the one that wakes it.
 //
 // Determinism rule: with `deterministic == true` the server runs exactly
 // one consumer thread (owning every shard) that drains client rings in
@@ -42,7 +44,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -56,6 +57,7 @@
 #include "core/clic.h"
 #include "server/fault_injection.h"
 #include "server/ledger.h"
+#include "server/parker.h"
 #include "sim/policy_factory.h"
 #include "sim/simulator.h"
 
@@ -291,9 +293,6 @@ class CacheServer {
     std::atomic<std::uint32_t> pending{0};
     std::atomic<std::uint8_t> fail_bits{0};
     std::atomic<bool> done{false};
-    /// Set (under the port mutex) by a producer that gave up spinning;
-    /// tells the finishing consumer a done_cv notify is needed.
-    std::atomic<bool> waiting{false};
     SubmitResult result = SubmitResult::kApplied;
   };
 
@@ -302,8 +301,8 @@ class CacheServer {
   /// guarded by the `producer` role capability (single producer thread
   /// per client — the clang thread-safety build enforces that every
   /// touch declares the role), atomic completion-side counters (any
-  /// consumer may finish a batch), and the mutex+CV control path for
-  /// post-spin completion parking.
+  /// consumer may finish a batch), and the parker its producer waits
+  /// on for completions.
   struct ClientPort {
     /// The "I am this client's one producer thread" role. Acquired by
     /// Begin, asserted by the quiescent stats snapshot.
@@ -332,18 +331,15 @@ class CacheServer {
     std::atomic<std::uint64_t> applied_batches{0}, applied_requests{0};
     std::atomic<std::uint64_t> expired_batches{0}, expired_requests{0};
     std::atomic<std::uint64_t> stopped_batches{0}, stopped_requests{0};
-    // --- control path (slow: post-spin completion parking) ---
-    // clic-lint: begin-allow(no-mutex-data-path) reason=CV parking for a producer whose completion spin failed; never touched by a batch that completes within the spin
-    Mutex mu;
-    std::condition_variable done_cv;   // producer waits: batch done
-    // clic-lint: end-allow(no-mutex-data-path)
+    /// The producer waits here in Await; the last slice to finish a
+    /// batch wakes it.
+    Parker done;
   };
 
   /// One owning consumer: its shard set, per-core apply scratch and
   /// stats (guarded by the `self` role — only the consumer thread
-  /// itself, or the post-join snapshot, may touch them), and the nap
-  /// control path (flag + CV) producers use to wake it without a
-  /// steady-state mutex.
+  /// itself, or the post-join snapshot, may touch them), and the parker
+  /// it idles on.
   struct Consumer {
     /// The "I am this consumer's drain thread" role. Acquired for the
     /// lifetime of ConsumeOwned / ConsumeInClientOrder.
@@ -354,11 +350,9 @@ class CacheServer {
     std::vector<std::uint8_t> hits CLIC_GUARDED_BY(self);
     std::uint64_t requests CLIC_GUARDED_BY(self) = 0;
     std::uint64_t batches_processed CLIC_GUARDED_BY(self) = 0;
-    // clic-lint: begin-allow(no-mutex-data-path) reason=idle-consumer nap CV; a busy consumer never touches it
-    Mutex mu;
-    std::condition_variable cv;
-    // clic-lint: end-allow(no-mutex-data-path)
-    std::atomic<bool> napping{false};
+    /// The consumer waits here when its rings are empty; a push into one
+    /// of them, Finish() and Stop() wake it.
+    Parker work;
   };
 
   /// A cache shard: policy + stats, owned by exactly one consumer. No
@@ -406,10 +400,6 @@ class CacheServer {
   /// in-flight drain exceeds the watchdog threshold. O(runs), using the
   /// shard ids computed at routing — no page rescan.
   bool TouchesStalledShard(const Batch& batch, std::int64_t now_ns) const;
-  /// Closed-loop completion wait: spin on `done`, then park on the
-  /// port's done_cv with the waiting flag handshake.
-  SubmitResult WaitDone(ClientPort& port, Batch& batch)
-      CLIC_EXCLUDES(port.mu);
   /// Applies consumer `me`'s owned runs of `batch` to their shards,
   /// acquiring each shard's ownership capability for the run.
   void ApplySlice(std::size_t k, Consumer& me, Batch& batch)
@@ -417,17 +407,17 @@ class CacheServer {
   /// Finishes one slice: last finisher resolves the batch outcome
   /// (stopped > expired > applied), updates the completion ledger,
   /// publishes done, wakes a parked producer.
-  void FinishSlice(ClientPort& port, Batch* batch, std::uint8_t bits)
-      CLIC_EXCLUDES(port.mu);
+  void FinishSlice(ClientPort& port, Batch* batch, std::uint8_t bits);
   /// Pops and fully processes one batch slice from client `c`'s ring of
   /// consumer `k` (== `me`). Returns false when the ring was empty.
   bool PopAndProcess(std::size_t k, Consumer& me, std::size_t c)
       CLIC_REQUIRES(me.self);
+  /// True when consumer `k` has something to do: Stop() was called, or
+  /// a client it has not finished has a queued slice or has Finished.
+  bool HasWork(std::size_t k, const Consumer& me) const
+      CLIC_REQUIRES(me.self);
   void ConsumeOwned(std::size_t k);
   void ConsumeInClientOrder();
-  void NapConsumer(std::size_t k, Consumer& me)
-      CLIC_REQUIRES(me.self) CLIC_EXCLUDES(me.mu);
-  void WakeConsumer(std::size_t k);
   void StallIfPlanned(Shard& shard, std::size_t shard_index)
       CLIC_REQUIRES(shard.ownership);
   void PauseIfPlanned(std::size_t consumer_index, std::uint64_t processed);

@@ -14,6 +14,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "server/parker.h"
+
 namespace clic::server::net {
 namespace {
 
@@ -207,7 +209,7 @@ void NetServer::AcceptLoop() {
 void NetServer::AdoptNewConnections(IoThread& t) {
   std::vector<std::unique_ptr<Connection>> fresh;
   {
-    // clic-lint: begin-allow(no-mutex-data-path) reason=inbox adoption, once per accepted connection
+    // clic-lint: begin-allow(no-mutex-data-path) reason=inbox adoption, only when the wake eventfd fires (after an accept) and once at drain; the polling loop never reaches it
     MutexLock lock(t.mu);
     // clic-lint: end-allow(no-mutex-data-path)
     fresh.swap(t.inbox);
@@ -228,7 +230,10 @@ void NetServer::IoLoop(std::size_t k) {
   IoThread& t = *io_[k];
   const bool has_deadlines =
       options_.read_timeout_ms > 0.0 || options_.write_timeout_ms > 0.0;
-  int tick_ms = 100;
+  // With no deadline to sweep there is nothing to do between events:
+  // the acceptor and Drain() both write the wake eventfd, so the loop
+  // can block until one arrives.
+  int tick_ms = -1;
   if (has_deadlines) {
     double shortest = 1e9;
     if (options_.read_timeout_ms > 0.0) {
@@ -239,16 +244,29 @@ void NetServer::IoLoop(std::size_t k) {
     }
     tick_ms = std::max(1, static_cast<int>(shortest / 4.0));
   }
+  // Spin, then block: for one budget after the last event the loop
+  // polls (timeout 0, yielding the core between polls), so a frame that
+  // follows within the budget is read without a kernel wake-up; after
+  // that it blocks in epoll_wait until the next event or tick.
+  const std::int64_t spin_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(kSpinBudget)
+          .count();
+  std::int64_t last_event_ns = NowNs();
   epoll_event events[64];
   for (;;) {
-    AdoptNewConnections(t);
     if (stopping_.load(std::memory_order_acquire)) break;
-    const int n = ::epoll_wait(t.epfd, events, 64, tick_ms);
+    const bool polling = NowNs() - last_event_ns < spin_ns;
+    const int n = ::epoll_wait(t.epfd, events, 64, polling ? 0 : tick_ms);
+    if (n == 0 && polling) std::this_thread::yield();
     for (int i = 0; i < n; ++i) {
       Connection* conn = static_cast<Connection*>(events[i].data.ptr);
       if (conn == nullptr) {
+        // The acceptor writes the eventfd after each inbox push, so
+        // adoption runs only then. Reading the eventfd first means a
+        // push that lands after the swap re-arms it.
         std::uint64_t drainv = 0;
         (void)!::read(t.wake_fd, &drainv, sizeof(drainv));
+        AdoptNewConnections(t);
         continue;
       }
       conn->io.Acquire();
@@ -265,6 +283,7 @@ void NetServer::IoLoop(std::size_t k) {
       }
       conn->io.Release();
     }
+    if (n > 0) last_event_ns = NowNs();
     if (has_deadlines) SweepDeadlines(t, NowNs());
     // Deferred removal: a closed connection's pointer may still sit in
     // this iteration's event array, so destruction waits for the end of

@@ -19,6 +19,12 @@
 // slot, and slot recycling hands the port to the next connection
 // through the free-list mutex (a happens-before edge).
 //
+// Waiting: after it last handled an event, an io thread polls epoll
+// with timeout 0 for one spin budget (kSpinBudget, server/parker.h)
+// and only then blocks, so a frame that follows within the budget costs
+// no wake-up. It adopts new connections when its wake eventfd fires,
+// never on the polling path.
+//
 // Pipelining: a connection keeps up to CacheServer::kPipelineDepth
 // frames in flight, one per closed-loop slot of its port. Each frame
 // is parsed into its own slot and Begun as soon as it parses; the
@@ -195,7 +201,7 @@ class NetServer {
     int wake_fd = -1;
     std::thread thread;
     std::vector<std::unique_ptr<Connection>> owned;  // io-thread-local
-    // clic-lint: begin-allow(no-mutex-data-path) reason=acceptor-to-io-thread connection handoff inbox; touched once per accepted connection, never per frame
+    // clic-lint: begin-allow(no-mutex-data-path) reason=acceptor-to-io-thread connection handoff inbox; touched once per accepted connection and when the wake eventfd fires, never per frame
     Mutex mu;
     std::vector<std::unique_ptr<Connection>> inbox CLIC_GUARDED_BY(mu);
     // clic-lint: end-allow(no-mutex-data-path)
@@ -203,6 +209,9 @@ class NetServer {
 
   void AcceptLoop();
   void IoLoop(std::size_t k);
+  /// Moves the inbox's connections into this io thread's epoll set.
+  /// Runs when the wake eventfd fires and once more at drain, so the
+  /// polling loop itself never takes the inbox mutex.
   void AdoptNewConnections(IoThread& t);
   void HandleReadable(Connection& conn) CLIC_REQUIRES(conn.io);
   /// Parses every complete frame in the read() chunk [data, data + len)

@@ -36,12 +36,11 @@ TEST(SpscRingTest, NonPowerOfTwoCapacityThrowsNamingTheValue) {
 TEST(SpscRingTest, FullAndEmptyBoundariesAtMinimumCapacity) {
   SpscRing<int> ring(2);
   EXPECT_TRUE(ring.Empty());
-  EXPECT_EQ(ring.FreeSlots(), 2u);
   int out = 0;
   EXPECT_FALSE(ring.TryPop(&out)) << "empty ring must not pop";
-  EXPECT_TRUE(ring.TryPush(10));
-  EXPECT_TRUE(ring.TryPush(11));
-  EXPECT_EQ(ring.FreeSlots(), 0u);
+  // An empty ring takes exactly `capacity` pushes, and no more.
+  EXPECT_TRUE(ring.TryPush(10)) << "empty ring has two free slots";
+  EXPECT_TRUE(ring.TryPush(11)) << "empty ring has two free slots";
   EXPECT_FALSE(ring.TryPush(12)) << "full ring must refuse a push";
   EXPECT_TRUE(ring.TryPop(&out));
   EXPECT_EQ(out, 10);
@@ -69,7 +68,17 @@ TEST(SpscRingTest, FifoOrderAcrossManyWraparounds) {
     }
   }
   EXPECT_TRUE(ring.Empty());
-  EXPECT_EQ(ring.FreeSlots(), 8u);
+  // After >1000 wraparounds the drained ring still takes exactly 8
+  // pushes and refuses the 9th, and gives them back in order.
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    EXPECT_TRUE(ring.TryPush(total + v)) << "free slot " << v << " of 8";
+  }
+  EXPECT_FALSE(ring.TryPush(total + 8)) << "a 9th push must not fit";
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    std::uint64_t out = 0;
+    ASSERT_TRUE(ring.TryPop(&out));
+    EXPECT_EQ(out, total + v);
+  }
 }
 
 // The TSan certification run: one real producer thread against one real
