@@ -62,6 +62,13 @@ void PutHeader(std::uint8_t* h, FrameType type, std::uint16_t count,
 
 }  // namespace
 
+std::uint64_t FrameChecksum(const std::uint8_t* header,
+                            const std::uint8_t* payload,
+                            std::size_t payload_len) {
+  return Fnv1a(Fnv1a(kFnvOffset, header, kFrameHeaderBytes), payload,
+               payload_len);
+}
+
 const char* WireCodeName(std::uint16_t code) {
   switch (code) {
     case kWireApplied: return "applied";
@@ -99,9 +106,8 @@ void AppendBatchFrame(const Request* reqs, std::size_t n, std::uint64_t seq,
     rec[10] = static_cast<std::uint8_t>(reqs[i].op);
     rec[11] = static_cast<std::uint8_t>(reqs[i].write_kind);
   }
-  const std::uint64_t sum =
-      Fnv1a(kFnvOffset, p, kFrameHeaderBytes + payload_len);
-  PutU64(p + kFrameHeaderBytes + payload_len, sum);
+  PutU64(p + kFrameHeaderBytes + payload_len,
+         FrameChecksum(p, p + kFrameHeaderBytes, payload_len));
 }
 
 void AppendReplyFrame(FrameType type, std::uint16_t code, std::uint64_t seq,
@@ -110,7 +116,7 @@ void AppendReplyFrame(FrameType type, std::uint16_t code, std::uint64_t seq,
   out->resize(start + kFrameHeaderBytes + kFrameChecksumBytes);
   std::uint8_t* p = reinterpret_cast<std::uint8_t*>(&(*out)[start]);
   PutHeader(p, type, code, 0, seq);
-  PutU64(p + kFrameHeaderBytes, Fnv1a(kFnvOffset, p, kFrameHeaderBytes));
+  PutU64(p + kFrameHeaderBytes, FrameChecksum(p, nullptr, 0));
 }
 
 FrameParser::FrameParser(std::size_t max_batch)
@@ -170,9 +176,8 @@ ParseStatus FrameParser::ValidateHeader() {
 }
 
 ParseStatus FrameParser::FinishFrame(ParsedFrame* out) {
-  std::uint64_t sum = Fnv1a(kFnvOffset, header_, kFrameHeaderBytes);
-  sum = Fnv1a(sum, body_.data(), payload_len_);
-  if (sum != GetU64(body_.data() + payload_len_)) {
+  if (FrameChecksum(header_, body_.data(), payload_len_) !=
+      GetU64(body_.data() + payload_len_)) {
     return Poison(kWireBadChecksum, "frame checksum mismatch");
   }
   out->type = type_;

@@ -93,6 +93,13 @@ struct ParsedFrame {
   std::vector<Request> requests;
 };
 
+/// The checksum a frame carries after its payload: FNV-1a over the
+/// kFrameHeaderBytes at `header`, then the `payload_len` bytes at
+/// `payload`.
+std::uint64_t FrameChecksum(const std::uint8_t* header,
+                            const std::uint8_t* payload,
+                            std::size_t payload_len);
+
 /// Appends one batch frame for requests [reqs, reqs + n) to `out`.
 /// n must be 1 .. kWireMaxBatch (asserted).
 void AppendBatchFrame(const Request* reqs, std::size_t n, std::uint64_t seq,

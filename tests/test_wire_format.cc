@@ -108,6 +108,30 @@ TEST(WireFormatTest, ReplyRoundTrip) {
   EXPECT_TRUE(frame.requests.empty());
 }
 
+TEST(WireFormatTest, ChecksumKnownAnswer) {
+  // Pins the frame checksum of one fixed 2-request frame, so a change
+  // of the checksum algorithm is a visible change of the wire format.
+  std::vector<Request> reqs(2);
+  reqs[0].page = 0x01020304;
+  reqs[0].hint_set = 5;
+  reqs[0].client = 2;
+  reqs[1].page = 7;
+  reqs[1].hint_set = 0x00ABCDEF;
+  reqs[1].client = 1;
+  reqs[1].op = OpType::kWrite;
+  reqs[1].write_kind = WriteKind::kRecovery;
+  std::string bytes;
+  AppendBatchFrame(reqs.data(), reqs.size(), 0x1122334455667788ull, &bytes);
+  ASSERT_EQ(bytes.size(), 52u);
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  const std::uint64_t sum = FrameChecksum(raw, raw + kFrameHeaderBytes, 24);
+  EXPECT_EQ(sum, 0xA0B9A9DA3668E45Aull);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(raw[44 + i], static_cast<std::uint8_t>(sum >> (8 * i)))
+        << "checksum byte " << i;
+  }
+}
+
 TEST(WireFormatTest, MultipleFramesInOneBuffer) {
   std::string bytes;
   const std::vector<Request> a = MakeRequests(5, 1);
@@ -134,30 +158,52 @@ TEST(WireFormatTest, MultipleFramesInOneBuffer) {
 
 // ---- fail-closed fuzzing ---------------------------------------------------
 
+/// Parses `bytes` whole with a fresh parser; true when it poisoned the
+/// parser with a typed error (a WireCode >= 16 and a message).
+bool FailsClosed(const std::string& bytes) {
+  FrameParser parser(4096);
+  const std::uint8_t* p = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  std::size_t len = bytes.size();
+  ParsedFrame frame;
+  return parser.Consume(&p, &len, &frame) == ParseStatus::kError &&
+         parser.error_code() >= 16 && !parser.error().empty();
+}
+
+void FlipBit(std::string* bytes, std::size_t bit) {
+  (*bytes)[bit / 8] =
+      static_cast<char>((*bytes)[bit / 8] ^ (1u << (bit % 8)));
+}
+
 TEST(WireFormatFuzzTest, EverySingleBitFlipFailsClosed) {
-  // The count/payload_len cross-check plus the FNV-1a checksum
-  // guarantee: no single-bit flip anywhere in the frame can yield
-  // kFrame. 256 seeded flips (every byte region hit) must all poison
-  // the parser with a typed error code.
-  const std::vector<Request> reqs = MakeRequests(16, 5);
-  std::string clean;
-  AppendBatchFrame(reqs.data(), reqs.size(), 13, &clean);
-  std::mt19937_64 rng(0xC11Cu);
-  for (int trial = 0; trial < 256; ++trial) {
+  // The count/payload_len cross-check plus the checksum guarantee: no
+  // flip of one bit, or of any two bits, anywhere in a frame yields
+  // kFrame. Every such flip of batch frames of 1, 2, 5 and 8 requests
+  // (40-124 bytes) and of a status frame must poison the parser with a
+  // typed error code.
+  std::vector<std::string> frames;
+  for (const std::size_t n : {1, 2, 5, 8}) {
+    const std::vector<Request> reqs = MakeRequests(n, 5);
+    frames.emplace_back();
+    AppendBatchFrame(reqs.data(), reqs.size(), 13, &frames.back());
+  }
+  frames.emplace_back();
+  AppendReplyFrame(FrameType::kStatus, kWireApplied, 13, &frames.back());
+  for (const std::string& clean : frames) {
+    ASSERT_FALSE(FailsClosed(clean));
     std::string bytes = clean;
-    const std::size_t bit = rng() % (bytes.size() * 8);
-    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1u << (bit % 8)));
-    ParsedFrame frame;
-    const ParseStatus st = FeedChunked(bytes, bytes.size(), 4096, &frame);
-    ASSERT_EQ(st, ParseStatus::kError)
-        << "bit " << bit << " flip produced " << static_cast<int>(st);
-    FrameParser check(4096);
-    const std::uint8_t* p =
-        reinterpret_cast<const std::uint8_t*>(bytes.data());
-    std::size_t len = bytes.size();
-    check.Consume(&p, &len, &frame);
-    EXPECT_GE(check.error_code(), 16u) << "flip must map to a typed error";
-    EXPECT_FALSE(check.error().empty());
+    const std::size_t bits = bytes.size() * 8;
+    for (std::size_t a = 0; a < bits; ++a) {
+      FlipBit(&bytes, a);
+      ASSERT_TRUE(FailsClosed(bytes))
+          << clean.size() << "-byte frame, bit " << a << " flipped";
+      for (std::size_t b = a + 1; b < bits; ++b) {
+        FlipBit(&bytes, b);
+        ASSERT_TRUE(FailsClosed(bytes)) << clean.size() << "-byte frame, bits "
+                                        << a << " and " << b << " flipped";
+        FlipBit(&bytes, b);
+      }
+      FlipBit(&bytes, a);
+    }
   }
 }
 
@@ -245,13 +291,10 @@ TEST(WireFormatFuzzTest, BadOpAndWriteKindRejected) {
   // payload validation can catch it.
   std::string patched = bytes;
   patched[kFrameHeaderBytes + 10] = 7;
-  // Recompute FNV-1a over header+payload.
-  std::uint64_t sum = 1469598103934665603ull;
   const std::size_t body = patched.size() - kFrameChecksumBytes;
-  for (std::size_t i = 0; i < body; ++i) {
-    sum ^= static_cast<std::uint8_t>(patched[i]);
-    sum *= 1099511628211ull;
-  }
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(patched.data());
+  const std::uint64_t sum =
+      FrameChecksum(raw, raw + kFrameHeaderBytes, body - kFrameHeaderBytes);
   for (int i = 0; i < 8; ++i) {
     patched[body + i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
   }
