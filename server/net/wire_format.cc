@@ -7,47 +7,54 @@
 namespace clic::server::net {
 namespace {
 
-// Same FNV-1a as sim/trace_io.cc: the checksum discipline the trace
-// cache established, applied to wire frames.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t Fnv1a(std::uint64_t h, const std::uint8_t* data,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
+// Little-endian loads and stores, each one shift-or expression over
+// single bytes: byte-order independent, free of alignment and aliasing
+// assumptions, and merged by the compiler into one move where the host
+// is little-endian.
 void PutU16(std::uint8_t* p, std::uint16_t v) {
   p[0] = static_cast<std::uint8_t>(v);
   p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
 void PutU32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 void PutU64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  PutU32(p, static_cast<std::uint32_t>(v));
+  PutU32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint16_t GetU16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+  return static_cast<std::uint16_t>(p[0] | p[1] << 8);
 }
 
 std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
+         std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
+         std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
+         std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
+}
+
+// xxHash64's primes (odd, so multiplying by one is a bijection).
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+
+/// One checksum step: a bijection of `acc` for a fixed word and of
+/// `word` for a fixed acc (odd multiplies, an add and a rotate).
+std::uint64_t Round(std::uint64_t acc, std::uint64_t word) {
+  acc += word * kPrime2;
+  acc = acc << 31 | acc >> 33;
+  return acc * kPrime1;
 }
 
 void PutHeader(std::uint8_t* h, FrameType type, std::uint16_t count,
@@ -65,8 +72,33 @@ void PutHeader(std::uint8_t* h, FrameType type, std::uint16_t count,
 std::uint64_t FrameChecksum(const std::uint8_t* header,
                             const std::uint8_t* payload,
                             std::size_t payload_len) {
-  return Fnv1a(Fnv1a(kFnvOffset, header, kFrameHeaderBytes), payload,
-               payload_len);
+  assert(payload_len % 4 == 0);
+  std::uint64_t h = kPrime3 + payload_len;
+  h = Round(h, GetU64(header));
+  h = Round(h, GetU64(header + 8));
+  h = Round(h, GetU32(header + 16));
+  // Four independent lanes over the payload's 32-byte stripes.
+  std::uint64_t lane0 = kPrime1 + kPrime2;
+  std::uint64_t lane1 = kPrime2;
+  std::uint64_t lane2 = 0;
+  std::uint64_t lane3 = 0 - kPrime1;
+  const std::uint8_t* p = payload;
+  const std::uint8_t* const end = payload + payload_len;
+  for (; end - p >= 32; p += 32) {
+    lane0 = Round(lane0, GetU64(p));
+    lane1 = Round(lane1, GetU64(p + 8));
+    lane2 = Round(lane2, GetU64(p + 16));
+    lane3 = Round(lane3, GetU64(p + 24));
+  }
+  h = Round(Round(Round(Round(h, lane0), lane1), lane2), lane3);
+  for (; end - p >= 8; p += 8) h = Round(h, GetU64(p));
+  if (p != end) h = Round(h, GetU32(p));  // the last 4 bytes, zero-padded
+  // xxHash64's avalanche: xor-shifts and odd multiplies, each a bijection.
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  return h ^ h >> 32;
 }
 
 const char* WireCodeName(std::uint16_t code) {
@@ -100,11 +132,12 @@ void AppendBatchFrame(const Request* reqs, std::size_t n, std::uint64_t seq,
             seq);
   std::uint8_t* rec = p + kFrameHeaderBytes;
   for (std::size_t i = 0; i < n; ++i, rec += kWireRequestBytes) {
-    PutU32(rec, reqs[i].page);
-    PutU32(rec + 4, reqs[i].hint_set);
-    PutU16(rec + 8, reqs[i].client);
-    rec[10] = static_cast<std::uint8_t>(reqs[i].op);
-    rec[11] = static_cast<std::uint8_t>(reqs[i].write_kind);
+    const Request& r = reqs[i];
+    PutU64(rec, std::uint64_t{r.page} | std::uint64_t{r.hint_set} << 32);
+    PutU32(rec + 8, std::uint32_t{r.client} |
+                        std::uint32_t{static_cast<std::uint8_t>(r.op)} << 16 |
+                        std::uint32_t{static_cast<std::uint8_t>(r.write_kind)}
+                            << 24);
   }
   PutU64(p + kFrameHeaderBytes + payload_len,
          FrameChecksum(p, p + kFrameHeaderBytes, payload_len));
@@ -183,23 +216,37 @@ ParseStatus FrameParser::FinishFrame(ParsedFrame* out) {
   out->type = type_;
   out->code = count_;
   out->seq = seq_;
-  out->requests.clear();
-  if (type_ == FrameType::kBatch) {
-    out->requests.reserve(count_);
+  if (type_ != FrameType::kBatch) {
+    out->requests.clear();
+  } else {
+    // Decode every record, folding the op/write_kind range checks into
+    // one flag, so a frame takes a single branch on them.
+    out->requests.resize(count_);
+    Request* r = out->requests.data();
     const std::uint8_t* rec = body_.data();
+    bool bad = false;
     for (std::uint16_t i = 0; i < count_; ++i, rec += kWireRequestBytes) {
-      Request r;
-      r.page = GetU32(rec);
-      r.hint_set = GetU32(rec + 4);
-      r.client = GetU16(rec + 8);
-      if (rec[10] > 1 || rec[11] > 2) {
-        return Poison(kWireBadPayload,
-                      "request " + std::to_string(i) +
-                          " has an out-of-range op/write_kind");
+      const std::uint64_t lo = GetU64(rec);
+      const std::uint32_t hi = GetU32(rec + 8);
+      const auto op = static_cast<std::uint8_t>(hi >> 16);
+      const auto write_kind = static_cast<std::uint8_t>(hi >> 24);
+      bad |= (op > 1) | (write_kind > 2);
+      r[i].page = static_cast<PageId>(lo);
+      r[i].hint_set = static_cast<HintSetId>(lo >> 32);
+      r[i].client = static_cast<ClientId>(hi);
+      r[i].op = static_cast<OpType>(op);
+      r[i].write_kind = static_cast<WriteKind>(write_kind);
+    }
+    if (bad) {
+      out->requests.clear();
+      std::uint16_t i = 0;
+      for (rec = body_.data(); rec[10] <= 1 && rec[11] <= 2;
+           rec += kWireRequestBytes) {
+        ++i;
       }
-      r.op = static_cast<OpType>(rec[10]);
-      r.write_kind = static_cast<WriteKind>(rec[11]);
-      out->requests.push_back(r);
+      return Poison(kWireBadPayload,
+                    "request " + std::to_string(i) +
+                        " has an out-of-range op/write_kind");
     }
   }
   // Reset for the next frame.

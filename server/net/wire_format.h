@@ -3,12 +3,12 @@
 // 12-byte request records the trace cache stores (sim/trace_io.cc),
 // with the same fail-closed discipline — magic, version, every length
 // cross-checked against the header AND bounded by configuration before
-// a single payload byte is buffered, and a running FNV-1a checksum over
-// the whole frame compared last.
+// a single payload byte is buffered, and a checksum over the whole
+// frame compared last.
 //
 //   Request/batch frame (client -> server), little-endian:
 //     u32 magic        0x434C4946 ("CLIF")
-//     u8  version      1
+//     u8  version      2
 //     u8  type         1 = batch
 //     u16 count        requests in the batch, 1 .. max_batch
 //     u32 payload_len  must equal count * 12 (redundant on purpose:
@@ -18,12 +18,38 @@
 //     payload          count packed records:
 //                        u32 page, u32 hint_set, u16 client,
 //                        u8 op (<= 1), u8 write_kind (<= 2)
-//     u64 checksum     FNV-1a over header + payload
+//     u64 checksum     FrameChecksum over header + payload
 //
 //   Status / error frame (server -> client): same header with type 2
 //   (status) or 3 (error), `count` carrying a WireCode, payload_len 0,
 //   and seq echoing the request frame it answers (errors echo the
 //   frame counter at the point of failure). 28 bytes total.
+//
+// The checksum takes the frame 8 bytes per step. Its step is xxHash64's
+// round, R(acc, w) = rotl(acc + w*P2, 31) * P1 with xxHash64's odd
+// primes. An accumulator h, seeded with P3 + payload_len, takes the
+// header's three words (the third is its last 4 bytes, zero-padded).
+// Four independent lanes take the payload's 32-byte stripes, one word
+// each, and are then folded into h one after another with R. h takes
+// the payload's remaining words and its last 4 bytes, zero-padded,
+// and ends with xxHash64's avalanche (xor-shifts and odd multiplies).
+// Version 1 frames carried a byte-serial FNV-1a instead; a version 2
+// parser rejects them at header time.
+//
+// The guarantee: every step (each lane round, each fold, the padded
+// tail word, the avalanche) is a bijection of its state for a fixed
+// word and of the word for a fixed state, so ANY change confined to
+// one 8-byte word, every single-byte change included, changes the
+// checksum. Exact XXH64 is not used because its lane merge is not
+// shown to be injective in each lane. The rotate also carries a flipped
+// top bit down, so two top-bit flips cannot cancel as they could under
+// a plain (h ^ w) * P per word. tests/test_wire_format.cc checks every
+// single- and double-bit flip of five frames exhaustively.
+//
+// Records and header fields are read and written with little-endian
+// shift-or expressions over single bytes: correct on any host byte
+// order, with no aliasing or alignment assumption, and compiled to one
+// move per field on a little-endian host.
 //
 // The parser is incremental (sockets deliver arbitrary byte chunks —
 // torn writes and partial reads are the normal case, not the
@@ -48,7 +74,7 @@
 namespace clic::server::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x434C4946u;  // "CLIF"
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 inline constexpr std::size_t kFrameChecksumBytes = 8;
 inline constexpr std::size_t kWireRequestBytes = 12;
@@ -93,9 +119,10 @@ struct ParsedFrame {
   std::vector<Request> requests;
 };
 
-/// The checksum a frame carries after its payload: FNV-1a over the
-/// kFrameHeaderBytes at `header`, then the `payload_len` bytes at
-/// `payload`.
+/// The checksum a frame carries after its payload, over the
+/// kFrameHeaderBytes at `header` and the `payload_len` bytes at
+/// `payload` (see the file comment). payload_len must be a multiple of
+/// 4, as every frame's is (asserted).
 std::uint64_t FrameChecksum(const std::uint8_t* header,
                             const std::uint8_t* payload,
                             std::size_t payload_len);

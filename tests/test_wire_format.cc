@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "core/trace.h"
 
 namespace clic::server::net {
@@ -125,7 +129,7 @@ TEST(WireFormatTest, ChecksumKnownAnswer) {
   ASSERT_EQ(bytes.size(), 52u);
   const auto* raw = reinterpret_cast<const std::uint8_t*>(bytes.data());
   const std::uint64_t sum = FrameChecksum(raw, raw + kFrameHeaderBytes, 24);
-  EXPECT_EQ(sum, 0xA0B9A9DA3668E45Aull);
+  EXPECT_EQ(sum, 0xA2702BB3CFF5E7CFull);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(raw[44 + i], static_cast<std::uint8_t>(sum >> (8 * i)))
         << "checksum byte " << i;
@@ -154,6 +158,75 @@ TEST(WireFormatTest, MultipleFramesInOneBuffer) {
   EXPECT_EQ(len, 0u);
   EXPECT_EQ(parser.frames(), 3u);
   EXPECT_FALSE(parser.HasPartial());
+}
+
+// ---- speed -----------------------------------------------------------------
+
+/// Best of `passes` wall-clock runs of `pass`, in nanoseconds.
+template <typename Pass>
+double BestNs(int passes, Pass pass) {
+  double best = 0;
+  for (int i = 0; i < passes; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    pass();
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    if (i == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+TEST(WireFormatTest, CodecOutrunsByteSerialFnv) {
+  // A ratio gate that holds on any machine: encoding and parsing a
+  // frame must each run at least twice as fast as one byte-serial
+  // FNV-1a pass over the same bytes, measured in this process. A codec
+  // that hashes or decodes a frame one dependent byte at a time cannot
+  // pass it.
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the codec ratio gate needs an NDEBUG build without "
+                  "sanitizers";
+#endif
+  constexpr std::size_t kFrames = 2000;
+  constexpr std::size_t kBatch = 64;
+  constexpr int kPasses = 5;
+  const std::vector<Request> reqs = MakeRequests(kFrames * kBatch, 3);
+  std::string wire;
+  const double encode_ns = BestNs(kPasses, [&] {
+    wire.clear();
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      AppendBatchFrame(reqs.data() + f * kBatch, kBatch, f + 1, &wire);
+    }
+  });
+  std::size_t parsed = 0;
+  ParsedFrame frame;
+  const double parse_ns = BestNs(kPasses, [&] {
+    FrameParser parser(kBatch);
+    const auto* p = reinterpret_cast<const std::uint8_t*>(wire.data());
+    std::size_t len = wire.size();
+    while (parser.Consume(&p, &len, &frame) == ParseStatus::kFrame) {
+    }
+    parsed = parser.frames();
+  });
+  ASSERT_EQ(parsed, kFrames);
+  ExpectSameRequests(
+      std::vector<Request>(reqs.end() - kBatch, reqs.end()), frame.requests);
+  std::uint64_t digest = 0;
+  const double fnv_ns = BestNs(kPasses, [&] {
+    Fnv1a h;
+    h.Mix(wire.data(), wire.size());
+    digest = h.value();
+  });
+  EXPECT_NE(digest, 0u);
+  const double per_req = 1.0 / (kFrames * kBatch);
+  std::printf(
+      "AppendBatchFrame %.2f ns/req, FrameParser::Consume %.2f ns/req, "
+      "byte-serial FNV-1a %.2f ns/req (%.1fx, %.1fx)\n",
+      encode_ns * per_req, parse_ns * per_req, fnv_ns * per_req,
+      fnv_ns / encode_ns, fnv_ns / parse_ns);
+  EXPECT_GE(fnv_ns / encode_ns, 2.0) << "AppendBatchFrame is too slow";
+  EXPECT_GE(fnv_ns / parse_ns, 2.0) << "FrameParser::Consume is too slow";
 }
 
 // ---- fail-closed fuzzing ---------------------------------------------------
@@ -258,6 +331,22 @@ TEST(WireFormatFuzzTest, InconsistentLengthRejectedAtHeaderTime) {
   ParsedFrame frame;
   ASSERT_EQ(parser.Consume(&p, &len, &frame), ParseStatus::kError);
   EXPECT_EQ(parser.error_code(), kWireBadLength);
+}
+
+TEST(WireFormatFuzzTest, VersionOneFrameRejectedAtHeaderTime) {
+  // Version 1 frames carried an FNV-1a checksum; a version 2 parser
+  // names the mismatch from the 20 header bytes instead of reporting a
+  // bad checksum.
+  const std::vector<Request> reqs = MakeRequests(4, 2);
+  std::string bytes;
+  AppendBatchFrame(reqs.data(), reqs.size(), 1, &bytes);
+  bytes[4] = 1;
+  FrameParser parser(4096);
+  const std::uint8_t* p = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  std::size_t len = kFrameHeaderBytes;
+  ParsedFrame frame;
+  ASSERT_EQ(parser.Consume(&p, &len, &frame), ParseStatus::kError);
+  EXPECT_EQ(parser.error_code(), kWireBadVersion);
 }
 
 TEST(WireFormatFuzzTest, GarbageStreamsFailClosed) {
