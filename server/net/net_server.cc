@@ -129,6 +129,7 @@ NetServer::NetServer(const NetServerOptions& options) : options_(options) {
   for (unsigned k = 0; k < options_.io_threads; ++k) {
     io_[k]->thread = std::thread([this, k] { IoLoop(k); });
   }
+  accept_wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   acceptor_ = std::thread([this] { AcceptLoop(); });
 }
 
@@ -138,6 +139,7 @@ NetServer::~NetServer() {
     if (t->epfd >= 0) ::close(t->epfd);
     if (t->wake_fd >= 0) ::close(t->wake_fd);
   }
+  if (accept_wake_fd_ >= 0) ::close(accept_wake_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
@@ -148,11 +150,16 @@ void NetServer::AcceptLoop() {
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
   ::epoll_ctl(aepfd, EPOLL_CTL_ADD, listen_fd_, &ev);
+  ev.data.fd = accept_wake_fd_;
+  ::epoll_ctl(aepfd, EPOLL_CTL_ADD, accept_wake_fd_, &ev);
   std::uint64_t accept_count = 0;
   while (!stopping_.load(std::memory_order_acquire)) {
+    // Sleeps until a connection arrives or Drain() writes the wake
+    // eventfd, which is never read: it stays readable, so the loop
+    // re-checks stopping_ and ends.
     epoll_event out{};
-    const int n = ::epoll_wait(aepfd, &out, 1, 50);
-    if (n <= 0) continue;
+    const int n = ::epoll_wait(aepfd, &out, 1, -1);
+    if (n <= 0 || out.data.fd != listen_fd_) continue;
     for (;;) {
       const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                                SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -568,13 +575,14 @@ void NetServer::Drain() {
   if (drained_) return;
   drained_ = true;
   stopping_.store(true, std::memory_order_release);
+  const std::uint64_t wake = 1;
+  (void)!::write(accept_wake_fd_, &wake, sizeof(wake));
   if (acceptor_.joinable()) acceptor_.join();
   // Stop the cache server first: every submit from here on lands in the
   // ledger's `stopped` bucket, so the io threads' drain pass can flush
   // in-flight frames with exact accounting.
   server_->Stop();
   for (auto& t : io_) {
-    const std::uint64_t wake = 1;
     (void)!::write(t->wake_fd, &wake, sizeof(wake));
   }
   for (auto& t : io_) {

@@ -247,6 +247,7 @@ class NetServer {
   NetServerOptions options_;
   std::unique_ptr<CacheServer> server_;
   int listen_fd_ = -1;
+  int accept_wake_fd_ = -1;  // Drain() writes it to end AcceptLoop
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<IoThread>> io_;
   std::thread acceptor_;
