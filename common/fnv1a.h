@@ -1,6 +1,8 @@
-// FNV-1a, the one hash used across the codebase: hint-vector interning,
-// trace-file checksums, and trace-name seed derivation all share this
-// implementation so the constants can never drift apart.
+// FNV-1a, the hash behind every file format and decision: hint-vector
+// interning, trace-file checksums, shard placement (ShardOf) and
+// trace-name seed derivation all share this implementation so the
+// constants can never drift apart. It is not the checksum of wire
+// frames, which take a word-wise one (server/net/wire_format.h).
 #pragma once
 
 #include <cstdint>

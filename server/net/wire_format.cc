@@ -7,10 +7,10 @@
 namespace clic::server::net {
 namespace {
 
-// Little-endian loads and stores, each one shift-or expression over
-// single bytes: byte-order independent, free of alignment and aliasing
-// assumptions, and merged by the compiler into one move where the host
-// is little-endian.
+// Little-endian loads and stores over single bytes and shifts: correct
+// on any host byte order, free of alignment and aliasing assumptions,
+// and merged by the compiler into one move per field where the host is
+// little-endian.
 void PutU16(std::uint8_t* p, std::uint16_t v) {
   p[0] = static_cast<std::uint8_t>(v);
   p[1] = static_cast<std::uint8_t>(v >> 8);
