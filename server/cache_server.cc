@@ -81,8 +81,7 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
   // Mirrors ServeTrace's driver loop exactly: contiguous per-client
   // chunks, fixed batch grid, 1-based per-client submit index.
   for (std::uint64_t c = 0; c < clients; ++c) {
-    const std::uint64_t begin = n * c / clients;
-    const std::uint64_t end = n * (c + 1) / clients;
+    const auto [begin, end] = ClientChunk(n, clients, c);
     std::uint64_t index = 0;
     for (std::uint64_t pos = begin; pos < end; pos += batch) {
       ++index;
@@ -164,12 +163,8 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
   // Ownership topology: a static disjoint partition of shards over
   // consumers, fixed for the server's lifetime — the serialization the
   // shard mutex used to provide.
-  unsigned workers = 1;
-  if (deterministic_) {
-    workers = 1;
-  } else if (options.consumers > 0) {
-    workers = options.consumers;
-  } else {
+  unsigned workers = deterministic_ ? 1 : options.consumers;
+  if (workers == 0) {
     workers = static_cast<unsigned>(std::min<std::size_t>(
         shards_.size(), std::max(1u, std::thread::hardware_concurrency())));
   }
@@ -198,11 +193,7 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
   // Everything above must be in place before the first consumer runs.
   threads_.reserve(workers);
   for (unsigned k = 0; k < workers; ++k) {
-    if (deterministic_) {
-      threads_.emplace_back([this] { ConsumeInClientOrder(); });
-    } else {
-      threads_.emplace_back([this, k] { ConsumeOwned(k); });
-    }
+    threads_.emplace_back([this, k] { ConsumeOwned(k); });
   }
 }
 
@@ -484,18 +475,9 @@ void CacheServer::FinishSlice(ClientPort& port, Batch* batch,
 
 void CacheServer::StallIfPlanned(Shard& shard, std::size_t shard_index) {
   for (const fault::ShardStall& s : fault_->stalls) {
-    if (s.shard != shard_index) continue;
-    if (shard.drains < s.after_drain ||
-        shard.drains >= s.after_drain + s.drains) {
-      continue;
-    }
-    // Sleep in 1ms slices so Stop() never waits out a long stall.
-    double remaining_ms = s.ms;
-    while (remaining_ms > 0.0 && !stop_.load(std::memory_order_relaxed)) {
-      const double slice = std::min(remaining_ms, 1.0);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(slice));
-      remaining_ms -= slice;
+    if (s.shard == shard_index && shard.drains >= s.after_drain &&
+        shard.drains < s.after_drain + s.drains) {
+      SlicedSleep(s.ms, stop_);
     }
   }
 }
@@ -503,16 +485,9 @@ void CacheServer::StallIfPlanned(Shard& shard, std::size_t shard_index) {
 void CacheServer::PauseIfPlanned(std::size_t consumer_index,
                                  std::uint64_t processed) {
   for (const fault::ConsumerPause& p : fault_->pauses) {
-    if (p.consumer != consumer_index) continue;
-    if (processed < p.after_batch || processed >= p.after_batch + p.batches) {
-      continue;
-    }
-    double remaining_ms = p.ms;
-    while (remaining_ms > 0.0 && !stop_.load(std::memory_order_relaxed)) {
-      const double slice = std::min(remaining_ms, 1.0);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(slice));
-      remaining_ms -= slice;
+    if (p.consumer == consumer_index && processed >= p.after_batch &&
+        processed < p.after_batch + p.batches) {
+      SlicedSleep(p.ms, stop_);
     }
   }
 }
@@ -604,6 +579,9 @@ bool CacheServer::HasWork(std::size_t k, const Consumer& me) const {
     if (!port.rings[k]->Empty() || port.eos.load(std::memory_order_acquire)) {
       return true;
     }
+    // Strict client order: only the first unfinished client can make
+    // progress, so the wait looks at nothing else.
+    if (deterministic_) return false;
   }
   return false;
 }
@@ -618,11 +596,14 @@ void CacheServer::ConsumeOwned(std::size_t k) {
     bool progress = false;
     for (std::size_t c = 0; c < ports_.size(); ++c) {
       if (me.done_client[c]) continue;
-      // Re-check stop between pops: batches queued behind a stall that
-      // Stop() unwound belong to the final stopped-accounting drain,
-      // not to this consumer.
-      while (!stop_.load(std::memory_order_acquire) &&
-             PopAndProcess(k, me, c)) {
+      // A visit pops at most one ring's worth, so a client that keeps
+      // its ring full cannot starve the others. Re-check stop between
+      // pops: batches queued behind a stall that Stop() unwound belong
+      // to the final stopped-accounting drain, not to this consumer.
+      for (std::size_t pops = 0; pops < kPipelineDepth &&
+                                 !stop_.load(std::memory_order_acquire) &&
+                                 PopAndProcess(k, me, c);
+           ++pops) {
         progress = true;
       }
       ClientPort& port = *ports_[c];
@@ -632,6 +613,10 @@ void CacheServer::ConsumeOwned(std::size_t k) {
           port.rings[k]->Empty()) {
         me.done_client[c] = 1;
         --remaining;
+      } else if (deterministic_) {
+        // Strict client order: no later client is served before this
+        // one has finished.
+        break;
       }
     }
     if (!progress && remaining > 0) {
@@ -642,36 +627,6 @@ void CacheServer::ConsumeOwned(std::size_t k) {
         return HasWork(k, me);
       });
     }
-  }
-  me.self.Release();
-}
-
-void CacheServer::ConsumeInClientOrder() {
-  // Strict client order: the per-shard request sequence is then the
-  // shard-filtered concatenation of client streams, which is what the
-  // determinism guarantee (see header) promises.
-  Consumer& me = *consumers_[0];
-  // Deterministic mode runs exactly one consumer; this thread is it.
-  me.self.Acquire();
-  me.done_client.assign(ports_.size(), 0);
-  for (std::size_t c = 0; c < ports_.size(); ++c) {
-    ClientPort& port = *ports_[c];
-    const SpscRing<Batch*>& ring = *port.rings[0];
-    for (;;) {
-      if (stop_.load(std::memory_order_acquire)) {
-        me.self.Release();
-        return;
-      }
-      if (PopAndProcess(0, me, c)) continue;
-      if (port.eos.load(std::memory_order_acquire) && ring.Empty()) break;
-      // Strict order means only client c (or Stop()) can make progress,
-      // so the wait looks at nothing else.
-      me.work.Wait([this, &port, &ring] {
-        return stop_.load(std::memory_order_acquire) || !ring.Empty() ||
-               port.eos.load(std::memory_order_acquire);
-      });
-    }
-    me.done_client[c] = 1;
   }
   me.self.Release();
 }
@@ -807,18 +762,6 @@ ServeResult QuiescentServeResult(const CacheServer& server) {
   return result;
 }
 
-namespace {
-
-double PercentileUs(const std::vector<double>& sorted_us, double q) {
-  if (sorted_us.empty()) return 0.0;
-  const std::size_t rank = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(sorted_us.size() - 1),
-                       q * static_cast<double>(sorted_us.size() - 1)));
-  return sorted_us[rank];
-}
-
-}  // namespace
-
 ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
                        const LoadOptions& load) {
   if (load.clients == 0) {
@@ -827,64 +770,53 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   if (load.batch_size == 0) {
     throw std::invalid_argument("ServeTrace: batch_size must be >= 1");
   }
-  if (options.deterministic && load.duration_seconds > 0.0) {
-    throw std::invalid_argument(
-        "ServeTrace: duration mode replays chunks in wall-clock order and "
-        "cannot be deterministic");
-  }
   std::uint64_t n = trace.size();
   if (load.request_budget > 0) n = std::min<std::uint64_t>(n, load.request_budget);
 
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
   CacheServer server(options, load.clients);
-  const std::size_t clients = load.clients;
-  std::vector<std::vector<double>> latencies_us(clients);
-
-  const auto wall_start = std::chrono::steady_clock::now();
+  std::vector<std::vector<double>> latencies_us(load.clients);
+  const auto wall_start = Clock::now();
   std::vector<std::thread> drivers;
-  drivers.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
+  drivers.reserve(load.clients);
+  for (std::size_t c = 0; c < load.clients; ++c) {
     drivers.emplace_back([&, c] {
-      // Contiguous chunk so client streams concatenate to the capped
-      // trace (the determinism rule depends on this layout).
-      const std::uint64_t begin = n * c / clients;
-      const std::uint64_t end = n * (c + 1) / clients;
-      std::vector<double>& lat = latencies_us[c];
-      const bool timed = load.duration_seconds > 0.0;
-      bool first_pass = true;
-      bool out_of_time = false;
-      bool stopped = false;
-      do {
-        for (std::uint64_t pos = begin; pos < end; pos += load.batch_size) {
-          // The first pass always completes — every request is applied
-          // at least once — so the deadline only cuts later passes.
-          if (out_of_time && !first_pass) break;
-          const std::size_t count = static_cast<std::size_t>(
-              std::min<std::uint64_t>(load.batch_size, end - pos));
-          const auto t0 = std::chrono::steady_clock::now();
-          const SubmitResult outcome =
-              server.Submit(c, trace.requests.data() + pos, count);
-          const std::chrono::duration<double, std::micro> took =
-              std::chrono::steady_clock::now() - t0;
-          // Shed and expired batches are counted by the server's
-          // ledger and skipped.
-          if (outcome == SubmitResult::kApplied) lat.push_back(took.count());
-          stopped = outcome == SubmitResult::kStopped;
-          if (stopped) break;
-          if (timed) {
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - wall_start;
-            out_of_time = elapsed.count() >= load.duration_seconds;
-          }
+      // Slots are used in FIFO order: the `in_flight` slots from `oldest`
+      // on hold batches Begun at begun_at[slot] and not yet Awaited.
+      std::array<Clock::time_point, kDepth> begun_at{};
+      std::size_t oldest = 0;
+      std::size_t in_flight = 0;
+      const auto await_oldest = [&] {
+        // Expired batches are counted by the server's ledger and skipped.
+        if (server.Await(c, oldest) == SubmitResult::kApplied) {
+          latencies_us[c].push_back(std::chrono::duration<double, std::micro>(
+                                        Clock::now() - begun_at[oldest])
+                                        .count());
         }
-        first_pass = false;
-      } while (timed && !out_of_time && !stopped && begin < end);
+        oldest = (oldest + 1) % kDepth;
+        --in_flight;
+      };
+      const auto [begin, end] = ClientChunk(n, load.clients, c);
+      for (std::uint64_t pos = begin; pos < end; pos += load.batch_size) {
+        if (in_flight == kDepth) await_oldest();
+        const std::size_t slot = (oldest + in_flight) % kDepth;
+        const std::size_t count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(load.batch_size, end - pos));
+        begun_at[slot] = Clock::now();
+        // A shed batch is final at Begin and leaves its slot free.
+        if (server.Begin(c, slot, trace.requests.data() + pos, count) ==
+            SubmitResult::kEnqueued) {
+          ++in_flight;
+        }
+      }
+      while (in_flight > 0) await_oldest();
       server.Finish(c);
     });
   }
   for (std::thread& t : drivers) t.join();
   server.Shutdown();
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
+  const std::chrono::duration<double> wall = Clock::now() - wall_start;
 
   ServeResult result = QuiescentServeResult(server);
   result.wall_seconds = wall.count();
@@ -895,9 +827,8 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   for (const std::vector<double>& lat : latencies_us) {
     all_us.insert(all_us.end(), lat.begin(), lat.end());
   }
-  std::sort(all_us.begin(), all_us.end());
-  result.p50_us = PercentileUs(all_us, 0.50);
-  result.p99_us = PercentileUs(all_us, 0.99);
+  result.p50_us = Percentile(&all_us, 0.50);
+  result.p99_us = Percentile(&all_us, 0.99);
   return result;
 }
 

@@ -17,7 +17,9 @@
 //
 // Determinism rule: with `deterministic == true` the server runs exactly
 // one consumer thread (owning every shard) that drains client rings in
-// strict client order (all of client 0's stream, then client 1's, ...).
+// strict client order (all of client 0's stream, then client 1's, ...):
+// the consumer loop of concurrent mode, with each pass stopping at the
+// first client that has not finished.
 // Each shard therefore sees exactly the subsequence of the concatenated
 // client streams whose pages hash to it, in stream order, with a
 // per-shard seq counter equal to the request's index within that
@@ -50,6 +52,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/spsc_ring.h"
@@ -74,6 +77,15 @@ std::size_t ShardOf(PageId page, std::size_t shards);
 /// across `shards` shards (each shard gets at least one page).
 std::size_t ShardCachePages(std::size_t total_pages, std::size_t shards);
 
+/// Client `c`'s share of an `n`-request run driven by `clients` clients:
+/// requests [n*c/clients, n*(c+1)/clients). The chunks concatenate, in
+/// client order, to [0, n) — the layout the determinism rule relies on.
+/// ServeTrace, FilterShedBatches and RunWireLoad all chunk with it.
+inline std::pair<std::uint64_t, std::uint64_t> ClientChunk(
+    std::uint64_t n, std::uint64_t clients, std::uint64_t c) {
+  return {n * c / clients, n * (c + 1) / clients};
+}
+
 /// Splits `trace` into `shards` sub-traces by ShardOf(page), preserving
 /// request order within each shard. Hint registries are deep copies (the
 /// ids are unchanged), honouring the no-shared-mutable-registry rule.
@@ -94,10 +106,11 @@ SimResult PartitionedSimulate(const Trace& trace, const ServerOptions& options,
 /// The requests a deterministic run with fault plan `plan` actually
 /// serves: the budget-capped trace, chunked and batched exactly as
 /// ServeTrace's drivers do, with every batch the plan's `shed_every`
-/// rule rejects removed. With no plan (or no shed clause) this is the
-/// capped trace itself. PartitionedSimulate of this filtered trace is
-/// the verify baseline for a chaos run — non-shed requests must produce
-/// bit-identical decisions.
+/// rule rejects removed. Pipelining does not move a batch's 1-based
+/// submit index, so the set is the same at any depth. With no plan (or
+/// no shed clause) this is the capped trace itself. PartitionedSimulate
+/// of this filtered trace is the verify baseline for a chaos run —
+/// non-shed requests must produce bit-identical decisions.
 Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
                         const fault::FaultPlan* plan,
                         std::uint64_t request_budget);
@@ -148,10 +161,10 @@ struct ServerOptions {
 ///   server.Shutdown();   // joins consumers; stats become readable
 /// Submit blocks until the batch has been applied (closed loop);
 /// Begin/Await split that into admission and completion so one
-/// producer can keep up to kPipelineDepth batches in flight (the wire
-/// front end's pipelining). Stop() aborts a run from any thread:
-/// waiting producers return kStopped, queued batches are discarded
-/// with exact accounting, and consumers join.
+/// producer can keep up to kPipelineDepth batches in flight (as
+/// ServeTrace's drivers and the wire front end do). Stop() aborts a run
+/// from any thread: waiting producers return kStopped, queued batches
+/// are discarded with exact accounting, and consumers join.
 ///
 /// Threading contract: each client id must be driven by AT MOST ONE
 /// producer thread at a time (Submit / Begin / Await / Finish for one
@@ -342,7 +355,7 @@ class CacheServer {
   /// it idles on.
   struct Consumer {
     /// The "I am this consumer's drain thread" role. Acquired for the
-    /// lifetime of ConsumeOwned / ConsumeInClientOrder.
+    /// lifetime of ConsumeOwned.
     ThreadRole self;
     std::vector<std::size_t> owned;    // shard ids, ascending; written
                                        // once before threads start
@@ -414,10 +427,14 @@ class CacheServer {
       CLIC_REQUIRES(me.self);
   /// True when consumer `k` has something to do: Stop() was called, or
   /// a client it has not finished has a queued slice or has Finished.
+  /// In deterministic mode only the first unfinished client counts.
   bool HasWork(std::size_t k, const Consumer& me) const
       CLIC_REQUIRES(me.self);
+  /// Consumer `k`'s drain thread: passes over the clients in id order,
+  /// popping at most kPipelineDepth slices per client per visit, so a
+  /// client that keeps its ring full cannot starve the others. In
+  /// deterministic mode a pass stops at the first unfinished client.
   void ConsumeOwned(std::size_t k);
-  void ConsumeInClientOrder();
   void StallIfPlanned(Shard& shard, std::size_t shard_index)
       CLIC_REQUIRES(shard.ownership);
   void PauseIfPlanned(std::size_t consumer_index, std::uint64_t processed);
@@ -445,16 +462,10 @@ struct LoadOptions {
   std::size_t clients = 1;
   std::size_t batch_size = 64;
   /// Caps how much of the trace is replayed (0 = the whole trace).
-  /// Client c replays the contiguous chunk [c*N/C, (c+1)*N/C) of the
-  /// capped trace, so the concatenation of all chunks in client order
-  /// is the capped trace itself (the determinism rule relies on this).
+  /// Client c replays its ClientChunk of the capped trace, so the
+  /// concatenation of all chunks in client order is the capped trace
+  /// itself (the determinism rule relies on this).
   std::uint64_t request_budget = 0;
-  /// > 0: clients loop their chunk until the wall clock runs out
-  /// (throughput mode; rejected when options.deterministic is set).
-  /// The first pass of each chunk always completes — every request is
-  /// applied at least once — and the deadline then cuts later passes
-  /// at the next batch boundary.
-  double duration_seconds = 0.0;
 };
 
 struct ServeResult {
@@ -483,7 +494,8 @@ struct ServeResult {
   std::uint64_t quarantined = 0;
   std::uint64_t watchdog_sheds = 0;
   /// Filled by the load driver, not the server: ServeTrace's in-process
-  /// submit latencies, or the wire latencies of a loopback run.
+  /// Begin-to-Await latencies, or the wire latencies of a loopback run,
+  /// with up to kPipelineDepth batches in flight per client.
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;
   double p50_us = 0.0;  // across all drivers' applied batches
@@ -496,10 +508,12 @@ struct ServeResult {
 ServeResult QuiescentServeResult(const CacheServer& server);
 
 /// Replays `trace` against a fresh CacheServer with `load.clients`
-/// closed-loop driver threads. Throws std::invalid_argument for
-/// incompatible options (deterministic + duration, zero clients/batch).
-/// Batches rejected by admission (shed) or expired in queue are
-/// counted and skipped; the driver moves on to the next batch.
+/// pipelined closed-loop driver threads. Each client Begins its batches
+/// on its slots in FIFO order, Awaits the oldest once kPipelineDepth
+/// are in flight, and drains the rest before Finish. A batch's latency
+/// runs from its Begin to the return of its Await. Batches rejected by
+/// admission (shed) or expired in queue are counted and skipped. Throws
+/// std::invalid_argument for zero clients or batch size.
 ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
                        const LoadOptions& load);
 

@@ -74,8 +74,6 @@ void Usage(std::FILE* out) {
       "                     grammar). Alias of --trace — both accept\n"
       "                     every workload token; give exactly one.\n"
       "  --requests=N       request budget (overrides CLIC_BENCH_REQUESTS)\n"
-      "  --duration=SEC     run clients for SEC seconds instead of one\n"
-      "                     pass (incompatible with --deterministic)\n"
       "  --cache-dir=PATH   trace cache dir (overrides "
       "CLIC_TRACE_CACHE_DIR)\n"
       "\n"
@@ -86,8 +84,10 @@ void Usage(std::FILE* out) {
       "(default 4)\n"
       "  --cache-pages=N    total cache budget, split across shards\n"
       "                     (default 12000)\n"
-      "  --clients=C        closed-loop client threads (default 4)\n"
-      "  --batch=B          requests per submitted batch (default 64)\n"
+      "  --clients=C        closed-loop client threads, each keeping up to\n"
+      "                     16 batches in flight (default 4)\n"
+      "  --batch=B          requests per submitted batch (default 64; at\n"
+      "                     most 65535 with --connect)\n"
       "  --consumers=K      owning-consumer (core) threads; consumer k\n"
       "                     owns shards k, k+K, k+2K, ...; 0 = auto\n"
       "                     (min(shards, hardware cores)). Must be\n"
@@ -279,8 +279,6 @@ CliOptions Parse(int argc, char** argv) {
     } else if (key == "--read-timeout-ms") {
       opts.read_timeout_ms = cli::ParseDouble(kProg, key, value);
       net_tuning = true;
-    } else if (key == "--duration") {
-      opts.load.duration_seconds = cli::ParseDouble(kProg, key, value);
     } else if (key == "--cache-dir") {
       opts.cache_dir = value;
     } else if (key == "--window") {
@@ -329,10 +327,6 @@ CliOptions Parse(int argc, char** argv) {
     Die("--verify requires --deterministic (concurrent interleaving is "
         "timing-dependent by design)");
   }
-  if (opts.server.deterministic && opts.load.duration_seconds > 0.0) {
-    Die("--deterministic and --duration are incompatible: duration mode "
-        "replays in wall-clock order");
-  }
   if (opts.server.consumers > opts.server.shards) {
     Die("--consumers=" + std::to_string(opts.server.consumers) +
         " exceeds --shards=" + std::to_string(opts.server.shards) +
@@ -364,9 +358,11 @@ CliOptions Parse(int argc, char** argv) {
         "are assigned in strict accept order); drop --io-threads=" +
         std::to_string(opts.io_threads));
   }
-  if (opts.connect && opts.load.duration_seconds > 0.0) {
-    Die("--connect replays one pass over the wire; --duration is not "
-        "supported in loopback mode");
+  if (opts.connect && opts.load.batch_size > net::kWireMaxBatch) {
+    Die("--batch=" + std::to_string(opts.load.batch_size) + " exceeds " +
+        std::to_string(net::kWireMaxBatch) +
+        ", the most requests one wire frame carries (its count field is "
+        "16 bits); --connect needs a smaller batch");
   }
   if (opts.connect && opts.conn_limit > 0 &&
       opts.conn_limit < opts.load.clients) {

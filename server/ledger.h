@@ -2,10 +2,15 @@
 // in batches and in requests. One value type serves the cache server
 // (per client and in total), the wire client's reply tally, and every
 // check of the identity — Balanced() is the only place it is written.
+// The load drivers' latency percentile lives here too, for the same
+// reason: ServeTrace and RunWireLoad report p50/p99 through one rule.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace clic::server {
 
@@ -111,5 +116,17 @@ struct AdmissionStats {
            " (batches/requests)";
   }
 };
+
+/// The q-quantile (0 <= q <= 1) of `samples`: the element at rank
+/// floor(q * (n - 1)) in sorted order, 0 when there are none. Reorders
+/// `samples`.
+inline double Percentile(std::vector<double>* samples, double q) {
+  if (samples->empty()) return 0.0;
+  const auto at = samples->begin() + static_cast<std::ptrdiff_t>(
+                                         q * static_cast<double>(
+                                                 samples->size() - 1));
+  std::nth_element(samples->begin(), at, samples->end());
+  return *at;
+}
 
 }  // namespace clic::server

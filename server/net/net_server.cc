@@ -25,18 +25,6 @@ std::int64_t NowNs() {
       .count();
 }
 
-/// Counter-triggered sleep (accept stalls): wall-clock *duration*, but
-/// the trigger is the logical accept index — replaying the plan stalls
-/// the same accepts. Slices the nap so a concurrent Drain() never waits
-/// out a long stall.
-void SlicedSleep(double ms, const std::atomic<bool>& stop) {
-  const std::int64_t deadline =
-      NowNs() + static_cast<std::int64_t>(ms * 1e6);
-  while (NowNs() < deadline && !stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 /// Status and error frames carry no payload.
 constexpr std::size_t kReplyFrameBytes =
     kFrameHeaderBytes + kFrameChecksumBytes;
@@ -167,6 +155,9 @@ void NetServer::AcceptLoop() {
       ++accept_count;
       if (plan != nullptr && plan->net_accept_stall_every > 0 &&
           accept_count % plan->net_accept_stall_every == 0) {
+        // The trigger is the logical accept index, so replaying the plan
+        // stalls the same accepts; the sliced sleep keeps a concurrent
+        // Drain() from waiting the stall out.
         counters_.accept_stalls.fetch_add(1, std::memory_order_relaxed);
         SlicedSleep(plan->net_accept_stall_ms, stopping_);
       }
@@ -285,7 +276,7 @@ void NetServer::IoLoop(std::size_t k) {
         if (!conn->closed &&
             (events[i].events & (EPOLLERR | EPOLLHUP)) &&
             !(events[i].events & EPOLLIN)) {
-          CloseConnection(*conn, false);
+          CloseConnection(*conn);
         }
       }
       conn->io.Release();
@@ -337,16 +328,14 @@ void NetServer::HandleReadable(Connection& conn) {
       // reach the peer.
       if (conn.parser.HasPartial()) {
         counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        CloseConnection(conn, false);
-      } else {
-        CloseConnection(conn, true);
       }
+      CloseConnection(conn);
       return;
     }
     if (r < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      CloseConnection(conn, false);
+      CloseConnection(conn);
       return;
     }
     if (!ConsumeFrames(conn, buf, static_cast<std::size_t>(r),
@@ -390,7 +379,7 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
       RetireAll(conn);
       SendReply(conn, FrameType::kError, conn.parser.error_code(),
                 conn.parser.frames() + 1);
-      CloseConnection(conn, false);
+      CloseConnection(conn);
       return false;
     }
     if (next.frame.type != FrameType::kBatch) {
@@ -399,7 +388,7 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
       counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
       RetireAll(conn);
       SendReply(conn, FrameType::kError, kWireBadType, next.frame.seq);
-      CloseConnection(conn, false);
+      CloseConnection(conn);
       return false;
     }
     counters_.frames.fetch_add(1, std::memory_order_relaxed);
@@ -422,7 +411,7 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
       counters_.resets_injected.fetch_add(1, std::memory_order_relaxed);
       const linger rst{1, 0};
       ::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst));
-      CloseConnection(conn, false);
+      CloseConnection(conn);
       return false;
     }
     if (conn.inflight == kDepth) RetireOldest(conn);
@@ -481,7 +470,7 @@ void NetServer::FlushWrites(Connection& conn, std::size_t limit) {
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConnection(conn, false);
+      CloseConnection(conn);
       return;
     }
     counters_.reply_writes.fetch_add(1, std::memory_order_relaxed);
@@ -500,7 +489,7 @@ void NetServer::FlushWrites(Connection& conn, std::size_t limit) {
   }
 }
 
-void NetServer::CloseConnection(Connection& conn, bool clean) {
+void NetServer::CloseConnection(Connection& conn) {
   if (conn.closed) return;
   conn.closed = true;
   // A pipelined batch may still point into this connection's frame
@@ -522,7 +511,6 @@ void NetServer::CloseConnection(Connection& conn, bool clean) {
     // clic-lint: end-allow(no-mutex-data-path)
     free_slots_.push_back(conn.slot);
   }
-  (void)clean;
 }
 
 void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
@@ -540,12 +528,12 @@ void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
         // the read deadline. Best-effort typed reply, then close.
         counters_.evicted_read.fetch_add(1, std::memory_order_relaxed);
         SendReply(conn, FrameType::kError, kWireReadTimeout, 0);
-        if (!conn.closed) CloseConnection(conn, false);
+        if (!conn.closed) CloseConnection(conn);
       } else if (write_limit > 0 && conn.write_since_ns != 0 &&
                  now_ns - conn.write_since_ns > write_limit) {
         // The peer will not take its own replies; drop it.
         counters_.evicted_write.fetch_add(1, std::memory_order_relaxed);
-        CloseConnection(conn, false);
+        CloseConnection(conn);
       }
     }
     conn.io.Release();
@@ -568,7 +556,7 @@ void NetServer::DrainConnection(Connection& conn) {
     }
   }
   FlushWrites(conn, 0);
-  CloseConnection(conn, true);
+  CloseConnection(conn);
 }
 
 void NetServer::Drain() {

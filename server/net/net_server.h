@@ -239,8 +239,7 @@ class NetServer {
       CLIC_REQUIRES(conn.io);
   /// Retires anything still in flight (so no batch points into a dead
   /// connection), then closes and releases the port slot.
-  void CloseConnection(Connection& conn, bool clean)
-      CLIC_REQUIRES(conn.io);
+  void CloseConnection(Connection& conn) CLIC_REQUIRES(conn.io);
   void SweepDeadlines(IoThread& t, std::int64_t now_ns);
   void DrainConnection(Connection& conn) CLIC_REQUIRES(conn.io);
 

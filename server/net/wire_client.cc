@@ -10,41 +10,23 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+
+#include "server/cache_server.h"
 
 namespace clic::server::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double Percentile(std::vector<double>* sorted, double q) {
-  if (sorted->empty()) return 0.0;
-  std::sort(sorted->begin(), sorted->end());
-  const std::size_t idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted->size() - 1));
-  return (*sorted)[idx];
-}
-
 /// One driver's share of the work and its wire-side tallies.
 struct DriverState {
   WireLoadResult tally;  // per-driver; merged after join
   std::vector<double> latencies_us;
 };
-
-bool WriteAll(int fd, const char* data, std::size_t n, std::string* error) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      *error = std::string("write: ") + std::strerror(errno);
-      return false;
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -71,7 +53,10 @@ bool WireClient::Connect(const std::string& addr, std::uint16_t port) {
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  seq_ = 0;
+  sent_ = 0;
+  answered_ = 0;
+  in_pos_ = 0;
+  in_len_ = 0;
   parser_ = FrameParser(kWireMaxBatch);
   error_.clear();
   return true;
@@ -84,58 +69,76 @@ void WireClient::Close() {
   }
 }
 
-std::uint16_t WireClient::Call(const Request* reqs, std::size_t n) {
+std::uint16_t WireClient::Fail(std::string why) {
+  error_ = std::move(why);
+  Close();
+  return kWireConnClosed;
+}
+
+bool WireClient::Send(const Request* reqs, std::size_t n) {
   if (fd_ < 0) {
-    error_ = "not connected";
-    return kWireConnClosed;
+    Fail("not connected");
+    return false;
   }
   out_.clear();
-  ++seq_;
-  AppendBatchFrame(reqs, n, seq_, &out_);
-  if (!WriteAll(fd_, out_.data(), out_.size(), &error_)) {
-    Close();
-    return kWireConnClosed;
+  AppendBatchFrame(reqs, n, ++sent_, &out_);
+  for (std::size_t off = 0; off < out_.size();) {
+    // MSG_NOSIGNAL: a server that reset mid-frame costs an EPIPE and a
+    // close, never a SIGPIPE.
+    const ssize_t w =
+        ::send(fd_, out_.data() + off, out_.size() - off, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
+    if (w < 0) {
+      Fail(std::string("send: ") + std::strerror(errno));
+      return false;
+    }
+    off += static_cast<std::size_t>(w);
   }
-  // Block for the status reply, reassembling through the incremental
-  // parser — a torn server write arrives as two reads and still decodes.
-  std::uint8_t buf[4096];
+  return true;
+}
+
+std::uint16_t WireClient::Receive() {
+  if (fd_ < 0) return Fail("not connected");
+  // Reassemble through the incremental parser: a torn server write
+  // arrives as two reads and still decodes.
   for (;;) {
-    const ssize_t r = ::read(fd_, buf, sizeof(buf));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      error_ = std::string("read: ") + std::strerror(errno);
-      Close();
-      return kWireConnClosed;
+    if (in_pos_ == in_len_) {
+      const ssize_t r = ::read(fd_, in_, sizeof(in_));
+      if (r < 0 && errno == EINTR) continue;
+      if (r < 0) return Fail(std::string("read: ") + std::strerror(errno));
+      if (r == 0) return Fail("connection closed before the reply");
+      in_pos_ = 0;
+      in_len_ = static_cast<std::size_t>(r);
     }
-    if (r == 0) {
-      error_ = "connection closed before the reply";
-      Close();
-      return kWireConnClosed;
-    }
-    const std::uint8_t* p = buf;
-    std::size_t len = static_cast<std::size_t>(r);
+    const std::uint8_t* p = in_ + in_pos_;
+    std::size_t len = in_len_ - in_pos_;
     const ParseStatus st = parser_.Consume(&p, &len, &reply_);
+    in_pos_ = in_len_ - len;
     if (st == ParseStatus::kNeedMore) continue;
     if (st == ParseStatus::kError) {
-      error_ = "malformed reply frame: " + parser_.error();
-      Close();
-      return kWireConnClosed;
+      return Fail("malformed reply frame: " + parser_.error());
     }
     if (reply_.type == FrameType::kBatch) {
-      error_ = "server sent a batch frame";
-      Close();
-      return kWireConnClosed;
+      return Fail("server sent a batch frame");
     }
-    // One call, one reply: bytes past it are an unsolicited or
-    // duplicated frame, which must fail rather than vanish.
-    if (len > 0) {
-      error_ = "unexpected extra frame after reply";
+    // An error frame carries a frame counter, not a request's seq, and
+    // precedes a server-side close; hand the typed code up and drop the
+    // connection now.
+    if (reply_.type == FrameType::kError) {
       Close();
-      return kWireConnClosed;
+      return reply_.code;
     }
-    // An error frame precedes a server-side close; hand the typed code
-    // up and drop the connection now.
-    if (reply_.type == FrameType::kError) Close();
+    if (reply_.seq != answered_ + 1) {
+      return Fail("reply out of order: status for frame " +
+                  std::to_string(reply_.seq) + ", oldest unanswered is " +
+                  std::to_string(answered_ + 1));
+    }
+    ++answered_;
+    // Every frame is answered: bytes past the last reply are an
+    // unsolicited or duplicated frame, which must fail, not vanish.
+    if (answered_ == sent_ && in_pos_ < in_len_) {
+      return Fail("unexpected extra frame after reply");
+    }
     return reply_.code;
   }
 }
@@ -148,6 +151,12 @@ WireLoadResult RunWireLoad(const Trace& trace,
   if (options.batch_size == 0) {
     throw std::invalid_argument("RunWireLoad: batch_size must be >= 1");
   }
+  if (options.batch_size > kWireMaxBatch) {
+    throw std::invalid_argument(
+        "RunWireLoad: batch_size " + std::to_string(options.batch_size) +
+        " exceeds " + std::to_string(kWireMaxBatch) +
+        ", the most requests one wire frame carries");
+  }
   const std::uint64_t total =
       options.request_budget > 0
           ? std::min<std::uint64_t>(options.request_budget,
@@ -156,52 +165,31 @@ WireLoadResult RunWireLoad(const Trace& trace,
   const std::size_t clients = options.clients;
 
   auto drive = [&](std::size_t c, DriverState* st) {
-    // ServeTrace's chunking rule: concatenating the chunks in client
-    // order yields the capped trace.
-    const std::uint64_t begin = total * c / clients;
-    const std::uint64_t end = total * (c + 1) / clients;
     WireLoadResult& tally = st->tally;
-    // The transport is gone for good: every batch of [from, end) is
-    // submitted and lost.
-    const auto lose_rest = [&](std::uint64_t from) {
-      for (std::uint64_t off = from; off < end; off += options.batch_size) {
-        const std::uint64_t n =
-            std::min<std::uint64_t>(options.batch_size, end - off);
-        ++tally.submitted_batches;
-        tally.submitted_requests += n;
-        ++tally.conn_lost_batches;
-        tally.conn_lost_requests += n;
-      }
-    };
     WireClient client;
-    if (!client.Connect(options.addr, options.port)) {
-      ++tally.failed_connects;
-      lose_rest(begin);
-      return;
-    }
-    ++tally.connections;
-    for (std::uint64_t off = begin; off < end; off += options.batch_size) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(options.batch_size, end - off));
-      ++tally.submitted_batches;
-      tally.submitted_requests += n;
-      const auto t0 = Clock::now();
-      const std::uint16_t code = client.Call(&trace.requests[off], n);
-      if (code == WireClient::kWireConnClosed && !client.connected()) {
-        // Transport died (e.g. net:reset): this batch's reply is gone.
-        // Reconnect once and move on to the next batch.
+    // Frames sent and not yet answered, oldest first: request count and
+    // send time.
+    std::deque<std::pair<std::size_t, Clock::time_point>> unanswered;
+    // Every unanswered frame is lost; then reconnect. False when the
+    // reconnect fails, which loses the rest of the chunk too.
+    const auto lose_unanswered_and_reconnect = [&] {
+      for (const auto& frame : unanswered) {
         ++tally.conn_lost_batches;
-        tally.conn_lost_requests += n;
-        if (client.Connect(options.addr, options.port)) {
-          ++tally.connections;
-          continue;
-        }
-        ++tally.failed_connects;
-        lose_rest(off + n);
-        return;
+        tally.conn_lost_requests += frame.first;
       }
+      unanswered.clear();
+      return client.Connect(options.addr, options.port);
+    };
+    // Tallies the oldest frame's reply. False once the transport is gone
+    // for good.
+    const auto receive_oldest = [&] {
+      const std::uint16_t code = client.Receive();
+      if (code == WireClient::kWireConnClosed) {
+        return lose_unanswered_and_reconnect();
+      }
+      const auto [n, sent_at] = unanswered.front();
       st->latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() - t0)
+          std::chrono::duration<double, std::micro>(Clock::now() - sent_at)
               .count());
       switch (code) {
         case kWireApplied: tally.Add(SubmitResult::kApplied, n); break;
@@ -209,18 +197,35 @@ WireLoadResult RunWireLoad(const Trace& trace,
         case kWireExpired: tally.Add(SubmitResult::kExpired, n); break;
         case kWireStopped: tally.Add(SubmitResult::kStopped, n); break;
         default:
-          // A typed error frame (or server_busy): the batch was not
-          // served and the server closed the connection.
+          // A typed error frame (or server_busy): the server closed the
+          // connection, so this frame and every one behind it are lost.
           ++tally.wire_errors;
-          ++tally.conn_lost_batches;
-          tally.conn_lost_requests += n;
-          if (!client.connected() &&
-              client.Connect(options.addr, options.port)) {
-            ++tally.connections;
-          }
-          break;
+          return lose_unanswered_and_reconnect();
+      }
+      unanswered.pop_front();
+      return true;
+    };
+    bool up = client.Connect(options.addr, options.port);
+    const auto [begin, end] = ClientChunk(total, clients, c);
+    for (std::uint64_t off = begin; off < end; off += options.batch_size) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(options.batch_size, end - off));
+      ++tally.submitted_batches;
+      tally.submitted_requests += n;
+      if (up && unanswered.size() == CacheServer::kPipelineDepth) {
+        up = receive_oldest();
+      }
+      if (!up) {
+        ++tally.conn_lost_batches;
+        tally.conn_lost_requests += n;
+        continue;
+      }
+      unanswered.emplace_back(n, Clock::now());
+      if (!client.Send(&trace.requests[off], n)) {
+        up = lose_unanswered_and_reconnect();
       }
     }
+    while (up && !unanswered.empty()) up = receive_oldest();
     client.Close();
   };
 
@@ -247,8 +252,6 @@ WireLoadResult RunWireLoad(const Trace& trace,
     const WireLoadResult& t = st.tally;
     out += t;
     out.wire_errors += t.wire_errors;
-    out.connections += t.connections;
-    out.failed_connects += t.failed_connects;
     latencies.insert(latencies.end(), st.latencies_us.begin(),
                      st.latencies_us.end());
   }

@@ -5,13 +5,15 @@
 // reads on either side are handled by construction, not by luck.
 //
 // RunWireLoad() is the wire twin of server::ServeTrace: the same
-// client-chunking rule (client c replays [n*c/C, n*(c+1)/C) of the
-// budget-capped trace, batched on the same fixed grid), driven either
-// sequentially in client order (deterministic mode — the wire replay of
-// the strict-client-order stream the deterministic consumer expects) or
-// from one thread per client. Every reply code is tallied into the
-// same AdmissionStats ledger the server keeps, and per-call wire
-// latencies (send-to-status) feed p50/p99.
+// chunking rule (ClientChunk over the budget-capped trace, batched on
+// the same fixed grid) and the same driver shape — each client keeps up
+// to CacheServer::kPipelineDepth frames in flight on its connection,
+// receives the oldest reply once all are out, and collects the rest at
+// the end. Clients run sequentially in client order (deterministic mode
+// — the wire replay of the strict-client-order stream the deterministic
+// consumer expects) or one thread each. Every reply code is tallied
+// into the same AdmissionStats ledger the server keeps, and per-frame
+// wire latencies (send to status) feed p50/p99.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +41,26 @@ class WireClient {
   /// error() on failure.
   bool Connect(const std::string& addr, std::uint16_t port);
 
-  /// Sends one batch frame and blocks for its status reply. Returns the
-  /// wire code (kWireApplied..kWireStopped, or an error code >= 16 from
-  /// an error frame). Returns kWireConnClosed on transport failure —
-  /// connection reset, EOF mid-reply, a malformed reply frame, or bytes
-  /// beyond the one reply in the same read ("unexpected extra frame
-  /// after reply"); in all those cases the connection is closed and
-  /// error() explains.
-  std::uint16_t Call(const Request* reqs, std::size_t n);
+  /// Sends one batch frame without waiting for its reply. Returns false
+  /// on transport failure, with the connection closed and error() set.
+  bool Send(const Request* reqs, std::size_t n);
+
+  /// Blocks for the reply to the oldest frame sent and not yet answered
+  /// (call it only while one is) and returns its wire code
+  /// (kWireApplied..kWireStopped). An error frame's code (>= 16) comes
+  /// back with the connection closed, as the server closes after one.
+  /// Returns kWireConnClosed, with the connection closed and error()
+  /// set, on transport failure: a reset, EOF before the reply, a
+  /// malformed frame, a status whose seq is not the oldest unanswered
+  /// frame's ("reply out of order"), or bytes past the reply to the
+  /// last frame sent ("unexpected extra frame after reply"). Bytes of
+  /// later replies that arrive early are kept for the next call.
+  std::uint16_t Receive();
+
+  /// One frame, one reply: Send then Receive.
+  std::uint16_t Call(const Request* reqs, std::size_t n) {
+    return Send(reqs, n) ? Receive() : kWireConnClosed;
+  }
 
   void Close();
   bool connected() const { return fd_ >= 0; }
@@ -57,9 +71,16 @@ class WireClient {
   static constexpr std::uint16_t kWireConnClosed = 0xFFFF;
 
  private:
+  /// Closes the connection with `why` in error(); returns kWireConnClosed.
+  std::uint16_t Fail(std::string why);
+
   int fd_ = -1;
-  std::uint64_t seq_ = 0;  // 1-based frame sequence on this connection
-  std::string out_;        // encode scratch, reused per call
+  std::uint64_t sent_ = 0;      // seq of the last frame sent (1-based)
+  std::uint64_t answered_ = 0;  // seq of the last frame answered
+  std::string out_;             // encode scratch, reused per frame
+  std::uint8_t in_[4096] = {};  // read buffer; [in_pos_, in_len_) unparsed
+  std::size_t in_pos_ = 0;
+  std::size_t in_len_ = 0;
   FrameParser parser_;
   ParsedFrame reply_;
   std::string error_;
@@ -86,19 +107,19 @@ struct WireLoadOptions {
 struct WireLoadResult : AdmissionStats {
   /// Typed error frames received (connection then closed by server).
   std::uint64_t wire_errors = 0;
-  /// Connections opened (reconnects after a transport loss included).
-  std::uint64_t connections = 0;
-  std::uint64_t failed_connects = 0;
   double wall_seconds = 0.0;
   double throughput_rps = 0.0;  // applied requests / wall
-  double p50_us = 0.0;          // per-batch send-to-status wire latency
+  double p50_us = 0.0;          // per-frame send-to-status wire latency
   double p99_us = 0.0;
 };
 
-/// Replays `trace` over the wire against addr:port. Drivers reconnect
-/// once after a transport loss (counting the unanswered batch as
-/// conn_lost) and skip rejected batches exactly as ServeTrace's drivers
-/// do. Throws std::invalid_argument for zero clients/batch_size.
+/// Replays `trace` over the wire against addr:port. Rejected batches
+/// are skipped exactly as ServeTrace's drivers skip them. On a transport
+/// loss every unanswered frame counts as conn_lost and the driver
+/// reconnects; a typed error frame loses its own frame and every frame
+/// behind it; a failed reconnect loses the rest of the chunk. Throws
+/// std::invalid_argument for zero clients or batch_size, or a batch_size
+/// above kWireMaxBatch (a frame's u16 count cannot carry it).
 WireLoadResult RunWireLoad(const Trace& trace, const WireLoadOptions& options);
 
 }  // namespace clic::server::net

@@ -28,8 +28,13 @@
 // The mutex and CV here are the only ones on the serving path, and they
 // are touched only by a waiter whose budget ran out and by a waker that
 // found it parked (see DESIGN.md, "Data path vs control path").
+//
+// The one sleep that is not a wait lives here too: SlicedSleep, which
+// every injected delay of a fault plan (shard stalls, consumer pauses,
+// accept stalls) sleeps through.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -101,5 +106,21 @@ class Parker {
   /// fence.
   std::atomic<std::uint32_t> parked_{0};
 };
+
+/// Sleeps `ms` milliseconds in slices of at most 1 ms and returns early
+/// once `stop` is set, so a shutdown never waits out a long injected
+/// delay.
+inline void SlicedSleep(double ms, const std::atomic<bool>& stop) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point until =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double, std::milli>(ms));
+  for (Clock::time_point now = Clock::now();
+       now < until && !stop.load(std::memory_order_acquire);
+       now = Clock::now()) {
+    std::this_thread::sleep_for(std::min<Clock::duration>(
+        until - now, std::chrono::milliseconds(1)));
+  }
+}
 
 }  // namespace clic::server

@@ -104,8 +104,6 @@ expect_reject "clic_serve missing trace" "--trace" "DB2_C60" -- \
   "$SERVE" --policy=LRU
 expect_reject "clic_serve verify without deterministic" "--verify" "--deterministic" -- \
   "$SERVE" --trace=DB2_C60 --verify
-expect_reject "clic_serve deterministic duration clash" "--duration" "--deterministic" -- \
-  "$SERVE" --trace=DB2_C60 --deterministic --duration=1
 
 # Server sizing and overload-resilience flags: zero and negative
 # numeric values must be rejected up front — strtoull would otherwise
@@ -161,8 +159,8 @@ expect_reject "clic_serve listen with verify" "--listen" "--connect --determinis
   "$SERVE" --trace=DB2_C60 --listen --deterministic --verify
 expect_reject "clic_serve deterministic wire with multiple io threads" "--io-threads=4" "exactly one io thread" -- \
   "$SERVE" --trace=DB2_C60 --connect --deterministic --io-threads=4
-expect_reject "clic_serve connect with duration" "--duration" "loopback" -- \
-  "$SERVE" --trace=DB2_C60 --connect --duration=1
+expect_reject "clic_serve wire batch above frame limit" "--batch=70000" "65535" -- \
+  "$SERVE" --trace=DB2_C60 --connect --batch=70000
 expect_reject "clic_serve conn limit below clients" "--conn-limit=2" "--clients=8" -- \
   "$SERVE" --trace=DB2_C60 --connect --clients=8 --conn-limit=2
 expect_reject "clic_serve verify vs net reset" "net:reset" "baseline" -- \

@@ -6,8 +6,9 @@
 // flushes in-flight frames into the `stopped` bucket, the
 // deterministic wire mode is bit-identical to per-shard sequential
 // Simulate(), pipelined bursts are answered once each, in order, in
-// coalesced writes, the wire client fails closed on an extra frame, and
-// misbehaving peers leave the healthy clients' ledgers exact.
+// coalesced writes, the wire client fails closed on an extra or
+// out-of-order reply, and misbehaving peers leave the healthy clients'
+// ledgers exact.
 #include "server/net/net_server.h"
 
 #include <gtest/gtest.h>
@@ -334,6 +335,9 @@ TEST(NetServerTest, DeterministicWireMatchesPartitionedSimulate) {
   server.Drain();
   EXPECT_EQ(wire.applied_requests, trace.requests.size());
   EXPECT_EQ(wire.conn_lost_batches, 0u);
+  // The drivers keep up to 16 frames in flight, so the server reads
+  // several per chunk and answers them with one write.
+  EXPECT_LT(server.Stats().reply_writes, server.Stats().frames);
 
   const SimResult expected = PartitionedSimulate(trace, sopts);
   const CacheStats served = server.cache().TotalStats();
@@ -610,8 +614,10 @@ TEST(NetServerTest, AntagonistsLeaveWireLedgersExact) {
   EXPECT_GT(adm.applied_requests, 0u);
 }
 
-// A reply stream carrying more than the one frame a Call expects must
-// fail closed instead of silently dropping the extra frame.
+// A reply stream the client's frames do not account for must fail
+// closed instead of being misattributed or silently dropped: a frame
+// past the reply to the last frame sent, or a status whose seq is not
+// the oldest unanswered frame's.
 TEST(WireClientTest, ExtraFrameAfterReplyFailsClosed) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
@@ -623,21 +629,32 @@ TEST(WireClientTest, ExtraFrameAfterReplyFailsClosed) {
   socklen_t sa_len = sizeof(sa);
   ::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &sa_len);
 
-  WireClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", ntohs(sa.sin_port)))
-      << client.error();
-  const int peer = ::accept(listener, nullptr, nullptr);
-  ASSERT_GE(peer, 0);
-  // Two status frames in one write, queued before the call reads.
-  std::string two;
-  AppendReplyFrame(FrameType::kStatus, kWireApplied, 1, &two);
-  AppendReplyFrame(FrameType::kStatus, kWireApplied, 2, &two);
-  ASSERT_TRUE(WriteAll(peer, two));
-  Request r;
-  EXPECT_EQ(client.Call(&r, 1), WireClient::kWireConnClosed);
-  EXPECT_EQ(client.error(), "unexpected extra frame after reply");
-  EXPECT_FALSE(client.connected());
-  ::close(peer);
+  const struct {
+    std::vector<std::uint64_t> reply_seqs;
+    const char* error;
+  } cases[] = {
+      {{1, 2}, "unexpected extra frame after reply"},
+      {{2}, "reply out of order: status for frame 2, oldest unanswered is 1"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.error);
+    WireClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", ntohs(sa.sin_port)))
+        << client.error();
+    const int peer = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(peer, 0);
+    // The replies go out in one write, queued before the call reads.
+    std::string replies;
+    for (const std::uint64_t seq : c.reply_seqs) {
+      AppendReplyFrame(FrameType::kStatus, kWireApplied, seq, &replies);
+    }
+    ASSERT_TRUE(WriteAll(peer, replies));
+    Request r;
+    EXPECT_EQ(client.Call(&r, 1), WireClient::kWireConnClosed);
+    EXPECT_EQ(client.error(), c.error);
+    EXPECT_FALSE(client.connected());
+    ::close(peer);
+  }
   ::close(listener);
 }
 

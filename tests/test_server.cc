@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/trace.h"
@@ -132,6 +135,7 @@ TEST(CacheServerTest, DeterministicModeMatchesPartitionedSimulate) {
           ExpectSameStats(it->second, stats);
         }
         EXPECT_EQ(served.requests, trace.size());
+        EXPECT_TRUE(served.admission.Balanced()) << served.admission.Describe();
       }
     }
   }
@@ -239,12 +243,6 @@ TEST(CacheServerTest, RejectsUnusableConfigurations) {
   LoadOptions no_batch = load;
   no_batch.batch_size = 0;
   EXPECT_THROW(ServeTrace(trace, options, no_batch), std::invalid_argument);
-
-  ServerOptions det = options;
-  det.deterministic = true;
-  LoadOptions timed = load;
-  timed.duration_seconds = 0.5;
-  EXPECT_THROW(ServeTrace(trace, det, timed), std::invalid_argument);
 }
 
 // Ownership topology validation: a consumer that owns zero shards
@@ -320,22 +318,6 @@ TEST(CacheServerTopologyTest, ExplicitTopologiesApplyEveryRequestExactlyOnce) {
     EXPECT_EQ(per_consumer_total, trace.size())
         << "owning consumers must account for every applied request";
   }
-}
-
-TEST(CacheServerTest, DurationModeLoopsTheChunkAndStops) {
-  const Trace trace = MakeSynthetic("timed", 3, 500);
-  ServerOptions options;
-  options.shards = 2;
-  options.cache_pages = 32;
-  LoadOptions load;
-  load.clients = 2;
-  load.batch_size = 50;
-  load.duration_seconds = 0.05;
-  const ServeResult served = ServeTrace(trace, options, load);
-  // At least one full pass of each chunk is guaranteed (the duration
-  // check sits at batch boundaries), and the run must terminate.
-  EXPECT_GE(served.requests, trace.size());
-  EXPECT_GT(served.wall_seconds, 0.0);
 }
 
 TEST(CacheServerTest, ShardCachePagesSplitsBudget) {
@@ -452,40 +434,84 @@ TEST(CacheServerShutdownTest, StopIsIdempotentAndSafeWhenIdle) {
   EXPECT_TRUE(a.Balanced()) << a.Describe();
 }
 
-// Begin/Await only move the wait, not the order: a deterministic run
-// that keeps kPipelineDepth batches in flight is bit-identical to
-// per-shard sequential Simulate, with an exact ledger.
-TEST(CacheServerPipelineTest, PipelinedBatchesMatchPartitionedSimulate) {
-  const Trace trace = MakeSynthetic("pipe", 29, 4000, 1);
+// ServeTrace keeps kPipelineDepth batches in flight per client, so
+// batches queue behind a slow drain: with a 20 ms stall on every drain
+// and a 5 ms batch deadline, queued batches expire. A driver with one
+// batch in flight would never queue one.
+TEST(CacheServerPipelineTest, ServeTraceQueuesBatchesBehindAStall) {
+  const Trace trace = MakeSynthetic("depth", 71, 40 * 8, 1);
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultPlan(
+      "stall:shard=0,after=0,drains=1000000,ms=20", &plan, &error))
+      << error;
   ServerOptions options;
-  options.shards = 4;
-  options.cache_pages = 96;
-  options.policy = PolicyKind::kClic;
-  options.clic.window = 500;
-  options.deterministic = true;
-  CacheServer server(options, 1);
-  const std::size_t depth = CacheServer::kPipelineDepth;
-  const std::size_t batch = 17;
-  std::size_t begun = 0;
-  std::size_t awaited = 0;
-  for (std::size_t pos = 0; pos < trace.size(); pos += batch) {
-    const std::size_t n = std::min(batch, trace.size() - pos);
-    ASSERT_EQ(server.Begin(0, begun % depth, trace.requests.data() + pos, n),
-              SubmitResult::kEnqueued);
-    ++begun;
-    if (begun - awaited == depth) {
-      ASSERT_EQ(server.Await(0, awaited++ % depth), SubmitResult::kApplied);
+  options.shards = 1;
+  options.cache_pages = 32;
+  options.batch_deadline_ms = 5.0;
+  options.fault = &plan;
+  LoadOptions load;
+  load.batch_size = 8;
+  const ServeResult served = ServeTrace(trace, options, load);
+  const AdmissionStats& a = served.admission;
+  EXPECT_EQ(a.submitted_batches, 40u);
+  EXPECT_GE(a.expired_batches, 1u) << a.Describe();
+  EXPECT_TRUE(a.Balanced()) << a.Describe();
+}
+
+// A client that keeps its ring full must not starve another client of
+// their one consumer: a visit pops at most one ring's worth. Two
+// clients keep kPipelineDepth batches in flight against a consumer that
+// stalls 1 ms on every drain. Completion order comes from one shared
+// ticket counter, taken as each Await returns: each client's first
+// batch must complete before the other client's last.
+TEST(CacheServerPipelineTest, FullRingsShareOneConsumer) {
+  constexpr std::size_t kBatches = 100;
+  constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
+  const Trace trace = MakeSynthetic("fair", 67, kBatches * 8, 1);
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultPlan(
+      "stall:shard=0,after=0,drains=1000000,ms=1", &plan, &error))
+      << error;
+  ServerOptions options;
+  options.shards = 1;
+  options.cache_pages = 32;
+  options.consumers = 1;
+  options.fault = &plan;
+  CacheServer server(options, 2);
+  std::atomic<std::size_t> next_ticket{0};
+  std::array<std::vector<std::size_t>, 2> tickets;
+  std::atomic<int> started{0};
+  const auto drive = [&](std::size_t c) {
+    // Both clients start together, so neither runs alone for a while.
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    const auto await = [&](std::size_t b) {
+      EXPECT_EQ(server.Await(c, b % kDepth), SubmitResult::kApplied);
+      tickets[c].push_back(next_ticket.fetch_add(1));
+    };
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      if (b >= kDepth) await(b - kDepth);
+      EXPECT_EQ(server.Begin(c, b % kDepth, trace.requests.data() + 8 * b, 8),
+                SubmitResult::kEnqueued);
     }
-  }
-  while (awaited < begun) {
-    ASSERT_EQ(server.Await(0, awaited++ % depth), SubmitResult::kApplied);
-  }
-  server.Finish(0);
+    for (std::size_t b = kBatches - kDepth; b < kBatches; ++b) await(b);
+    server.Finish(c);
+  };
+  std::thread first(drive, 0);
+  std::thread second(drive, 1);
+  first.join();
+  second.join();
   server.Shutdown();
-  ExpectSameStats(server.TotalStats(),
-                  PartitionedSimulate(trace, options).total);
+  ASSERT_EQ(tickets[0].size(), kBatches);
+  ASSERT_EQ(tickets[1].size(), kBatches);
+  EXPECT_LT(tickets[1].front(), tickets[0].back())
+      << "client 0 held the consumer until its last batch";
+  EXPECT_LT(tickets[0].front(), tickets[1].back())
+      << "client 1 held the consumer until its last batch";
   const AdmissionStats a = server.TotalAdmission();
-  EXPECT_EQ(a.applied_batches, begun);
+  EXPECT_EQ(a.applied_batches, 2 * kBatches);
   EXPECT_TRUE(a.Balanced()) << a.Describe();
 }
 
