@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/policy_factory.h"
@@ -170,6 +172,136 @@ inline void RequireValidAdaptiveWindow(const char* prog,
             " (need min-window <= max-window)");
   }
 }
+
+/// The help lines of the ten CLIC flags ClicFlags parses, for both
+/// tools' --help.
+inline constexpr char kClicFlagsHelp[] =
+    "  --window=W --decay=R --outqueue=N --no-charge-metadata\n"
+    "  --tracker=exact|space_saving|lossy_counting --top-k=K\n"
+    "  --adaptive-window  churn-triggered early window close (see\n"
+    "                     DESIGN.md \"Adaptive windowing\")\n"
+    "  --churn-threshold=S  early-close rank-similarity trigger in "
+    "[0, 1]\n"
+    "  --min-window=N --max-window=N  effective-window bounds\n"
+    "                     (defaults: window/16 and window)\n";
+
+/// The CLIC flags of a command line, kept as overrides in command-line
+/// order. clic_serve applies them to its one ClicOptions and clic_sweep
+/// to every variant of its grid, so an explicit flag beats a preset's
+/// options wherever it appears.
+class ClicFlags {
+ public:
+  /// Records `arg` when it is one of the ten CLIC flags and returns
+  /// true; returns false for any other argument. A malformed value dies
+  /// naming the flag and the valid alternatives.
+  bool Parse(const char* prog, const std::string& arg) {
+    if (arg == "--no-charge-metadata") {
+      return Add([](ClicOptions& o) { o.charge_metadata = false; });
+    }
+    if (arg == "--adaptive-window") {
+      return Add([](ClicOptions& o) { o.adaptive_window = true; });
+    }
+    const std::size_t eq = arg.find('=');
+    if (eq == std::string::npos) return false;
+    const std::string key = arg.substr(0, eq);
+    const std::string value = arg.substr(eq + 1);
+    if (key == "--window") {
+      const std::uint64_t w = ParseU64(prog, key, value);
+      return Add([w](ClicOptions& o) { o.window = w; });
+    }
+    if (key == "--min-window") {
+      const std::uint64_t w = ParseU64(prog, key, value);
+      return Add([w](ClicOptions& o) { o.min_window = w; });
+    }
+    if (key == "--max-window") {
+      const std::uint64_t w = ParseU64(prog, key, value);
+      return Add([w](ClicOptions& o) { o.max_window = w; });
+    }
+    if (key == "--churn-threshold") {
+      const double t = ParseDouble(prog, key, value);
+      return Add([t](ClicOptions& o) { o.churn_threshold = t; });
+    }
+    if (key == "--decay") {
+      const double r = ParseDouble(prog, key, value);
+      return Add([r](ClicOptions& o) { o.decay = r; });
+    }
+    if (key == "--outqueue") {
+      const double n = ParseDouble(prog, key, value);
+      return Add([n](ClicOptions& o) { o.outqueue_per_page = n; });
+    }
+    if (key == "--top-k") {
+      const auto k = static_cast<std::size_t>(ParseU64(prog, key, value));
+      return Add([k](ClicOptions& o) { o.top_k = k; });
+    }
+    if (key == "--tracker") {
+      TrackerKind kind = TrackerKind::kExact;
+      if (value == "space_saving") {
+        kind = TrackerKind::kSpaceSaving;
+      } else if (value == "lossy_counting") {
+        kind = TrackerKind::kLossyCounting;
+      } else if (value != "exact") {
+        Die(prog, "unknown --tracker='" + value +
+                      "' (valid: exact, space_saving, lossy_counting)");
+      }
+      return Add([kind](ClicOptions& o) { o.tracker = kind; });
+    }
+    return false;
+  }
+
+  void ApplyTo(ClicOptions& options) const {
+    for (const auto& apply : overrides_) apply(options);
+  }
+
+ private:
+  bool Add(std::function<void(ClicOptions&)> apply) {
+    overrides_.push_back(std::move(apply));
+    return true;
+  }
+
+  std::vector<std::function<void(ClicOptions&)>> overrides_;
+};
+
+/// The --output stream of a clic_* tool: the named file, or stdout
+/// when the path is empty. It is opened before any work, so a bad path
+/// fails in milliseconds rather than after the run.
+class OutputFile {
+ public:
+  /// Exits 1, naming the path, when the file cannot be opened.
+  OutputFile(const char* prog, std::string path)
+      : prog_(prog), path_(std::move(path)) {
+    if (path_.empty()) return;
+    out_ = std::fopen(path_.c_str(), "w");
+    if (out_ == nullptr) {
+      std::fprintf(stderr, "%s: cannot open '%s': %s\n", prog_,
+                   path_.c_str(), std::strerror(errno));
+      std::exit(1);
+    }
+  }
+  OutputFile(const OutputFile&) = delete;
+  OutputFile& operator=(const OutputFile&) = delete;
+
+  std::FILE* get() const { return out_; }
+
+  /// Closes the file (flushes stdout) and checks every write: false,
+  /// with the error on stderr, when any failed (e.g. ENOSPC), so the
+  /// tool exits 1 instead of 0 with a truncated file. The flush on
+  /// close can be the first call to see the error.
+  bool Close() {
+    bool ok = std::ferror(out_) == 0;
+    ok = (out_ != stdout ? std::fclose(out_) : std::fflush(out_)) == 0 && ok;
+    if (!ok) {
+      std::fprintf(stderr, "%s: error writing %s: %s\n", prog_,
+                   path_.empty() ? "stdout" : path_.c_str(),
+                   std::strerror(errno));
+    }
+    return ok;
+  }
+
+ private:
+  const char* prog_;
+  std::string path_;
+  std::FILE* out_ = stdout;
+};
 
 /// Parses one policy token; unknown names die with the valid set.
 inline PolicyKind RequirePolicy(const char* prog, const std::string& flag,

@@ -455,7 +455,6 @@ void CacheServer::FinishSlice(ClientPort& port, Batch* batch,
     case SubmitResult::kApplied:
       port.applied_batches.fetch_add(1, std::memory_order_relaxed);
       port.applied_requests.fetch_add(n, std::memory_order_relaxed);
-      batches_applied_.fetch_add(1, std::memory_order_relaxed);
       break;
     case SubmitResult::kExpired:
       port.expired_batches.fetch_add(1, std::memory_order_relaxed);
@@ -539,7 +538,6 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
         shard.quarantined += span[i].hint_set == hint_bound_ ? 1 : 0;
       }
     }
-    shard.requests += run.count;
     ++shard.drains;
     shard.busy_since_ns.store(0, std::memory_order_relaxed);
 #ifndef NDEBUG
@@ -548,7 +546,6 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
     shard.entered.store(false, std::memory_order_release);
 #endif
     shard.ownership.Release();
-    me.requests += run.count;
   }
 }
 
@@ -631,72 +628,40 @@ void CacheServer::ConsumeOwned(std::size_t k) {
   me.self.Release();
 }
 
-CacheStats CacheServer::TotalStats() const {
-  CacheStats total;
-  for (const auto& shard : shards_) {
-    // Quiescent read: the contract ("call after Shutdown()/Stop()")
-    // means the owning consumer has joined.
-    shard->ownership.AssertHeld();
-    for (const CacheStats& c : shard->client_stats) total += c;
-  }
-  return total;
-}
-
-std::map<ClientId, CacheStats> CacheServer::PerClientStats() const {
-  std::map<ClientId, CacheStats> merged;
-  for (const auto& shard : shards_) {
-    shard->ownership.AssertHeld();  // quiescent (post-join) read
-    for (std::size_t c = 0; c < shard->client_stats.size(); ++c) {
-      const CacheStats& stats = shard->client_stats[c];
+ServeResult CacheServer::Snapshot() const {
+  ServeResult result;
+  result.per_consumer_requests.assign(consumers_.size(), 0);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    shard.ownership.AssertHeld();  // quiescent (post-join) read
+    CacheStats shard_total;
+    for (std::size_t c = 0; c < shard.client_stats.size(); ++c) {
+      const CacheStats& stats = shard.client_stats[c];
       if (stats.reads + stats.writes == 0) continue;
-      merged[static_cast<ClientId>(c)] += stats;
+      result.per_client[static_cast<ClientId>(c)] += stats;
+      shard_total += stats;
     }
+    result.total += shard_total;
+    result.per_shard.push_back(shard_total);
+    result.per_consumer_requests[owner_of_[s]] +=
+        shard_total.reads + shard_total.writes;
+    result.shard_drains += shard.drains;
+    result.quarantined += shard.quarantined;
   }
-  return merged;
-}
-
-std::vector<CacheStats> CacheServer::PerShardStats() const {
-  std::vector<CacheStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    shard->ownership.AssertHeld();  // quiescent (post-join) read
-    CacheStats total;
-    for (const CacheStats& c : shard->client_stats) total += c;
-    out.push_back(total);
+  result.requests = result.total.reads + result.total.writes;
+  result.avg_drained_batch =
+      result.shard_drains > 0
+          ? static_cast<double>(result.requests) /
+                static_cast<double>(result.shard_drains)
+          : 0.0;
+  result.consumers = consumers();
+  result.cores_detected = std::max(1u, std::thread::hardware_concurrency());
+  for (const auto& pp : ports_) {
+    result.per_client_admission.push_back(SnapshotAdmission(*pp));
+    result.admission += result.per_client_admission.back();
   }
-  return out;
-}
-
-std::uint64_t CacheServer::requests_applied() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    shard->ownership.AssertHeld();  // quiescent (post-join) read
-    total += shard->requests;
-  }
-  return total;
-}
-
-std::uint64_t CacheServer::batches_applied() const {
-  return batches_applied_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t CacheServer::shard_drains() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    shard->ownership.AssertHeld();  // quiescent (post-join) read
-    total += shard->drains;
-  }
-  return total;
-}
-
-std::vector<std::uint64_t> CacheServer::PerConsumerRequests() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(consumers_.size());
-  for (const auto& cp : consumers_) {
-    cp->self.AssertHeld();  // quiescent (post-join) read
-    out.push_back(cp->requests);
-  }
-  return out;
+  result.watchdog_sheds = watchdog_sheds();
+  return result;
 }
 
 AdmissionStats CacheServer::SnapshotAdmission(const ClientPort& port) const {
@@ -712,54 +677,6 @@ AdmissionStats CacheServer::SnapshotAdmission(const ClientPort& port) const {
   s.stopped_batches += port.stopped_batches.load(std::memory_order_relaxed);
   s.stopped_requests += port.stopped_requests.load(std::memory_order_relaxed);
   return s;
-}
-
-AdmissionStats CacheServer::TotalAdmission() const {
-  AdmissionStats total;
-  for (const auto& pp : ports_) total += SnapshotAdmission(*pp);
-  return total;
-}
-
-std::vector<AdmissionStats> CacheServer::PerClientAdmission() const {
-  std::vector<AdmissionStats> out;
-  out.reserve(ports_.size());
-  for (const auto& pp : ports_) out.push_back(SnapshotAdmission(*pp));
-  return out;
-}
-
-std::uint64_t CacheServer::quarantined() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    shard->ownership.AssertHeld();  // quiescent (post-join) read
-    total += shard->quarantined;
-  }
-  return total;
-}
-
-std::uint64_t CacheServer::watchdog_sheds() const {
-  return watchdog_sheds_.load(std::memory_order_relaxed);
-}
-
-ServeResult QuiescentServeResult(const CacheServer& server) {
-  ServeResult result;
-  result.total = server.TotalStats();
-  result.per_client = server.PerClientStats();
-  result.per_shard = server.PerShardStats();
-  result.requests = server.requests_applied();
-  result.batches = server.batches_applied();
-  result.shard_drains = server.shard_drains();
-  result.avg_drained_batch =
-      result.shard_drains > 0
-          ? static_cast<double>(result.requests) /
-                static_cast<double>(result.shard_drains)
-          : 0.0;
-  result.consumers = server.consumers();
-  result.cores_detected = std::max(1u, std::thread::hardware_concurrency());
-  result.per_consumer_requests = server.PerConsumerRequests();
-  result.admission = server.TotalAdmission();
-  result.quarantined = server.quarantined();
-  result.watchdog_sheds = server.watchdog_sheds();
-  return result;
 }
 
 ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
@@ -818,17 +735,12 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   server.Shutdown();
   const std::chrono::duration<double> wall = Clock::now() - wall_start;
 
-  ServeResult result = QuiescentServeResult(server);
-  result.wall_seconds = wall.count();
-  result.throughput_rps =
-      wall.count() > 0 ? static_cast<double>(result.requests) / wall.count()
-                       : 0.0;
+  ServeResult result = server.Snapshot();
   std::vector<double> all_us;
   for (const std::vector<double>& lat : latencies_us) {
     all_us.insert(all_us.end(), lat.begin(), lat.end());
   }
-  result.p50_us = Percentile(&all_us, 0.50);
-  result.p99_us = Percentile(&all_us, 0.99);
+  result.timing = TimeRun(result.requests, wall.count(), &all_us);
   return result;
 }
 

@@ -48,9 +48,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -154,11 +152,49 @@ struct ServerOptions {
   const fault::FaultPlan* fault = nullptr;
 };
 
+/// A serve run's result: the hit counts a SimResult carries, plus the
+/// server's counters (CacheServer::Snapshot) and the driver's timing.
+/// clic_serve prints it and --verify compares it, as it is, with the
+/// PartitionedSimulate baseline.
+struct ServeResult : SimResult {
+  std::vector<CacheStats> per_shard;
+  /// Requests that reached a shard policy. Normally the ledger's
+  /// applied_requests; above it when a batch was only partly applied
+  /// (see AdmissionStats).
+  std::uint64_t requests = 0;
+  /// Per-shard AccessBatch applications; requests / shard_drains is the
+  /// average drained batch size (how much of the submitted batch size
+  /// survives hash-sharding — the batch amortization actually achieved).
+  std::uint64_t shard_drains = 0;
+  double avg_drained_batch = 0.0;
+  /// Ownership topology actually used, and what the machine offered:
+  /// consumer (owning-core) count, std::thread::hardware_concurrency
+  /// (at least 1), and requests applied per consumer. per-core req/s
+  /// is throughput / consumers; clic_serve emits it so multi-core
+  /// runners can gate scaling while a 1-core container is recognizable
+  /// as such.
+  unsigned consumers = 0;
+  unsigned cores_detected = 0;
+  std::vector<std::uint64_t> per_consumer_requests;
+  /// Exact admission ledger, across all clients and per client.
+  AdmissionStats admission;
+  std::vector<AdmissionStats> per_client_admission;
+  /// Requests remapped to the untrusted hint bucket by the sanity
+  /// guard — the degraded-mode counter.
+  std::uint64_t quarantined = 0;
+  std::uint64_t watchdog_sheds = 0;
+  /// Filled by the load driver, not the server: ServeTrace's in-process
+  /// Begin-to-Await latencies, or the wire latencies of a loopback run,
+  /// with up to kPipelineDepth batches in flight per client.
+  DriverTiming timing;
+};
+
 /// A multi-tenant sharded cache server. Usage:
 ///   CacheServer server(options, num_clients);
 ///   ... one producer thread per client calls Submit(client, batch...)
 ///       repeatedly, then Finish(client) exactly once ...
 ///   server.Shutdown();   // joins consumers; stats become readable
+///   ServeResult result = server.Snapshot();
 /// Submit blocks until the batch has been applied (closed loop);
 /// Begin/Await split that into admission and completion so one
 /// producer can keep up to kPipelineDepth batches in flight (as
@@ -238,29 +274,25 @@ class CacheServer {
 
   // Stats. Exact (every applied request is counted by its shard's
   // owning consumer); call after Shutdown()/Stop() for a quiescent
-  // snapshot — the consumer joins give the necessary happens-before.
-  CacheStats TotalStats() const;
-  std::map<ClientId, CacheStats> PerClientStats() const;
-  std::vector<CacheStats> PerShardStats() const;
-  std::uint64_t requests_applied() const;
-  std::uint64_t batches_applied() const;
-  /// Number of per-shard batch applications (contiguous shard runs
-  /// handed to AccessBatch). requests_applied() / shard_drains() is the
-  /// consumer-side batch size actually achieved — the submitted batch
-  /// size divided by how many shards each batch straddled.
-  std::uint64_t shard_drains() const;
-  /// Requests applied by each consumer thread — the per-core load
-  /// picture clic_serve reports as per-core req/s.
-  std::vector<std::uint64_t> PerConsumerRequests() const;
+  // read — the consumer joins give the necessary happens-before.
 
-  /// Admission/backpressure accounting (see AdmissionStats invariants).
-  AdmissionStats TotalAdmission() const;
-  std::vector<AdmissionStats> PerClientAdmission() const;
-  /// Requests remapped to the untrusted hint bucket by the sanity
-  /// guard — the degraded-mode counter.
-  std::uint64_t quarantined() const;
-  /// Batches shed by the watchdog (subset of the shed counts).
-  std::uint64_t watchdog_sheds() const;
+  /// Everything the server knows about the run, read once from the
+  /// quiescent server (after Shutdown(), Stop() or a NetServer drain).
+  /// The driver fills in ServeResult::timing.
+  ServeResult Snapshot() const;
+  // Single parts of the Snapshot, for callers that read one.
+  CacheStats TotalStats() const { return Snapshot().total; }
+  std::vector<CacheStats> PerShardStats() const {
+    return Snapshot().per_shard;
+  }
+  std::uint64_t requests_applied() const { return Snapshot().requests; }
+  std::uint64_t shard_drains() const { return Snapshot().shard_drains; }
+  AdmissionStats TotalAdmission() const { return Snapshot().admission; }
+  /// Batches shed by the watchdog (subset of the shed counts). Safe to
+  /// read while the server runs.
+  std::uint64_t watchdog_sheds() const {
+    return watchdog_sheds_.load(std::memory_order_relaxed);
+  }
 
   std::size_t shards() const { return shards_.size(); }
   std::size_t pages_per_shard() const { return pages_per_shard_; }
@@ -361,7 +393,6 @@ class CacheServer {
                                        // once before threads start
     std::vector<std::uint8_t> done_client CLIC_GUARDED_BY(self);
     std::vector<std::uint8_t> hits CLIC_GUARDED_BY(self);
-    std::uint64_t requests CLIC_GUARDED_BY(self) = 0;
     std::uint64_t batches_processed CLIC_GUARDED_BY(self) = 0;
     /// The consumer waits here when its rings are empty; a push into one
     /// of them, Finish() and Stop() wake it.
@@ -383,7 +414,6 @@ class CacheServer {
     std::unique_ptr<Policy> policy CLIC_GUARDED_BY(ownership);
     SeqNum seq CLIC_GUARDED_BY(ownership) = 0;
     std::vector<CacheStats> client_stats CLIC_GUARDED_BY(ownership);
-    std::uint64_t requests CLIC_GUARDED_BY(ownership) = 0;
     std::uint64_t drains CLIC_GUARDED_BY(ownership) = 0;
     std::uint64_t quarantined CLIC_GUARDED_BY(ownership) = 0;
     /// Nanoseconds-since-steady-epoch when the in-flight drain started,
@@ -453,7 +483,6 @@ class CacheServer {
   std::uint32_t hint_bound_ = 0;
   const fault::FaultPlan* fault_ = nullptr;
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> batches_applied_{0};
   std::atomic<std::uint64_t> watchdog_sheds_{0};
 };
 
@@ -467,45 +496,6 @@ struct LoadOptions {
   /// itself (the determinism rule relies on this).
   std::uint64_t request_budget = 0;
 };
-
-struct ServeResult {
-  CacheStats total;
-  std::map<ClientId, CacheStats> per_client;  // keyed by Request::client
-  std::vector<CacheStats> per_shard;
-  /// Applied requests/batches (what reached a shard policy).
-  std::uint64_t requests = 0;
-  std::uint64_t batches = 0;
-  /// Per-shard AccessBatch applications; requests / shard_drains is the
-  /// average drained batch size (how much of the submitted batch size
-  /// survives hash-sharding — the batch amortization actually achieved).
-  std::uint64_t shard_drains = 0;
-  double avg_drained_batch = 0.0;
-  /// Ownership topology actually used, and what the machine offered:
-  /// consumer (owning-core) count, std::thread::hardware_concurrency
-  /// (at least 1), and requests applied per consumer. per-core req/s
-  /// is requests / consumers / wall_seconds; clic_serve emits it so
-  /// multi-core runners can gate scaling while a 1-core container is
-  /// recognizable as such.
-  unsigned consumers = 0;
-  unsigned cores_detected = 0;
-  std::vector<std::uint64_t> per_consumer_requests;
-  /// Exact admission ledger across all clients.
-  AdmissionStats admission;
-  std::uint64_t quarantined = 0;
-  std::uint64_t watchdog_sheds = 0;
-  /// Filled by the load driver, not the server: ServeTrace's in-process
-  /// Begin-to-Await latencies, or the wire latencies of a loopback run,
-  /// with up to kPipelineDepth batches in flight per client.
-  double wall_seconds = 0.0;
-  double throughput_rps = 0.0;
-  double p50_us = 0.0;  // across all drivers' applied batches
-  double p99_us = 0.0;
-};
-
-/// The server-side half of a ServeResult — every field but the
-/// driver's wall clock, throughput and latencies — read from a
-/// quiescent server (after Shutdown(), Stop() or a NetServer drain).
-ServeResult QuiescentServeResult(const CacheServer& server);
 
 /// Replays `trace` against a fresh CacheServer with `load.clients`
 /// pipelined closed-loop driver threads. Each client Begins its batches

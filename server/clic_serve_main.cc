@@ -12,12 +12,10 @@
 // trace; --verify checks exactly that in-process and fails loudly on
 // any divergence.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -129,18 +127,14 @@ void Usage(std::FILE* out) {
       "                     older than this (slowloris guard)\n"
       "\n"
       "CLIC options (when --policy=CLIC):\n"
-      "  --window=W --decay=R --outqueue=N --no-charge-metadata\n"
-      "  --tracker=exact|space_saving|lossy_counting --top-k=K\n"
-      "  --adaptive-window --churn-threshold=S (in [0, 1])\n"
-      "  --min-window=N --max-window=N  effective-window bounds\n"
-      "                     (defaults: window/16 and window; see\n"
-      "                     DESIGN.md \"Adaptive windowing\")\n"
+      "%s"
       "\n"
       "Output:\n"
       "  --format=csv|json  summary row (csv) or full object (json)\n"
       "  --output=FILE      default: stdout\n"
       "  --list             print known traces and policies, then exit\n"
-      "  --help             this text\n");
+      "  --help             this text\n",
+      cli::kClicFlagsHelp);
 }
 
 [[noreturn]] void Die(const std::string& message) { cli::Die(kProg, message); }
@@ -164,6 +158,7 @@ void PrintList() {
 
 CliOptions Parse(int argc, char** argv) {
   CliOptions opts;
+  cli::ClicFlags clic_flags;
   bool net_tuning = false;  // any of --port/--io-threads/--conn-limit/...
   opts.server.shards = 4;
   opts.server.cache_pages = 12'000;
@@ -195,14 +190,7 @@ CliOptions Parse(int argc, char** argv) {
       opts.verify = true;
       continue;
     }
-    if (arg == "--no-charge-metadata") {
-      opts.server.clic.charge_metadata = false;
-      continue;
-    }
-    if (arg == "--adaptive-window") {
-      opts.server.clic.adaptive_window = true;
-      continue;
-    }
+    if (clic_flags.Parse(kProg, arg)) continue;
     const std::size_t eq = arg.find('=');
     if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
       Die("unrecognized argument '" + arg + "'");
@@ -281,32 +269,6 @@ CliOptions Parse(int argc, char** argv) {
       net_tuning = true;
     } else if (key == "--cache-dir") {
       opts.cache_dir = value;
-    } else if (key == "--window") {
-      opts.server.clic.window = cli::ParseU64(kProg, key, value);
-    } else if (key == "--churn-threshold") {
-      opts.server.clic.churn_threshold = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--min-window") {
-      opts.server.clic.min_window = cli::ParseU64(kProg, key, value);
-    } else if (key == "--max-window") {
-      opts.server.clic.max_window = cli::ParseU64(kProg, key, value);
-    } else if (key == "--decay") {
-      opts.server.clic.decay = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--outqueue") {
-      opts.server.clic.outqueue_per_page = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--top-k") {
-      opts.server.clic.top_k =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--tracker") {
-      if (value == "exact") {
-        opts.server.clic.tracker = TrackerKind::kExact;
-      } else if (value == "space_saving") {
-        opts.server.clic.tracker = TrackerKind::kSpaceSaving;
-      } else if (value == "lossy_counting") {
-        opts.server.clic.tracker = TrackerKind::kLossyCounting;
-      } else {
-        Die("unknown --tracker='" + value +
-            "' (valid: exact, space_saving, lossy_counting)");
-      }
     } else if (key == "--format") {
       if (value != "csv" && value != "json") {
         Die("unknown --format='" + value + "' (want csv or json)");
@@ -322,6 +284,7 @@ CliOptions Parse(int argc, char** argv) {
     Die("--trace (or --workload) is required (valid traces: " +
         cli::KnownWorkloadNames() + ")");
   }
+  clic_flags.ApplyTo(opts.server.clic);
   cli::RequireValidAdaptiveWindow(kProg, opts.server.clic);
   if (opts.verify && !opts.server.deterministic) {
     Die("--verify requires --deterministic (concurrent interleaving is "
@@ -400,256 +363,62 @@ CliOptions Parse(int argc, char** argv) {
   return opts;
 }
 
-using sweep::AppendDouble;
-
-SimResult AsSimResult(const ServeResult& result) {
-  SimResult sim;
-  sim.total = result.total;
-  sim.per_client = result.per_client;
-  return sim;
-}
-
-std::string CsvSummaryHeader() {
-  return "trace,policy,shards,clients,cache_pages,pages_per_shard,batch,"
-         "deterministic,requests,batches,shard_drains,"
-         "avg_drained_batch,reads,writes,read_hits,write_hits,"
-         "read_hit_ratio,write_hit_ratio,submitted_requests,shed_requests,"
-         "expired_requests,quarantined,watchdog_sheds,"
-         "wall_seconds,throughput_rps,consumers,cores_detected,per_core_rps,"
-         "p50_us,p99_us,per_client";
-}
-
-std::string CsvSummaryRow(const CliOptions& opts, const ServeResult& r,
-                          std::size_t pages_per_shard) {
-  std::string out;
-  out.append(sweep::CsvField(opts.trace));
-  out.push_back(',');
-  out.append(sweep::CsvField(PolicyName(opts.server.policy)));
-  out.push_back(',');
-  out.append(std::to_string(opts.server.shards));
-  out.push_back(',');
-  out.append(std::to_string(opts.load.clients));
-  out.push_back(',');
-  out.append(std::to_string(opts.server.cache_pages));
-  out.push_back(',');
-  out.append(std::to_string(pages_per_shard));
-  out.push_back(',');
-  out.append(std::to_string(opts.load.batch_size));
-  out.push_back(',');
-  out.append(opts.server.deterministic ? "1" : "0");
-  out.push_back(',');
-  out.append(std::to_string(r.requests));
-  out.push_back(',');
-  out.append(std::to_string(r.batches));
-  out.push_back(',');
-  out.append(std::to_string(r.shard_drains));
-  out.push_back(',');
-  AppendDouble(&out, r.avg_drained_batch);
-  out.push_back(',');
-  out.append(std::to_string(r.total.reads));
-  out.push_back(',');
-  out.append(std::to_string(r.total.writes));
-  out.push_back(',');
-  out.append(std::to_string(r.total.read_hits));
-  out.push_back(',');
-  out.append(std::to_string(r.total.write_hits));
-  out.push_back(',');
-  AppendDouble(&out, r.total.ReadHitRatio());
-  out.push_back(',');
-  AppendDouble(&out, r.total.WriteHitRatio());
-  out.push_back(',');
-  out.append(std::to_string(r.admission.submitted_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.admission.shed_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.admission.expired_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.quarantined));
-  out.push_back(',');
-  out.append(std::to_string(r.watchdog_sheds));
-  out.push_back(',');
-  AppendDouble(&out, r.wall_seconds);
-  out.push_back(',');
-  AppendDouble(&out, r.throughput_rps);
-  out.push_back(',');
-  out.append(std::to_string(r.consumers));
-  out.push_back(',');
-  out.append(std::to_string(r.cores_detected));
-  out.push_back(',');
-  AppendDouble(&out, r.throughput_rps /
-                         static_cast<double>(std::max(1u, r.consumers)));
-  out.push_back(',');
-  AppendDouble(&out, r.p50_us);
-  out.push_back(',');
-  AppendDouble(&out, r.p99_us);
-  out.push_back(',');
-  out.append(sweep::CsvField(sweep::PerClientColumn(AsSimResult(r))));
-  return out;
-}
-
-std::string JsonSummary(const CliOptions& opts, const ServeResult& r,
-                        std::size_t pages_per_shard) {
-  std::string out = "{\"trace\":\"";
-  out.append(sweep::JsonEscaped(opts.trace));
-  out.append("\",\"policy\":\"");
-  out.append(sweep::JsonEscaped(PolicyName(opts.server.policy)));
-  out.append("\",\"shards\":");
-  out.append(std::to_string(opts.server.shards));
-  out.append(",\"clients\":");
-  out.append(std::to_string(opts.load.clients));
-  out.append(",\"cache_pages\":");
-  out.append(std::to_string(opts.server.cache_pages));
-  out.append(",\"pages_per_shard\":");
-  out.append(std::to_string(pages_per_shard));
-  out.append(",\"batch\":");
-  out.append(std::to_string(opts.load.batch_size));
-  out.append(",\"deterministic\":");
-  out.append(opts.server.deterministic ? "true" : "false");
-  out.append(",\"submitted_requests\":");
-  out.append(std::to_string(r.admission.submitted_requests));
-  out.append(",\"shed_requests\":");
-  out.append(std::to_string(r.admission.shed_requests));
-  out.append(",\"expired_requests\":");
-  out.append(std::to_string(r.admission.expired_requests));
-  out.append(",\"quarantined\":");
-  out.append(std::to_string(r.quarantined));
-  out.append(",\"watchdog_sheds\":");
-  out.append(std::to_string(r.watchdog_sheds));
-  out.append(",\"requests\":");
-  out.append(std::to_string(r.requests));
-  out.append(",\"batches\":");
-  out.append(std::to_string(r.batches));
-  out.append(",\"shard_drains\":");
-  out.append(std::to_string(r.shard_drains));
-  out.append(",\"avg_drained_batch\":");
-  AppendDouble(&out, r.avg_drained_batch);
-  out.append(",\"reads\":");
-  out.append(std::to_string(r.total.reads));
-  out.append(",\"writes\":");
-  out.append(std::to_string(r.total.writes));
-  out.append(",\"read_hits\":");
-  out.append(std::to_string(r.total.read_hits));
-  out.append(",\"write_hits\":");
-  out.append(std::to_string(r.total.write_hits));
-  out.append(",\"read_hit_ratio\":");
-  AppendDouble(&out, r.total.ReadHitRatio());
-  out.append(",\"write_hit_ratio\":");
-  AppendDouble(&out, r.total.WriteHitRatio());
-  out.append(",\"wall_seconds\":");
-  AppendDouble(&out, r.wall_seconds);
-  out.append(",\"throughput_rps\":");
-  AppendDouble(&out, r.throughput_rps);
-  out.append(",\"consumers\":");
-  out.append(std::to_string(r.consumers));
-  out.append(",\"cores_detected\":");
-  out.append(std::to_string(r.cores_detected));
-  out.append(",\"per_core_rps\":");
-  AppendDouble(&out, r.throughput_rps /
-                         static_cast<double>(std::max(1u, r.consumers)));
-  out.append(",\"per_consumer_requests\":[");
-  for (std::size_t k = 0; k < r.per_consumer_requests.size(); ++k) {
-    if (k > 0) out.push_back(',');
-    out.append(std::to_string(r.per_consumer_requests[k]));
-  }
-  out.append("]");
-  out.append(",\"p50_us\":");
-  AppendDouble(&out, r.p50_us);
-  out.append(",\"p99_us\":");
-  AppendDouble(&out, r.p99_us);
-  out.append(",\"per_shard\":[");
-  for (std::size_t s = 0; s < r.per_shard.size(); ++s) {
-    if (s > 0) out.push_back(',');
-    const CacheStats& stats = r.per_shard[s];
-    out.append("{\"reads\":");
-    out.append(std::to_string(stats.reads));
-    out.append(",\"writes\":");
-    out.append(std::to_string(stats.writes));
-    out.append(",\"read_hits\":");
-    out.append(std::to_string(stats.read_hits));
-    out.append(",\"write_hits\":");
-    out.append(std::to_string(stats.write_hits));
-    out.append("}");
-  }
-  out.append("],\"per_client\":{");
-  bool first = true;
-  for (const auto& [client, stats] : r.per_client) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out.append(std::to_string(client));
-    out.append("\":{\"reads\":");
-    out.append(std::to_string(stats.reads));
-    out.append(",\"read_hits\":");
-    out.append(std::to_string(stats.read_hits));
-    out.append(",\"writes\":");
-    out.append(std::to_string(stats.writes));
-    out.append(",\"write_hits\":");
-    out.append(std::to_string(stats.write_hits));
-    out.append("}");
-  }
-  out.append("}}");
-  return out;
-}
-
-bool SameStats(const CacheStats& a, const CacheStats& b) {
-  return a.reads == b.reads && a.writes == b.writes &&
-         a.read_hits == b.read_hits && a.write_hits == b.write_hits;
-}
-
-void PrintStatsPair(const std::string& what, const CacheStats& served,
-                    const CacheStats& expected) {
-  auto line = [&what](const char* tag, const CacheStats& s) {
-    std::fprintf(stderr,
-                 "clic_serve:   %s %s reads=%llu writes=%llu read_hits=%llu "
-                 "write_hits=%llu\n",
-                 what.c_str(), tag, static_cast<unsigned long long>(s.reads),
-                 static_cast<unsigned long long>(s.writes),
-                 static_cast<unsigned long long>(s.read_hits),
-                 static_cast<unsigned long long>(s.write_hits));
+/// The summary's one field list: the CSV header and row, and the JSON
+/// object, which adds per_consumer_requests and per_shard.
+sweep::Row SummaryRow(const CliOptions& opts, const ServeResult& r) {
+  const auto json_list = [](const auto& items, const auto& to_json) {
+    std::string out = "[";
+    for (const auto& item : items) {
+      if (out.size() > 1) out.push_back(',');
+      out.append(to_json(item));
+    }
+    return out + "]";
   };
-  line("served  ", served);
-  line("expected", expected);
+  const auto count = [](std::uint64_t n) { return std::to_string(n); };
+  sweep::Row row;
+  row.Text("trace", opts.trace)
+      .Text("policy", PolicyName(opts.server.policy))
+      .Count("shards", opts.server.shards)
+      .Count("clients", opts.load.clients)
+      .Count("cache_pages", opts.server.cache_pages)
+      .Count("pages_per_shard",
+             ShardCachePages(opts.server.cache_pages, opts.server.shards))
+      .Count("batch", opts.load.batch_size)
+      .Flag("deterministic", opts.server.deterministic)
+      .Count("requests", r.requests)
+      .Count("batches", r.admission.applied_batches)
+      .Count("shard_drains", r.shard_drains)
+      .Real("avg_drained_batch", r.avg_drained_batch)
+      .Stats(r.total)
+      .Count("submitted_requests", r.admission.submitted_requests)
+      .Count("shed_requests", r.admission.shed_requests)
+      .Count("expired_requests", r.admission.expired_requests)
+      .Count("quarantined", r.quarantined)
+      .Count("watchdog_sheds", r.watchdog_sheds)
+      .Real("wall_seconds", r.timing.wall_seconds)
+      .Real("throughput_rps", r.timing.throughput_rps)
+      .Count("consumers", r.consumers)
+      .Count("cores_detected", r.cores_detected)
+      .Real("per_core_rps", r.timing.throughput_rps /
+                                static_cast<double>(std::max(1u, r.consumers)))
+      .JsonOnly("per_consumer_requests",
+                json_list(r.per_consumer_requests, count))
+      .Real("p50_us", r.timing.p50_us)
+      .Real("p99_us", r.timing.p99_us)
+      .JsonOnly("per_shard", json_list(r.per_shard, sweep::StatsJson))
+      .PerClient(r);
+  return row;
 }
 
 int Verify(const ServeResult& served, const SimResult& expected) {
-  bool ok = true;
-  if (!SameStats(served.total, expected.total)) {
-    ok = false;
+  const std::string mismatch = ResultMismatch(served, expected);
+  if (!mismatch.empty()) {
     std::fprintf(stderr,
-                 "clic_serve: VERIFY FAILED — aggregate counts diverged from "
-                 "per-shard sequential Simulate():\n");
-    PrintStatsPair("total", served.total, expected.total);
+                 "clic_serve: VERIFY FAILED — hit counts diverged from "
+                 "per-shard sequential Simulate():\n%s",
+                 mismatch.c_str());
+    return 1;
   }
-  // Name the exact client (or field) that diverged: an aggregate match
-  // with a per-client mismatch is the subtle failure mode this check
-  // exists to expose.
-  for (const auto& [client, stats] : expected.per_client) {
-    const auto it = served.per_client.find(client);
-    if (it == served.per_client.end()) {
-      ok = false;
-      std::fprintf(stderr,
-                   "clic_serve: VERIFY FAILED — client %u missing from "
-                   "served per-client stats\n",
-                   static_cast<unsigned>(client));
-    } else if (!SameStats(stats, it->second)) {
-      ok = false;
-      std::fprintf(stderr,
-                   "clic_serve: VERIFY FAILED — client %u counts diverged:\n",
-                   static_cast<unsigned>(client));
-      PrintStatsPair("client", it->second, stats);
-    }
-  }
-  for (const auto& [client, stats] : served.per_client) {
-    if (expected.per_client.find(client) == expected.per_client.end()) {
-      ok = false;
-      std::fprintf(stderr,
-                   "clic_serve: VERIFY FAILED — served stats contain "
-                   "unexpected client %u (%llu requests)\n",
-                   static_cast<unsigned>(client),
-                   static_cast<unsigned long long>(stats.reads + stats.writes));
-    }
-  }
-  if (!ok) return 1;
   std::fprintf(stderr,
                "clic_serve: verify OK — aggregate and per-client hit counts "
                "bit-identical to per-shard sequential Simulate()\n");
@@ -674,8 +443,8 @@ void PrintNetStats(const net::NetStats& n) {
       stderr,
       "clic_serve: wire: %llu conns accepted (%llu shed), %llu frames / "
       "%llu requests in %llu reply writes, %llu rejected frames (%llu "
-      "requests), evicted %llu slow readers + %llu slow writers, %llu "
-      "frames drained to stopped\n",
+      "requests), evicted %llu slow readers, %llu frames drained to "
+      "stopped\n",
       static_cast<unsigned long long>(n.accepted),
       static_cast<unsigned long long>(n.accept_shed),
       static_cast<unsigned long long>(n.frames),
@@ -684,7 +453,6 @@ void PrintNetStats(const net::NetStats& n) {
       static_cast<unsigned long long>(n.rejected_frames),
       static_cast<unsigned long long>(n.rejected_requests),
       static_cast<unsigned long long>(n.evicted_read),
-      static_cast<unsigned long long>(n.evicted_write),
       static_cast<unsigned long long>(n.drained_frames));
   if (n.torn_writes + n.partial_reads + n.resets_injected + n.accept_stalls >
       0) {
@@ -790,13 +558,10 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
                  wire.wire_errors == 1 ? "" : "s");
   }
 
-  *result = QuiescentServeResult(server->cache());
+  *result = server->cache().Snapshot();
   // Wall clock and latency percentiles are the wire-level numbers: what
   // a client sees through real sockets, not the in-process view.
-  result->wall_seconds = wire.wall_seconds;
-  result->throughput_rps = wire.throughput_rps;
-  result->p50_us = wire.p50_us;
-  result->p99_us = wire.p99_us;
+  result->timing = wire.timing;
   return 0;
 }
 
@@ -832,23 +597,15 @@ int Main(int argc, char** argv) {
   LoadOptions load = opts.load;
   load.request_budget = cap;
 
-  std::FILE* out = stdout;
-  if (!opts.output.empty()) {
-    out = std::fopen(opts.output.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "clic_serve: cannot open '%s': %s\n",
-                   opts.output.c_str(), std::strerror(errno));
-      return 1;
-    }
-  }
+  cli::OutputFile out(kProg, opts.output);
 
-  const std::size_t pages_per_shard =
-      ShardCachePages(opts.server.cache_pages, opts.server.shards);
   std::fprintf(stderr,
                "clic_serve: %s via %s, %zu shards x %zu pages, %zu clients, "
                "batch %zu, %s\n",
                opts.trace.c_str(), PolicyName(opts.server.policy),
-               opts.server.shards, pages_per_shard, opts.load.clients,
+               opts.server.shards,
+               ShardCachePages(opts.server.cache_pages, opts.server.shards),
+               opts.load.clients,
                opts.load.batch_size,
                opts.server.deterministic ? "deterministic" : "concurrent");
 
@@ -882,35 +639,25 @@ int Main(int argc, char** argv) {
     }
   }
 
+  const sweep::Row row = SummaryRow(opts, result);
   if (opts.format == "csv") {
-    std::fprintf(out, "%s\n%s\n", CsvSummaryHeader().c_str(),
-                 CsvSummaryRow(opts, result, pages_per_shard).c_str());
+    std::fprintf(out.get(), "%s\n%s\n", row.CsvHeader().c_str(),
+                 row.Csv().c_str());
   } else {
-    std::fprintf(out, "%s\n",
-                 JsonSummary(opts, result, pages_per_shard).c_str());
+    std::fprintf(out.get(), "%s\n", row.Json().c_str());
   }
-  bool write_ok = std::ferror(out) == 0;
-  if (out != stdout) {
-    write_ok = std::fclose(out) == 0 && write_ok;
-  } else {
-    write_ok = std::fflush(out) == 0 && write_ok;
-  }
-  if (!write_ok) {
-    std::fprintf(stderr, "clic_serve: error writing %s: %s\n",
-                 opts.output.empty() ? "stdout" : opts.output.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
+  if (!out.Close()) return 1;
   std::fprintf(stderr,
                "clic_serve: %llu requests in %.3fs (%.0f req/s over %u "
                "consumer%s, %.0f req/s/core), p50 %.1fus p99 %.1fus, avg "
                "drained batch %.1f\n",
                static_cast<unsigned long long>(result.requests),
-               result.wall_seconds, result.throughput_rps, result.consumers,
-               result.consumers == 1 ? "" : "s",
-               result.throughput_rps /
+               result.timing.wall_seconds, result.timing.throughput_rps,
+               result.consumers, result.consumers == 1 ? "" : "s",
+               result.timing.throughput_rps /
                    static_cast<double>(std::max(1u, result.consumers)),
-               result.p50_us, result.p99_us, result.avg_drained_batch);
+               result.timing.p50_us, result.timing.p99_us,
+               result.avg_drained_batch);
   if (result.admission.shed_requests + result.admission.expired_requests +
           result.quarantined >
       0) {

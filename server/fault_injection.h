@@ -91,7 +91,7 @@ struct FaultPlan {
   /// > 0: every k-th accepted connection is reset (closed abruptly)
   /// right after its first reply. Deterministic per accept index, but
   /// it truncates that connection's served stream — incompatible with
-  /// --verify (see AltersServedRequests).
+  /// --verify.
   std::uint64_t net_reset_every = 0;
   /// > 0: the acceptor sleeps net_accept_stall_ms before every k-th
   /// accept (a seized accept queue; connection attempts back up).
@@ -104,14 +104,6 @@ struct FaultPlan {
   bool HasNetFaults() const {
     return net_torn_write_every > 0 || net_partial_read_every > 0 ||
            net_reset_every > 0 || net_accept_stall_every > 0;
-  }
-  /// True when the plan can alter which requests get served or what
-  /// they look like — i.e. when served decisions are NOT comparable to
-  /// a fault-free run of the full trace. Stalls, pauses, torn writes,
-  /// partial reads and accept stalls only delay or re-chunk bytes; a
-  /// reset truncates a connection's stream.
-  bool AltersServedRequests() const {
-    return shed_every > 0 || corrupt_every > 0 || net_reset_every > 0;
   }
 };
 

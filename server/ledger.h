@@ -2,8 +2,8 @@
 // in batches and in requests. One value type serves the cache server
 // (per client and in total), the wire client's reply tally, and every
 // check of the identity — Balanced() is the only place it is written.
-// The load drivers' latency percentile lives here too, for the same
-// reason: ServeTrace and RunWireLoad report p50/p99 through one rule.
+// The load drivers' timing rule lives here too, for the same reason:
+// ServeTrace and RunWireLoad report throughput and p50/p99 through it.
 #pragma once
 
 #include <algorithm>
@@ -32,9 +32,11 @@ enum class SubmitResult : std::uint8_t {
 /// transport died); the server never counts it. A batch whose shard
 /// runs straddle several consumers completes with one outcome (stopped
 /// beats expired beats applied), so the ledger stays batch-exact even
-/// when Stop() interrupts a half-applied batch — in that case the
-/// shard-side requests_applied() may exceed applied_requests, which
-/// counts whole batches.
+/// when only some of its slices were applied. Two things leave a batch
+/// half-applied: Stop() interrupting it, and a deadline that one
+/// consumer finds passed after another already applied its slice. In
+/// both cases the shard-side requests_applied() exceeds
+/// applied_requests, which counts whole batches.
 struct AdmissionStats {
   std::uint64_t submitted_batches = 0, submitted_requests = 0;
   std::uint64_t enqueued_batches = 0, enqueued_requests = 0;
@@ -127,6 +129,27 @@ inline double Percentile(std::vector<double>* samples, double q) {
                                                  samples->size() - 1));
   std::nth_element(samples->begin(), at, samples->end());
   return *at;
+}
+
+/// What a load driver measured over a run.
+struct DriverTiming {
+  double wall_seconds = 0.0;
+  double throughput_rps = 0.0;  // applied requests / wall_seconds
+  double p50_us = 0.0;          // batch latency percentiles
+  double p99_us = 0.0;
+};
+
+/// The one timing rule of the load drivers: `applied` requests over
+/// `wall_seconds`, and the p50/p99 of `latencies_us` (reordered).
+inline DriverTiming TimeRun(std::uint64_t applied, double wall_seconds,
+                            std::vector<double>* latencies_us) {
+  DriverTiming timing;
+  timing.wall_seconds = wall_seconds;
+  timing.throughput_rps =
+      wall_seconds > 0.0 ? static_cast<double>(applied) / wall_seconds : 0.0;
+  timing.p50_us = Percentile(latencies_us, 0.50);
+  timing.p99_us = Percentile(latencies_us, 0.99);
+  return timing;
 }
 
 }  // namespace clic::server

@@ -226,22 +226,14 @@ void NetServer::AdoptNewConnections(IoThread& t) {
 
 void NetServer::IoLoop(std::size_t k) {
   IoThread& t = *io_[k];
-  const bool has_deadlines =
-      options_.read_timeout_ms > 0.0 || options_.write_timeout_ms > 0.0;
+  const bool has_deadline = options_.read_timeout_ms > 0.0;
   // With no deadline to sweep there is nothing to do between events:
   // the acceptor and Drain() both write the wake eventfd, so the loop
   // can block until one arrives.
-  int tick_ms = -1;
-  if (has_deadlines) {
-    double shortest = 1e9;
-    if (options_.read_timeout_ms > 0.0) {
-      shortest = std::min(shortest, options_.read_timeout_ms);
-    }
-    if (options_.write_timeout_ms > 0.0) {
-      shortest = std::min(shortest, options_.write_timeout_ms);
-    }
-    tick_ms = std::max(1, static_cast<int>(shortest / 4.0));
-  }
+  const int tick_ms =
+      has_deadline
+          ? std::max(1, static_cast<int>(options_.read_timeout_ms / 4.0))
+          : -1;
   // Spin, then block: for one budget after the last event the loop
   // polls (timeout 0, yielding the core between polls), so a frame that
   // follows within the budget is read without a kernel wake-up; after
@@ -282,7 +274,7 @@ void NetServer::IoLoop(std::size_t k) {
       conn->io.Release();
     }
     if (n > 0) last_event_ns = NowNs();
-    if (has_deadlines) SweepDeadlines(t, NowNs());
+    if (has_deadline) SweepDeadlines(t, NowNs());
     // Deferred removal: a closed connection's pointer may still sit in
     // this iteration's event array, so destruction waits for the end of
     // the loop body.
@@ -478,8 +470,6 @@ void NetServer::FlushWrites(Connection& conn, std::size_t limit) {
   }
   if (written > 0) conn.outbuf.erase(0, written);
   const bool pending = !conn.outbuf.empty();
-  if (pending && conn.write_since_ns == 0) conn.write_since_ns = NowNs();
-  if (!pending) conn.write_since_ns = 0;
   if (pending != conn.want_write && conn.epfd >= 0) {
     epoll_event ev{};
     ev.events = pending ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
@@ -516,25 +506,16 @@ void NetServer::CloseConnection(Connection& conn) {
 void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
   const std::int64_t read_limit =
       static_cast<std::int64_t>(options_.read_timeout_ms * 1e6);
-  const std::int64_t write_limit =
-      static_cast<std::int64_t>(options_.write_timeout_ms * 1e6);
   for (auto& conn_ptr : t.owned) {
     Connection& conn = *conn_ptr;
     conn.io.Acquire();
-    if (!conn.closed) {
-      if (read_limit > 0 && conn.partial_since_ns != 0 &&
-          now_ns - conn.partial_since_ns > read_limit) {
-        // Slowloris eviction: a partial frame has been dangling past
-        // the read deadline. Best-effort typed reply, then close.
-        counters_.evicted_read.fetch_add(1, std::memory_order_relaxed);
-        SendReply(conn, FrameType::kError, kWireReadTimeout, 0);
-        if (!conn.closed) CloseConnection(conn);
-      } else if (write_limit > 0 && conn.write_since_ns != 0 &&
-                 now_ns - conn.write_since_ns > write_limit) {
-        // The peer will not take its own replies; drop it.
-        counters_.evicted_write.fetch_add(1, std::memory_order_relaxed);
-        CloseConnection(conn);
-      }
+    if (!conn.closed && conn.partial_since_ns != 0 &&
+        now_ns - conn.partial_since_ns > read_limit) {
+      // Slowloris eviction: a partial frame has been dangling past the
+      // read deadline. Best-effort typed reply, then close.
+      counters_.evicted_read.fetch_add(1, std::memory_order_relaxed);
+      SendReply(conn, FrameType::kError, kWireReadTimeout, 0);
+      if (!conn.closed) CloseConnection(conn);
     }
     conn.io.Release();
   }
@@ -590,7 +571,6 @@ NetStats NetServer::Stats() const {
   s.rejected_requests =
       counters_.rejected_requests.load(std::memory_order_relaxed);
   s.evicted_read = counters_.evicted_read.load(std::memory_order_relaxed);
-  s.evicted_write = counters_.evicted_write.load(std::memory_order_relaxed);
   s.drained_frames =
       counters_.drained_frames.load(std::memory_order_relaxed);
   s.resets_injected =

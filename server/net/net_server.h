@@ -41,10 +41,9 @@
 //   * fail-closed parsing — a malformed frame gets a typed error reply
 //     and the connection closes; every length is cross-checked and
 //     config-bounded before allocation (see wire_format.h);
-//   * per-connection deadlines — a partial frame older than
+//   * a per-connection read deadline — a partial frame older than
 //     read_timeout_ms is slowloris-evicted (typed read_timeout reply,
-//     close); replies unflushed past write_timeout_ms evict the
-//     connection (a reader too slow to take its own acks);
+//     close);
 //   * bounded connection table — accept-time shedding, never unbounded
 //     connection state;
 //   * graceful drain — Drain() stops accepting, stops the cache server
@@ -93,8 +92,6 @@ struct NetServerOptions {
   /// > 0: evict a connection whose partial frame is older than this
   /// (the slowloris timer). 0 = no read deadline.
   double read_timeout_ms = 0.0;
-  /// > 0: evict a connection with replies unflushed longer than this.
-  double write_timeout_ms = 0.0;
   /// Frame parser bound: max requests per batch frame.
   std::size_t max_batch = 4096;
   /// Embedded cache-server configuration; the fault plan (including
@@ -114,7 +111,6 @@ struct NetStats {
   std::uint64_t rejected_requests = 0;  // requests inside them (0 when the
                                         // header itself was unreadable)
   std::uint64_t evicted_read = 0;       // slowloris evictions
-  std::uint64_t evicted_write = 0;      // slow-reader evictions
   std::uint64_t drained_frames = 0;     // frames flushed to stopped at drain
   std::uint64_t resets_injected = 0;    // net:reset fault closes
   std::uint64_t torn_writes = 0;        // net:torn-write activations
@@ -185,7 +181,6 @@ class NetServer {
     std::uint64_t reads CLIC_GUARDED_BY(io) = 0;    // read events (faults)
     std::uint64_t replies CLIC_GUARDED_BY(io) = 0;  // replies (faults)
     std::int64_t partial_since_ns CLIC_GUARDED_BY(io) = 0;  // slowloris timer
-    std::int64_t write_since_ns CLIC_GUARDED_BY(io) = 0;
     bool want_write CLIC_GUARDED_BY(io) = false;  // EPOLLOUT registered
     bool closed CLIC_GUARDED_BY(io) = false;
 
@@ -234,7 +229,7 @@ class NetServer {
   void SendReply(Connection& conn, FrameType type, std::uint16_t code,
                  std::uint64_t seq) CLIC_REQUIRES(conn.io);
   /// Writes up to `limit` bytes of outbuf (0 = all); leftovers register
-  /// EPOLLOUT and start the write-deadline clock.
+  /// EPOLLOUT.
   void FlushWrites(Connection& conn, std::size_t limit)
       CLIC_REQUIRES(conn.io);
   /// Retires anything still in flight (so no batch points into a dead
@@ -270,7 +265,6 @@ class NetServer {
     std::atomic<std::uint64_t> rejected_frames{0};
     std::atomic<std::uint64_t> rejected_requests{0};
     std::atomic<std::uint64_t> evicted_read{0};
-    std::atomic<std::uint64_t> evicted_write{0};
     std::atomic<std::uint64_t> drained_frames{0};
     std::atomic<std::uint64_t> resets_injected{0};
     std::atomic<std::uint64_t> torn_writes{0};

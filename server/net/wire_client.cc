@@ -255,11 +255,7 @@ WireLoadResult RunWireLoad(const Trace& trace,
     latencies.insert(latencies.end(), st.latencies_us.begin(),
                      st.latencies_us.end());
   }
-  out.wall_seconds = wall;
-  out.throughput_rps =
-      wall > 0.0 ? static_cast<double>(out.applied_requests) / wall : 0.0;
-  out.p50_us = Percentile(&latencies, 0.50);
-  out.p99_us = Percentile(&latencies, 0.99);
+  out.timing = TimeRun(out.applied_requests, wall, &latencies);
   return out;
 }
 

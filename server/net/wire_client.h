@@ -107,10 +107,9 @@ struct WireLoadOptions {
 struct WireLoadResult : AdmissionStats {
   /// Typed error frames received (connection then closed by server).
   std::uint64_t wire_errors = 0;
-  double wall_seconds = 0.0;
-  double throughput_rps = 0.0;  // applied requests / wall
-  double p50_us = 0.0;          // per-frame send-to-status wire latency
-  double p99_us = 0.0;
+  /// Applied requests per second and the per-frame send-to-status wire
+  /// latency.
+  DriverTiming timing;
 };
 
 /// Replays `trace` over the wire against addr:port. Rejected batches

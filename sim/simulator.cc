@@ -3,6 +3,42 @@
 #include <vector>
 
 namespace clic {
+namespace {
+
+std::string Counts(const CacheStats& s) {
+  return "reads=" + std::to_string(s.reads) +
+         " writes=" + std::to_string(s.writes) +
+         " read_hits=" + std::to_string(s.read_hits) +
+         " write_hits=" + std::to_string(s.write_hits);
+}
+
+}  // namespace
+
+std::string ResultMismatch(const SimResult& got, const SimResult& want) {
+  std::string out;
+  const auto line = [&out](const std::string& what, const std::string& text) {
+    out.append(what).append(": ").append(text).push_back('\n');
+  };
+  if (got.total != want.total) {
+    line("total", "got " + Counts(got.total) + ", want " + Counts(want.total));
+  }
+  for (const auto& [client, stats] : want.per_client) {
+    const std::string name = "client " + std::to_string(client);
+    const auto it = got.per_client.find(client);
+    if (it == got.per_client.end()) {
+      line(name + " missing", "want " + Counts(stats));
+    } else if (it->second != stats) {
+      line(name, "got " + Counts(it->second) + ", want " + Counts(stats));
+    }
+  }
+  for (const auto& [client, stats] : got.per_client) {
+    if (want.per_client.count(client) == 0) {
+      line("unexpected client " + std::to_string(client),
+           "got " + Counts(stats));
+    }
+  }
+  return out;
+}
 
 SimResult Simulate(const Trace& trace, Policy& policy) {
   SimResult result;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <map>
+#include <string>
 
 #include "core/policy.h"
 #include "core/trace.h"
@@ -40,6 +41,12 @@ struct CacheStats {
     return *this;
   }
 
+  bool operator==(const CacheStats& o) const {
+    return reads == o.reads && writes == o.writes &&
+           read_hits == o.read_hits && write_hits == o.write_hits;
+  }
+  bool operator!=(const CacheStats& o) const { return !(*this == o); }
+
   double ReadHitRatio() const {
     return reads ? static_cast<double>(read_hits) /
                        static_cast<double>(reads)
@@ -56,6 +63,14 @@ struct SimResult {
   CacheStats total;
   std::map<ClientId, CacheStats> per_client;
 };
+
+/// The one SimResult comparison: "" when `got` equals `want` in the
+/// total and in every client, otherwise one line per divergence naming
+/// what diverged ("total", "client 3", "client 3 missing", "unexpected
+/// client 7") with both sides' counts. An aggregate match over a
+/// per-client mismatch is the subtle failure this exists to expose.
+/// `clic_serve --verify` and the determinism tests report through it.
+std::string ResultMismatch(const SimResult& got, const SimResult& want);
 
 /// Requests per AccessBatch call in Simulate()'s replay loop. Large
 /// enough that the one virtual dispatch, the CLIC window-boundary

@@ -11,12 +11,9 @@
 // from different --threads values diff clean (wall_seconds column
 // aside).
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,21 +75,15 @@ void Usage(std::FILE* out) {
       "\n"
       "CLIC options (defaults are the paper's Section 6.1 setup; each\n"
       "flag overrides its field in every variant of a preset):\n"
-      "  --window=W --decay=R --outqueue=N --no-charge-metadata\n"
-      "  --tracker=exact|space_saving|lossy_counting --top-k=K\n"
-      "  --adaptive-window  churn-triggered early window close (see\n"
-      "                     DESIGN.md \"Adaptive windowing\")\n"
-      "  --churn-threshold=S  early-close rank-similarity trigger in "
-      "[0, 1]\n"
-      "  --min-window=N --max-window=N  effective-window bounds\n"
-      "                     (defaults: window/16 and window)\n"
+      "%s"
       "\n"
       "Output:\n"
       "  --format=csv|json  csv: header + one line per point;\n"
       "                     json: one array of row objects\n"
       "  --output=FILE      default: stdout\n"
       "  --list             print known traces and policies, then exit\n"
-      "  --help             this text\n");
+      "  --help             this text\n",
+      cli::kClicFlagsHelp);
 }
 
 [[noreturn]] void Die(const std::string& message) {
@@ -101,10 +92,6 @@ void Usage(std::FILE* out) {
 
 std::uint64_t ParseU64(const std::string& flag, const std::string& value) {
   return cli::ParseU64(kProg, flag, value);
-}
-
-double ParseDouble(const std::string& flag, const std::string& value) {
-  return cli::ParseDouble(kProg, flag, value);
 }
 
 void ValidateTraceNames(const std::vector<std::string>& names) {
@@ -144,7 +131,7 @@ CliOptions Parse(int argc, char** argv) {
   CliOptions cli;
   // Explicit CLIC flags, applied to every variant once the grid is
   // known, so they beat a preset's options wherever they appear.
-  std::vector<std::function<void(ClicOptions&)>> clic_flags;
+  cli::ClicFlags clic_flags;
   std::string figure, traces, policies, cache_pages;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -156,14 +143,7 @@ CliOptions Parse(int argc, char** argv) {
       PrintList();
       std::exit(0);
     }
-    if (arg == "--no-charge-metadata") {
-      clic_flags.push_back([](ClicOptions& o) { o.charge_metadata = false; });
-      continue;
-    }
-    if (arg == "--adaptive-window") {
-      clic_flags.push_back([](ClicOptions& o) { o.adaptive_window = true; });
-      continue;
-    }
+    if (clic_flags.Parse(kProg, arg)) continue;
     const std::size_t eq = arg.find('=');
     if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
       Die("unrecognized argument '" + arg + "'");
@@ -186,37 +166,6 @@ CliOptions Parse(int argc, char** argv) {
       cli.requests = ParseU64(key, value);
     } else if (key == "--cache-dir") {
       cli.cache_dir = value;
-    } else if (key == "--window") {
-      const std::uint64_t w = ParseU64(key, value);
-      clic_flags.push_back([w](ClicOptions& o) { o.window = w; });
-    } else if (key == "--churn-threshold") {
-      const double t = ParseDouble(key, value);
-      clic_flags.push_back([t](ClicOptions& o) { o.churn_threshold = t; });
-    } else if (key == "--min-window") {
-      const std::uint64_t w = ParseU64(key, value);
-      clic_flags.push_back([w](ClicOptions& o) { o.min_window = w; });
-    } else if (key == "--max-window") {
-      const std::uint64_t w = ParseU64(key, value);
-      clic_flags.push_back([w](ClicOptions& o) { o.max_window = w; });
-    } else if (key == "--decay") {
-      const double r = ParseDouble(key, value);
-      clic_flags.push_back([r](ClicOptions& o) { o.decay = r; });
-    } else if (key == "--outqueue") {
-      const double n = ParseDouble(key, value);
-      clic_flags.push_back([n](ClicOptions& o) { o.outqueue_per_page = n; });
-    } else if (key == "--top-k") {
-      const auto k = static_cast<std::size_t>(ParseU64(key, value));
-      clic_flags.push_back([k](ClicOptions& o) { o.top_k = k; });
-    } else if (key == "--tracker") {
-      TrackerKind kind = TrackerKind::kExact;
-      if (value == "space_saving") {
-        kind = TrackerKind::kSpaceSaving;
-      } else if (value == "lossy_counting") {
-        kind = TrackerKind::kLossyCounting;
-      } else if (value != "exact") {
-        Die("unknown --tracker='" + value + "'");
-      }
-      clic_flags.push_back([kind](ClicOptions& o) { o.tracker = kind; });
     } else if (key == "--format") {
       if (value != "csv" && value != "json") {
         Die("unknown --format='" + value + "' (want csv or json)");
@@ -263,7 +212,7 @@ CliOptions Parse(int argc, char** argv) {
   }
   ValidateTraceNames(cli.spec.traces);
   for (ClicVariant& variant : cli.spec.variants) {
-    for (const auto& apply : clic_flags) apply(variant.options);
+    clic_flags.ApplyTo(variant.options);
     cli::RequireValidAdaptiveWindow(kProg, variant.options);
   }
   return cli;
@@ -287,17 +236,7 @@ int Main(int argc, char** argv) {
       },
       threads);
 
-  // Open the output before the sweep: a bad --output path must fail in
-  // milliseconds, not after minutes of simulation.
-  std::FILE* out = stdout;
-  if (!cli.output.empty()) {
-    out = std::fopen(cli.output.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "clic_sweep: cannot open '%s': %s\n",
-                   cli.output.c_str(), std::strerror(errno));
-      return 1;
-    }
-  }
+  cli::OutputFile out(kProg, cli.output);
 
   const std::size_t num_points = ExpandGrid(cli.spec).size();
   std::fprintf(stderr,
@@ -313,32 +252,19 @@ int Main(int argc, char** argv) {
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   if (cli.format == "csv") {
-    std::fprintf(out, "%s\n", CsvHeader().c_str());
+    std::fprintf(out.get(), "%s\n", RowOf(SweepRow{}).CsvHeader().c_str());
     for (const SweepRow& row : rows) {
-      std::fprintf(out, "%s\n", CsvRow(row).c_str());
+      std::fprintf(out.get(), "%s\n", RowOf(row).Csv().c_str());
     }
   } else {
-    std::fprintf(out, "[\n");
+    std::fprintf(out.get(), "[\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(out, "  %s%s\n", JsonRow(rows[i]).c_str(),
+      std::fprintf(out.get(), "  %s%s\n", RowOf(rows[i]).Json().c_str(),
                    i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(out, "]\n");
+    std::fprintf(out.get(), "]\n");
   }
-  // A failed write (e.g. ENOSPC) must not exit 0 with a truncated
-  // file; the flush on fclose can be the first call to see the error.
-  bool write_ok = std::ferror(out) == 0;
-  if (out != stdout) {
-    write_ok = std::fclose(out) == 0 && write_ok;
-  } else {
-    write_ok = std::fflush(out) == 0 && write_ok;
-  }
-  if (!write_ok) {
-    std::fprintf(stderr, "clic_sweep: error writing %s: %s\n",
-                 cli.output.empty() ? "stdout" : cli.output.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
+  if (!out.Close()) return 1;
 
   std::fprintf(stderr, "clic_sweep: done in %.2fs wall\n", elapsed.count());
   return 0;

@@ -70,10 +70,6 @@ void RunOnPool(unsigned threads, std::size_t n,
   if (error.first) std::rethrow_exception(error.first);
 }
 
-void AppendU64(std::string* out, std::uint64_t value) {
-  out->append(std::to_string(value));
-}
-
 }  // namespace
 
 void AppendDouble(std::string* out, double value) {
@@ -120,20 +116,92 @@ std::string JsonEscaped(const std::string& value) {
   return out;
 }
 
-std::string PerClientColumn(const SimResult& result) {
-  std::string out;
+std::string StatsJson(const CacheStats& stats) {
+  return "{\"reads\":" + std::to_string(stats.reads) +
+         ",\"read_hits\":" + std::to_string(stats.read_hits) +
+         ",\"writes\":" + std::to_string(stats.writes) +
+         ",\"write_hits\":" + std::to_string(stats.write_hits) + "}";
+}
+
+Row& Row::Add(const std::string& name, std::string csv, std::string json) {
+  fields_.push_back({name, std::move(csv), std::move(json)});
+  return *this;
+}
+
+Row& Row::Text(const std::string& name, const std::string& value) {
+  return Add(name, CsvField(value), '"' + JsonEscaped(value) + '"');
+}
+
+Row& Row::Count(const std::string& name, std::uint64_t value) {
+  return Add(name, std::to_string(value), std::to_string(value));
+}
+
+Row& Row::Real(const std::string& name, double value) {
+  std::string text;
+  AppendDouble(&text, value);
+  return Add(name, text, text);
+}
+
+Row& Row::Flag(const std::string& name, bool value) {
+  return Add(name, value ? "1" : "0", value ? "true" : "false");
+}
+
+Row& Row::Stats(const CacheStats& stats) {
+  return Count("reads", stats.reads)
+      .Count("writes", stats.writes)
+      .Count("read_hits", stats.read_hits)
+      .Count("write_hits", stats.write_hits)
+      .Real("read_hit_ratio", stats.ReadHitRatio())
+      .Real("write_hit_ratio", stats.WriteHitRatio());
+}
+
+Row& Row::PerClient(const SimResult& result) {
+  std::string csv;
+  std::string json = "{";
   for (const auto& [client, stats] : result.per_client) {
-    if (!out.empty()) out.push_back(';');
-    out.append(std::to_string(client));
-    out.push_back('=');
-    out.append(std::to_string(stats.reads));
-    out.push_back(':');
-    out.append(std::to_string(stats.read_hits));
-    out.push_back(':');
-    out.append(std::to_string(stats.writes));
-    out.push_back(':');
-    out.append(std::to_string(stats.write_hits));
+    if (!csv.empty()) {
+      csv.push_back(';');
+      json.push_back(',');
+    }
+    csv.append(std::to_string(client) + "=" + std::to_string(stats.reads) +
+               ":" + std::to_string(stats.read_hits) + ":" +
+               std::to_string(stats.writes) + ":" +
+               std::to_string(stats.write_hits));
+    json.append("\"" + std::to_string(client) + "\":" + StatsJson(stats));
   }
+  json.push_back('}');
+  return Add("per_client", CsvField(csv), std::move(json));
+}
+
+Row& Row::JsonOnly(const std::string& name, std::string json) {
+  Add(name, "", std::move(json));
+  fields_.back().in_csv = false;
+  return *this;
+}
+
+std::string Row::CsvJoin(std::string Field::*part) const {
+  std::string out;
+  bool first = true;
+  for (const Field& f : fields_) {
+    if (!f.in_csv) continue;
+    if (!first) out.push_back(',');
+    first = false;
+    out.append(f.*part);
+  }
+  return out;
+}
+
+std::string Row::CsvHeader() const { return CsvJoin(&Field::name); }
+
+std::string Row::Csv() const { return CsvJoin(&Field::csv); }
+
+std::string Row::Json() const {
+  std::string out = "{";
+  for (const Field& f : fields_) {
+    if (out.size() > 1) out.push_back(',');
+    out.append("\"" + JsonEscaped(f.name) + "\":" + f.json);
+  }
+  out.push_back('}');
   return out;
 }
 
@@ -387,86 +455,17 @@ std::vector<SweepRow> SweepRunner::Run(const SweepSpec& spec) const {
   return rows;
 }
 
-std::string CsvHeader() {
-  return "trace,policy,variant,cache_pages,requests,reads,writes,read_hits,"
-         "write_hits,read_hit_ratio,write_hit_ratio,wall_seconds,per_client";
-}
-
-std::string CsvRow(const SweepRow& row) {
+Row RowOf(const SweepRow& row) {
   const CacheStats& t = row.result.total;
-  std::string out;
-  out.append(CsvField(row.point.trace));
-  out.push_back(',');
-  out.append(CsvField(PolicyName(row.point.policy)));
-  out.push_back(',');
-  out.append(CsvField(row.point.variant));
-  out.push_back(',');
-  out.append(std::to_string(row.point.cache_pages));
-  out.push_back(',');
-  AppendU64(&out, t.reads + t.writes);
-  out.push_back(',');
-  AppendU64(&out, t.reads);
-  out.push_back(',');
-  AppendU64(&out, t.writes);
-  out.push_back(',');
-  AppendU64(&out, t.read_hits);
-  out.push_back(',');
-  AppendU64(&out, t.write_hits);
-  out.push_back(',');
-  AppendDouble(&out, t.ReadHitRatio());
-  out.push_back(',');
-  AppendDouble(&out, t.WriteHitRatio());
-  out.push_back(',');
-  AppendDouble(&out, row.wall_seconds);
-  out.push_back(',');
-  out.append(PerClientColumn(row.result));
-  return out;
-}
-
-std::string JsonRow(const SweepRow& row) {
-  const CacheStats& t = row.result.total;
-  std::string out = "{\"trace\":\"";
-  out.append(JsonEscaped(row.point.trace));
-  out.append("\",\"policy\":\"");
-  out.append(JsonEscaped(PolicyName(row.point.policy)));
-  out.append("\",\"variant\":\"");
-  out.append(JsonEscaped(row.point.variant));
-  out.append("\",\"cache_pages\":");
-  out.append(std::to_string(row.point.cache_pages));
-  out.append(",\"requests\":");
-  AppendU64(&out, t.reads + t.writes);
-  out.append(",\"reads\":");
-  AppendU64(&out, t.reads);
-  out.append(",\"writes\":");
-  AppendU64(&out, t.writes);
-  out.append(",\"read_hits\":");
-  AppendU64(&out, t.read_hits);
-  out.append(",\"write_hits\":");
-  AppendU64(&out, t.write_hits);
-  out.append(",\"read_hit_ratio\":");
-  AppendDouble(&out, t.ReadHitRatio());
-  out.append(",\"write_hit_ratio\":");
-  AppendDouble(&out, t.WriteHitRatio());
-  out.append(",\"wall_seconds\":");
-  AppendDouble(&out, row.wall_seconds);
-  out.append(",\"per_client\":{");
-  bool first = true;
-  for (const auto& [client, stats] : row.result.per_client) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out.append(std::to_string(client));
-    out.append("\":{\"reads\":");
-    AppendU64(&out, stats.reads);
-    out.append(",\"read_hits\":");
-    AppendU64(&out, stats.read_hits);
-    out.append(",\"writes\":");
-    AppendU64(&out, stats.writes);
-    out.append(",\"write_hits\":");
-    AppendU64(&out, stats.write_hits);
-    out.append("}");
-  }
-  out.append("}}");
+  Row out;
+  out.Text("trace", row.point.trace)
+      .Text("policy", PolicyName(row.point.policy))
+      .Text("variant", row.point.variant)
+      .Count("cache_pages", row.point.cache_pages)
+      .Count("requests", t.reads + t.writes)
+      .Stats(t)
+      .Real("wall_seconds", row.wall_seconds)
+      .PerClient(row.result);
   return out;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -105,26 +106,57 @@ void AppendDouble(std::string* out, double value);
 /// RFC-4180 field quoting: returns `value` unchanged when it contains
 /// no comma, double quote, CR or LF; otherwise wraps it in double
 /// quotes with embedded quotes doubled. Every CSV emitter in the repo
-/// (sweep rows, clic_serve stats) must pass free-form strings — trace
-/// and policy names — through this so a hostile name can never corrupt
-/// a row.
+/// must pass free-form strings — trace and policy names — through this
+/// (Row does) so a hostile name can never corrupt a row.
 std::string CsvField(const std::string& value);
 
 /// Minimal JSON string escaping: backslash, double quote, and control
-/// characters (as \uXXXX). Same contract as CsvField, for the JSON
-/// emitters.
+/// characters (as \uXXXX). Same contract as CsvField, for JSON.
 std::string JsonEscaped(const std::string& value);
 
-/// Flattens per-client stats into one CSV-safe column:
-/// `client=reads:read_hits:writes:write_hits;...` in client-id order.
-std::string PerClientColumn(const SimResult& result);
+/// `{"reads":..,"read_hits":..,"writes":..,"write_hits":..}`.
+std::string StatsJson(const CacheStats& stats);
 
-/// CSV / JSON row emission. Hit ratios are printed with %.17g so equal
-/// doubles produce byte-identical text (the N=1 vs N=8 comparison in CI
-/// diffs these rows).
-std::string CsvHeader();
-std::string CsvRow(const SweepRow& row);
-/// One self-contained JSON object per row (per_client is a nested map).
-std::string JsonRow(const SweepRow& row);
+/// The one row writer: named fields in column order, printed as a CSV
+/// header, a CSV row, or one JSON object whose keys follow the same
+/// order. clic_sweep's rows and clic_serve's summary are each one field
+/// list, so a column is added in one place.
+class Row {
+ public:
+  Row& Text(const std::string& name, const std::string& value);
+  Row& Count(const std::string& name, std::uint64_t value);
+  Row& Real(const std::string& name, double value);  // %.17g
+  Row& Flag(const std::string& name, bool value);    // 1/0, true/false
+  /// reads, writes, read_hits, write_hits, read_hit_ratio and
+  /// write_hit_ratio of `stats`.
+  Row& Stats(const CacheStats& stats);
+  /// per_client: `client=reads:read_hits:writes:write_hits;...` in
+  /// client-id order in CSV, an object of StatsJson keyed by client id
+  /// in JSON.
+  Row& PerClient(const SimResult& result);
+  /// A field only the JSON object carries; `json` is its value.
+  Row& JsonOnly(const std::string& name, std::string json);
+
+  std::string CsvHeader() const;
+  std::string Csv() const;
+  std::string Json() const;
+
+ private:
+  struct Field {
+    std::string name;
+    std::string csv;   // empty and skipped for a JSON-only field
+    std::string json;
+    bool in_csv = true;
+  };
+  Row& Add(const std::string& name, std::string csv, std::string json);
+  /// `part` of every CSV field, comma-separated.
+  std::string CsvJoin(std::string Field::*part) const;
+
+  std::vector<Field> fields_;
+};
+
+/// The fields of one sweep row: trace, policy, variant, cache_pages,
+/// requests, the hit counts and ratios, wall_seconds, per_client.
+Row RowOf(const SweepRow& row);
 
 }  // namespace clic::sweep

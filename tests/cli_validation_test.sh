@@ -87,6 +87,12 @@ expect_reject "clic_sweep unknown flag" "--bogus" "help" -- \
   "$SWEEP" --bogus=1
 expect_reject "clic_sweep bad thread count" "abc" "positive integer" -- \
   "$SWEEP" --figure=6 --threads=abc
+# Both tools parse the CLIC flags with one parser, so both list the
+# valid trackers.
+expect_reject "clic_sweep unknown tracker" "foo" "exact, space_saving, lossy_counting" -- \
+  "$SWEEP" --figure=6 --tracker=foo
+expect_reject "clic_serve unknown tracker" "foo" "exact, space_saving, lossy_counting" -- \
+  "$SERVE" --trace=DB2_C60 --tracker=foo
 
 expect_reject "clic_serve unknown trace" "NOPE" "DB2_C60" -- \
   "$SERVE" --trace=NOPE

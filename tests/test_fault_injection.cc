@@ -19,45 +19,13 @@
 #include "core/trace.h"
 #include "server/cache_server.h"
 #include "sim/simulator.h"
+#include "tests/synthetic_trace.h"
 
 namespace clic::server {
 namespace {
 
 using fault::FaultPlan;
 using fault::ParseFaultPlan;
-
-Trace MakeSynthetic(const std::string& name, std::uint32_t salt,
-                    std::size_t n, std::size_t num_clients = 2) {
-  Trace trace;
-  trace.name = name;
-  std::vector<HintSetId> hints;
-  for (std::uint32_t c = 0; c < num_clients; ++c) {
-    hints.push_back(trace.hints->Intern(
-        HintVector{static_cast<ClientId>(c), {c + 1, 100 + salt + c}}));
-  }
-  trace.requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Request r;
-    r.page = static_cast<PageId>(
-        i % 3 == 0 ? (i * 7919 + salt) % 61 : (i * 104729 + salt) % 509);
-    r.client = static_cast<ClientId>(i % num_clients);
-    r.hint_set = hints[r.client];
-    if (i % 5 == 0) {
-      r.op = OpType::kWrite;
-      r.write_kind =
-          i % 10 == 0 ? WriteKind::kRecovery : WriteKind::kReplacement;
-    }
-    trace.requests.push_back(r);
-  }
-  return trace;
-}
-
-void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.read_hits, b.read_hits);
-  EXPECT_EQ(a.write_hits, b.write_hits);
-}
 
 // ---- plan grammar ----------------------------------------------------------
 
@@ -87,15 +55,6 @@ TEST(FaultPlanParseTest, ParsesEveryClauseKind) {
   EXPECT_TRUE(plan.HasStalls());
   EXPECT_TRUE(plan.HasPauses());
   EXPECT_TRUE(plan.HasCorruption());
-  EXPECT_TRUE(plan.AltersServedRequests());
-}
-
-TEST(FaultPlanParseTest, StallsAlonePreserveServedRequests) {
-  FaultPlan plan;
-  std::string error;
-  ASSERT_TRUE(ParseFaultPlan("stall:shard=0,after=0,drains=2,ms=1", &plan,
-                             &error));
-  EXPECT_FALSE(plan.AltersServedRequests());
 }
 
 TEST(FaultPlanParseTest, RejectsMalformedSpecsNamingTheClause) {
@@ -158,8 +117,8 @@ TEST(FaultInjectionTest, StallsAndPausesPreserveDecisions) {
   const ServeResult first = ServeTrace(trace, options, load);
   const ServeResult second = ServeTrace(trace, options, load);
   const SimResult expected = PartitionedSimulate(trace, options);
-  ExpectSameStats(first.total, expected.total);
-  ExpectSameStats(second.total, expected.total);
+  EXPECT_EQ(ResultMismatch(first, expected), "");
+  EXPECT_EQ(ResultMismatch(second, expected), "");
   EXPECT_EQ(first.requests, trace.size());
   EXPECT_TRUE(first.admission.Balanced()) << first.admission.Describe();
   EXPECT_EQ(first.admission.shed_requests, 0u);
@@ -187,8 +146,8 @@ TEST(FaultInjectionTest, ShedEveryIsExactAndBitIdentical) {
 
   const ServeResult served = ServeTrace(trace, options, load);
   const Trace filtered = FilterShedBatches(trace, load, &plan, 0);
-  const SimResult expected = PartitionedSimulate(filtered, options);
-  ExpectSameStats(served.total, expected.total);
+  EXPECT_EQ(ResultMismatch(served, PartitionedSimulate(filtered, options)),
+            "");
 
   // Exact shed accounting: each client submits ceil(2000/64) = 32
   // batches, every 4th is shed -> 8 per client.
@@ -226,7 +185,7 @@ TEST(FaultInjectionTest, CorruptionReplaysBitIdentically) {
 
   const ServeResult first = ServeTrace(trace, options, load);
   const ServeResult second = ServeTrace(trace, options, load);
-  ExpectSameStats(first.total, second.total);
+  EXPECT_EQ(ResultMismatch(first, second), "");
   EXPECT_EQ(first.quarantined, second.quarantined);
   // Flipping high bits of tiny hint ids almost always lands out of
   // range, so the guard must have fired.
@@ -431,13 +390,14 @@ TEST(FaultInjectionTest, StalledShardLedgerExactUnderPipelinedLoad) {
   for (std::thread& t : drivers) t.join();
   server.Shutdown();
 
-  const AdmissionStats total = server.TotalAdmission();
+  const ServeResult result = server.Snapshot();
+  const AdmissionStats& total = result.admission;
   std::uint64_t submitted = 0;
   for (std::uint64_t n : driver_batches) submitted += n;
   EXPECT_EQ(total.submitted_batches, submitted);
   EXPECT_TRUE(total.Balanced()) << total.Describe();
   EXPECT_GT(total.applied_requests, 0u);
-  const std::vector<AdmissionStats> per_client = server.PerClientAdmission();
+  const std::vector<AdmissionStats>& per_client = result.per_client_admission;
   ASSERT_EQ(per_client.size(), kShards);
   for (std::size_t c = 0; c < kShards; ++c) {
     SCOPED_TRACE("client " + std::to_string(c));

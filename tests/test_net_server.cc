@@ -30,35 +30,10 @@
 #include "server/cache_server.h"
 #include "server/net/wire_client.h"
 #include "sim/simulator.h"
+#include "tests/synthetic_trace.h"
 
 namespace clic::server::net {
 namespace {
-
-Trace MakeSynthetic(const std::string& name, std::uint32_t salt,
-                    std::size_t n, std::size_t num_clients = 2) {
-  Trace trace;
-  trace.name = name;
-  std::vector<HintSetId> hints;
-  for (std::uint32_t c = 0; c < num_clients; ++c) {
-    hints.push_back(trace.hints->Intern(
-        HintVector{static_cast<ClientId>(c), {c + 1, 100 + salt + c}}));
-  }
-  trace.requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Request r;
-    r.page = static_cast<PageId>(
-        i % 3 == 0 ? (i * 7919 + salt) % 61 : (i * 104729 + salt) % 509);
-    r.client = static_cast<ClientId>(i % num_clients);
-    r.hint_set = hints[r.client];
-    if (i % 5 == 0) {
-      r.op = OpType::kWrite;
-      r.write_kind =
-          i % 10 == 0 ? WriteKind::kRecovery : WriteKind::kReplacement;
-    }
-    trace.requests.push_back(r);
-  }
-  return trace;
-}
 
 NetServerOptions SmallServer() {
   NetServerOptions opts;
@@ -339,21 +314,9 @@ TEST(NetServerTest, DeterministicWireMatchesPartitionedSimulate) {
   // several per chunk and answers them with one write.
   EXPECT_LT(server.Stats().reply_writes, server.Stats().frames);
 
-  const SimResult expected = PartitionedSimulate(trace, sopts);
-  const CacheStats served = server.cache().TotalStats();
-  EXPECT_EQ(served.reads, expected.total.reads);
-  EXPECT_EQ(served.writes, expected.total.writes);
-  EXPECT_EQ(served.read_hits, expected.total.read_hits);
-  EXPECT_EQ(served.write_hits, expected.total.write_hits);
-  const auto per_client = server.cache().PerClientStats();
-  ASSERT_EQ(per_client.size(), expected.per_client.size());
-  for (const auto& [client, stats] : expected.per_client) {
-    const auto it = per_client.find(client);
-    ASSERT_NE(it, per_client.end()) << "client " << client;
-    EXPECT_EQ(it->second.read_hits, stats.read_hits) << "client " << client;
-    EXPECT_EQ(it->second.write_hits, stats.write_hits)
-        << "client " << client;
-  }
+  EXPECT_EQ(ResultMismatch(server.cache().Snapshot(),
+                           PartitionedSimulate(trace, sopts)),
+            "");
 }
 
 TEST(NetServerTest, DeterministicModeRejectsMultipleIoThreads) {
@@ -398,10 +361,9 @@ TEST(NetServerTest, NetFaultsPreserveDecisionsAndCount) {
   EXPECT_GT(net.torn_writes, 0u);
   EXPECT_GT(net.partial_reads, 0u);
   EXPECT_GT(net.accept_stalls, 0u);
-  const SimResult expected = PartitionedSimulate(trace, sopts);
-  const CacheStats served = server.cache().TotalStats();
-  EXPECT_EQ(served.read_hits, expected.total.read_hits);
-  EXPECT_EQ(served.write_hits, expected.total.write_hits);
+  EXPECT_EQ(ResultMismatch(server.cache().Snapshot(),
+                           PartitionedSimulate(trace, sopts)),
+            "");
 }
 
 // Pipelining: more frames than the pipeline holds, all in one write and
@@ -494,12 +456,9 @@ TEST(NetServerPipelineTest, DeterministicBurstsMatchPartitionedSimulate) {
     ::close(fd);
     server.Drain();
 
-    const SimResult expected = PartitionedSimulate(trace, sopts);
-    const CacheStats served = server.cache().TotalStats();
-    EXPECT_EQ(served.reads, expected.total.reads);
-    EXPECT_EQ(served.writes, expected.total.writes);
-    EXPECT_EQ(served.read_hits, expected.total.read_hits);
-    EXPECT_EQ(served.write_hits, expected.total.write_hits);
+    EXPECT_EQ(ResultMismatch(server.cache().Snapshot(),
+                             PartitionedSimulate(trace, sopts)),
+              "");
     if (plan.net_torn_write_every > 0) {
       EXPECT_GT(server.Stats().torn_writes, 0u);
       EXPECT_GT(server.Stats().partial_reads, 0u);

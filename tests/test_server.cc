@@ -14,45 +14,10 @@
 #include "core/trace.h"
 #include "sim/policy_factory.h"
 #include "sim/simulator.h"
+#include "tests/synthetic_trace.h"
 
 namespace clic::server {
 namespace {
-
-// Deterministic in-memory workload: several clients, a skewed page
-// pattern with ~20% writes — the same shape test_sweep uses, kept
-// local so the server tests need no disk or generation.
-Trace MakeSynthetic(const std::string& name, std::uint32_t salt,
-                    std::size_t n, std::size_t num_clients = 2) {
-  Trace trace;
-  trace.name = name;
-  std::vector<HintSetId> hints;
-  for (std::uint32_t c = 0; c < num_clients; ++c) {
-    hints.push_back(trace.hints->Intern(
-        HintVector{static_cast<ClientId>(c), {c + 1, 100 + salt + c}}));
-  }
-  trace.requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Request r;
-    r.page = static_cast<PageId>(
-        i % 3 == 0 ? (i * 7919 + salt) % 61 : (i * 104729 + salt) % 509);
-    r.client = static_cast<ClientId>(i % num_clients);
-    r.hint_set = hints[r.client];
-    if (i % 5 == 0) {
-      r.op = OpType::kWrite;
-      r.write_kind =
-          i % 10 == 0 ? WriteKind::kRecovery : WriteKind::kReplacement;
-    }
-    trace.requests.push_back(r);
-  }
-  return trace;
-}
-
-void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.read_hits, b.read_hits);
-  EXPECT_EQ(a.write_hits, b.write_hits);
-}
 
 TEST(ShardOfTest, StableAndInRange) {
   for (std::size_t shards : {1u, 2u, 4u, 7u}) {
@@ -126,14 +91,8 @@ TEST(CacheServerTest, DeterministicModeMatchesPartitionedSimulate) {
         load.clients = clients;
         load.batch_size = 17;  // odd size: batch boundaries land anywhere
         const ServeResult served = ServeTrace(trace, options, load);
-        const SimResult expected = PartitionedSimulate(trace, options);
-        ExpectSameStats(served.total, expected.total);
-        ASSERT_EQ(served.per_client.size(), expected.per_client.size());
-        for (const auto& [client, stats] : expected.per_client) {
-          const auto it = served.per_client.find(client);
-          ASSERT_NE(it, served.per_client.end()) << "client " << client;
-          ExpectSameStats(it->second, stats);
-        }
+        EXPECT_EQ(ResultMismatch(served, PartitionedSimulate(trace, options)),
+                  "");
         EXPECT_EQ(served.requests, trace.size());
         EXPECT_TRUE(served.admission.Balanced()) << served.admission.Describe();
       }
@@ -154,7 +113,7 @@ TEST(CacheServerTest, DeterministicRunsAreRepeatable) {
   load.batch_size = 64;
   const ServeResult a = ServeTrace(trace, options, load);
   const ServeResult b = ServeTrace(trace, options, load);
-  ExpectSameStats(a.total, b.total);
+  EXPECT_EQ(ResultMismatch(a, b), "");
 }
 
 // Concurrent mode can interleave shard streams any way the scheduler
@@ -190,8 +149,8 @@ TEST(CacheServerTest, ConcurrentModeAppliesEveryRequestExactlyOnce) {
   // Hits can differ from the sequential order but never exceed accesses.
   EXPECT_LE(served.total.read_hits, served.total.reads);
   EXPECT_LE(served.total.write_hits, served.total.writes);
-  EXPECT_GE(served.throughput_rps, 0.0);
-  EXPECT_LE(served.p50_us, served.p99_us);
+  EXPECT_GE(served.timing.throughput_rps, 0.0);
+  EXPECT_LE(served.timing.p50_us, served.timing.p99_us);
 }
 
 TEST(CacheServerTest, MoreClientsThanRequestsAndOversizedBatches) {
@@ -205,8 +164,7 @@ TEST(CacheServerTest, MoreClientsThanRequestsAndOversizedBatches) {
   load.batch_size = 1000;
   const ServeResult served = ServeTrace(trace, options, load);
   EXPECT_EQ(served.requests, trace.size());
-  const SimResult expected = PartitionedSimulate(trace, options);
-  ExpectSameStats(served.total, expected.total);
+  EXPECT_EQ(ResultMismatch(served, PartitionedSimulate(trace, options)), "");
 }
 
 // PartitionedSimulate is the shared ground truth for --verify and the

@@ -67,6 +67,31 @@ TEST(SimulatorTest, DenseAndSparsePathsAgree) {
   }
 }
 
+// ResultMismatch is the failure path of clic_serve --verify: it must
+// name each kind of divergence, not just report that one exists.
+TEST(SimulatorTest, ResultMismatchNamesEveryDivergence) {
+  SimResult want;
+  want.total = {/*reads=*/10, /*writes=*/4, /*read_hits=*/6, /*write_hits=*/2};
+  want.per_client[0] = {5, 2, 3, 1};
+  want.per_client[1] = {5, 2, 3, 1};
+  EXPECT_EQ(ResultMismatch(want, want), "");
+
+  SimResult got = want;
+  got.total.read_hits = 7;           // a diverging total
+  got.per_client[0].write_hits = 0;  // a diverging client
+  got.per_client.erase(1);           // a missing client
+  got.per_client[9] = {1, 0, 0, 0};  // an unexpected client
+  EXPECT_EQ(ResultMismatch(got, want),
+            "total: got reads=10 writes=4 read_hits=7 write_hits=2, want "
+            "reads=10 writes=4 read_hits=6 write_hits=2\n"
+            "client 0: got reads=5 writes=2 read_hits=3 write_hits=0, want "
+            "reads=5 writes=2 read_hits=3 write_hits=1\n"
+            "client 1 missing: want reads=5 writes=2 read_hits=3 "
+            "write_hits=1\n"
+            "unexpected client 9: got reads=1 writes=0 read_hits=0 "
+            "write_hits=0\n");
+}
+
 TEST(SimulatorTest, EmptyTraceYieldsZeroStats) {
   Trace trace;
   LruPolicy lru(4);

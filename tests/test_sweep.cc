@@ -9,36 +9,11 @@
 
 #include "core/trace.h"
 #include "sim/simulator.h"
+#include "tests/synthetic_trace.h"
 #include "workload/token.h"
 
 namespace clic::sweep {
 namespace {
-
-// Deterministic in-memory workload: two clients, two hint sets, a
-// skewed page pattern with ~20% writes. No disk, no generation cost.
-Trace MakeSynthetic(const std::string& name, std::uint32_t salt,
-                    std::size_t n) {
-  Trace trace;
-  trace.name = name;
-  const HintSetId h0 = trace.hints->Intern(HintVector{0, {1, 100 + salt}});
-  const HintSetId h1 = trace.hints->Intern(HintVector{1, {2, 200 + salt}});
-  trace.requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Request r;
-    // Mix of a hot set (mod 61) and a cold sweep (mod 509).
-    r.page = static_cast<PageId>(
-        i % 3 == 0 ? (i * 7919 + salt) % 61 : (i * 104729 + salt) % 509);
-    r.client = static_cast<ClientId>(i % 2);
-    r.hint_set = r.client == 0 ? h0 : h1;
-    if (i % 5 == 0) {
-      r.op = OpType::kWrite;
-      r.write_kind = i % 10 == 0 ? WriteKind::kRecovery
-                                 : WriteKind::kReplacement;
-    }
-    trace.requests.push_back(r);
-  }
-  return trace;
-}
 
 class FixtureProvider {
  public:
@@ -77,23 +52,6 @@ SweepSpec TestSpec() {
   top1.top_k = 1;
   spec.variants = {{"exact", exact}, {"top1", top1}};
   return spec;
-}
-
-void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.read_hits, b.read_hits);
-  EXPECT_EQ(a.write_hits, b.write_hits);
-}
-
-void ExpectSameResult(const SimResult& a, const SimResult& b) {
-  ExpectSameStats(a.total, b.total);
-  ASSERT_EQ(a.per_client.size(), b.per_client.size());
-  for (const auto& [client, stats] : a.per_client) {
-    auto it = b.per_client.find(client);
-    ASSERT_NE(it, b.per_client.end());
-    ExpectSameStats(stats, it->second);
-  }
 }
 
 TEST(ExpandGridTest, FixedNestingOrderAndDenseIndices) {
@@ -236,7 +194,7 @@ TEST(SweepRunnerTest, MatchesSequentialSimulateOnEveryPoint) {
     const auto policy = MakePolicy(points[i].policy, points[i].cache_pages,
                                    &trace, points[i].clic);
     const SimResult expected = Simulate(trace, *policy);
-    ExpectSameResult(rows[i].result, expected);
+    EXPECT_EQ(ResultMismatch(rows[i].result, expected), "");
     EXPECT_GE(rows[i].wall_seconds, 0.0);
   }
 }
@@ -257,7 +215,7 @@ TEST(SweepRunnerTest, RowOrderAndValuesStableAcrossThreadCounts) {
       EXPECT_EQ(rows[i].point.policy, baseline[i].point.policy);
       EXPECT_EQ(rows[i].point.variant, baseline[i].point.variant);
       EXPECT_EQ(rows[i].point.cache_pages, baseline[i].point.cache_pages);
-      ExpectSameResult(rows[i].result, baseline[i].result);
+      EXPECT_EQ(ResultMismatch(rows[i].result, baseline[i].result), "");
     }
   }
 }
@@ -291,8 +249,8 @@ TEST(SweepFormatTest, CsvRowMatchesHeaderShape) {
   row.result.per_client[1] = {40, 10, 0, 2};
   row.wall_seconds = 0.125;
 
-  const std::string header = CsvHeader();
-  const std::string line = CsvRow(row);
+  const std::string header = RowOf(row).CsvHeader();
+  const std::string line = RowOf(row).Csv();
   auto count_commas = [](const std::string& s) {
     std::size_t n = 0;
     for (char c : s) n += c == ',';
@@ -302,6 +260,27 @@ TEST(SweepFormatTest, CsvRowMatchesHeaderShape) {
   EXPECT_EQ(line.rfind("synthA,CLIC,k=4,96,140,100,40,40,10,", 0), 0u)
       << line;
   EXPECT_NE(line.find("0=60:0:30:8;1=40:0:10:2"), std::string::npos) << line;
+}
+
+// One field list prints all three forms: the JSON keys follow the CSV
+// columns, and a JSON-only field stays out of the CSV.
+TEST(SweepFormatTest, RowPrintsOneFieldListThreeWays) {
+  SimResult result;
+  result.per_client[2] = {/*reads=*/3, /*writes=*/1, /*read_hits=*/2,
+                          /*write_hits=*/0};
+  Row row;
+  row.Text("name", "a,b")
+      .Count("n", 7)
+      .Real("ratio", 0.5)
+      .Flag("on", true)
+      .JsonOnly("extra", "[1,2]")
+      .PerClient(result);
+  EXPECT_EQ(row.CsvHeader(), "name,n,ratio,on,per_client");
+  EXPECT_EQ(row.Csv(), "\"a,b\",7,0.5,1,2=3:2:1:0");
+  EXPECT_EQ(row.Json(),
+            "{\"name\":\"a,b\",\"n\":7,\"ratio\":0.5,\"on\":true,"
+            "\"extra\":[1,2],\"per_client\":{\"2\":{\"reads\":3,"
+            "\"read_hits\":2,\"writes\":1,\"write_hits\":0}}}");
 }
 
 TEST(SweepFormatTest, CsvFieldAppliesRfc4180Quoting) {
@@ -320,7 +299,7 @@ TEST(SweepFormatTest, CsvRowSurvivesHostileTraceName) {
   row.point.policy = PolicyKind::kLru;
   row.point.cache_pages = 8;
   row.result.total = {4, 0, 2, 0};
-  const std::string line = CsvRow(row);
+  const std::string line = RowOf(row).Csv();
   EXPECT_EQ(line.rfind("\"evil,\"\"trace\"\"\",LRU,,8,4,4,0,2,0,", 0), 0u)
       << line;
   // Commas outside quoted fields must match the header's column count.
@@ -338,14 +317,14 @@ TEST(SweepFormatTest, CsvRowSurvivesHostileTraceName) {
     for (char c : s) n += c == ',';
     return n;
   };
-  EXPECT_EQ(unquoted_commas(line), plain_commas(CsvHeader()));
+  EXPECT_EQ(unquoted_commas(line), plain_commas(RowOf(row).CsvHeader()));
 }
 
 TEST(SweepFormatTest, JsonEscapesHostileTraceName) {
   SweepRow row;
   row.point.trace = "quo\"te\\back";
   row.point.policy = PolicyKind::kLru;
-  const std::string json = JsonRow(row);
+  const std::string json = RowOf(row).Json();
   EXPECT_NE(json.find("\"trace\":\"quo\\\"te\\\\back\""), std::string::npos)
       << json;
 }
@@ -358,7 +337,7 @@ TEST(SweepFormatTest, JsonRowCarriesAllFields) {
   row.point.cache_pages = 32;
   row.result.total = {10, 5, 4, 1};
   row.result.per_client[3] = {10, 4, 5, 1};
-  const std::string json = JsonRow(row);
+  const std::string json = RowOf(row).Json();
   for (const char* key :
        {"\"trace\":\"synthB\"", "\"policy\":\"CLIC\"",
         "\"variant\":\"W=20000/r=0.2\"", "\"cache_pages\":32",

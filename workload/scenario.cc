@@ -249,22 +249,6 @@ constexpr char kValidKeys[] =
 
 }  // namespace
 
-const char* ScenarioKindName(ScenarioKind kind) {
-  switch (kind) {
-    case ScenarioKind::kZipf:
-      return "zipf";
-    case ScenarioKind::kScan:
-      return "scan";
-    case ScenarioKind::kScanMix:
-      return "scan-mix";
-    case ScenarioKind::kPhase:
-      return "phase";
-    case ScenarioKind::kTenants:
-      return "tenants";
-  }
-  return "?";
-}
-
 const std::vector<ScenarioPreset>& ScenarioPresets() {
   static const std::vector<ScenarioPreset> presets = {
       {"zipf-hot", "zipf:pages=120000,theta=0.9,buffer=2000,n=600000",

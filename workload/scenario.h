@@ -39,8 +39,6 @@ enum class ScenarioKind : std::uint8_t {
   kTenants,  // multi-tenant skew mix with weighted arrival interleave
 };
 
-const char* ScenarioKindName(ScenarioKind kind);
-
 /// A parsed scenario description. Defaults below are what an omitted
 /// key means; `text` preserves the token the spec was resolved from
 /// (preset name or the inline spec string) and becomes the Trace name.
