@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/text_parse.h"
 #include "sim/policy_factory.h"
 #include "workload/scenario.h"
 #include "workload/token.h"
@@ -73,47 +73,33 @@ inline std::string KnownPolicyNames() {
 inline std::vector<std::string> SplitCsvFlag(const char* prog,
                                              const std::string& flag,
                                              const std::string& value) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = value.find(',', start);
-    const std::size_t end = comma == std::string::npos ? value.size() : comma;
-    if (end == start) {
+  std::vector<std::string> parts = parse::Split(value, ',');
+  for (const std::string& part : parts) {
+    if (part.empty()) {
       Die(prog, flag + "='" + value + "' contains an empty token");
     }
-    parts.push_back(value.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
   }
   return parts;
 }
 
+/// The numeric flags follow common/text_parse.h's number rules: digits
+/// only for integers, no sign or leading space for either.
 inline std::uint64_t ParseU64(const char* prog, const std::string& flag,
                               const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  // strtoull silently wraps a negative input ("-3" parses as 2^64 - 3),
-  // so a sign character must be rejected up front, not trusted to the
-  // library.
-  if (value.empty() || value[0] == '-' || value[0] == '+' || errno != 0 ||
-      end == value.c_str() || *end != '\0' || parsed == 0) {
+  std::uint64_t parsed = 0;
+  if (!parse::Unsigned(value, &parsed) || parsed == 0) {
     Die(prog, flag + "='" + value + "' is not a positive integer");
   }
   return parsed;
 }
 
 /// ParseU64 for flags where zero is a meaningful value (e.g. --port=0
-/// binds an ephemeral port); still rejects signs, wrap-around and
-/// trailing garbage.
+/// binds an ephemeral port).
 inline std::uint64_t ParseU64AllowZero(const char* prog,
                                        const std::string& flag,
                                        const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || value[0] == '-' || value[0] == '+' || errno != 0 ||
-      end == value.c_str() || *end != '\0') {
+  std::uint64_t parsed = 0;
+  if (!parse::Unsigned(value, &parsed)) {
     Die(prog, flag + "='" + value + "' is not a non-negative integer");
   }
   return parsed;
@@ -121,11 +107,8 @@ inline std::uint64_t ParseU64AllowZero(const char* prog,
 
 inline double ParseDouble(const char* prog, const std::string& flag,
                           const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end == value.c_str() || *end != '\0' ||
-      !std::isfinite(parsed) || parsed < 0.0) {
+  double parsed = 0.0;
+  if (!parse::Real(value, &parsed)) {
     Die(prog, flag + "='" + value + "' is not a finite non-negative number");
   }
   return parsed;

@@ -35,20 +35,9 @@ std::vector<Trace> PartitionByShard(const Trace& trace, std::size_t shards) {
   return parts;
 }
 
-SimResult PartitionedSimulate(const Trace& trace, const ServerOptions& options,
-                              std::uint64_t request_budget) {
-  Trace capped;
-  capped.name = trace.name;
-  // Read-only below (PartitionByShard deep-copies per part), so the
-  // alias never shares mutable interning state with a writer.
-  capped.hints = trace.hints;
-  capped.client_bound = trace.client_bound;  // valid upper bound
-  const std::uint64_t n =
-      request_budget > 0 ? std::min<std::uint64_t>(trace.size(), request_budget)
-                         : trace.size();
-  capped.requests.assign(trace.requests.begin(),
-                         trace.requests.begin() + static_cast<long>(n));
-  const std::vector<Trace> parts = PartitionByShard(capped, options.shards);
+SimResult PartitionedSimulate(const Trace& trace,
+                              const ServerOptions& options) {
+  const std::vector<Trace> parts = PartitionByShard(trace, options.shards);
   const std::size_t pages =
       ShardCachePages(options.cache_pages, options.shards);
   SimResult merged;
@@ -65,23 +54,19 @@ SimResult PartitionedSimulate(const Trace& trace, const ServerOptions& options,
 }
 
 Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
-                        const fault::FaultPlan* plan,
-                        std::uint64_t request_budget) {
+                        const fault::FaultPlan* plan) {
   Trace out;
   out.name = trace.name;
-  out.hints = trace.hints;  // read-only alias, like PartitionedSimulate
+  out.hints = trace.hints;  // read-only alias; PartitionByShard deep-copies
   out.client_bound = trace.client_bound;
-  const std::uint64_t n =
-      request_budget > 0 ? std::min<std::uint64_t>(trace.size(), request_budget)
-                         : trace.size();
   const std::uint64_t every = plan != nullptr ? plan->shed_every : 0;
-  out.requests.reserve(static_cast<std::size_t>(n));
+  out.requests.reserve(trace.size());
   const std::uint64_t clients = std::max<std::size_t>(1, load.clients);
   const std::uint64_t batch = std::max<std::size_t>(1, load.batch_size);
   // Mirrors ServeTrace's driver loop exactly: contiguous per-client
   // chunks, fixed batch grid, 1-based per-client submit index.
   for (std::uint64_t c = 0; c < clients; ++c) {
-    const auto [begin, end] = ClientChunk(n, clients, c);
+    const auto [begin, end] = ClientChunk(trace.size(), clients, c);
     std::uint64_t index = 0;
     for (std::uint64_t pos = begin; pos < end; pos += batch) {
       ++index;
@@ -687,9 +672,6 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   if (load.batch_size == 0) {
     throw std::invalid_argument("ServeTrace: batch_size must be >= 1");
   }
-  std::uint64_t n = trace.size();
-  if (load.request_budget > 0) n = std::min<std::uint64_t>(n, load.request_budget);
-
   using Clock = std::chrono::steady_clock;
   constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
   CacheServer server(options, load.clients);
@@ -714,7 +696,7 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
         oldest = (oldest + 1) % kDepth;
         --in_flight;
       };
-      const auto [begin, end] = ClientChunk(n, load.clients, c);
+      const auto [begin, end] = ClientChunk(trace.size(), load.clients, c);
       for (std::uint64_t pos = begin; pos < end; pos += load.batch_size) {
         if (in_flight == kDepth) await_oldest();
         const std::size_t slot = (oldest + in_flight) % kDepth;

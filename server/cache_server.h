@@ -92,26 +92,23 @@ std::vector<Trace> PartitionByShard(const Trace& trace, std::size_t shards);
 struct ServerOptions;  // below
 struct LoadOptions;    // below
 
-/// Per-shard sequential Simulate() of the (budget-capped) partitioned
-/// trace, merged across shards: the ground truth the deterministic
-/// server mode reproduces bit-exactly. The single implementation both
+/// Per-shard sequential Simulate() of the partitioned trace, merged
+/// across shards: the ground truth the deterministic server mode
+/// reproduces bit-exactly. The single implementation both
 /// `clic_serve --verify` and the determinism tests compare against, so
-/// the two checks can never drift apart. `request_budget` 0 means the
-/// whole trace.
-SimResult PartitionedSimulate(const Trace& trace, const ServerOptions& options,
-                              std::uint64_t request_budget = 0);
+/// the two checks can never drift apart.
+SimResult PartitionedSimulate(const Trace& trace, const ServerOptions& options);
 
 /// The requests a deterministic run with fault plan `plan` actually
-/// serves: the budget-capped trace, chunked and batched exactly as
-/// ServeTrace's drivers do, with every batch the plan's `shed_every`
-/// rule rejects removed. Pipelining does not move a batch's 1-based
-/// submit index, so the set is the same at any depth. With no plan (or
-/// no shed clause) this is the capped trace itself. PartitionedSimulate
-/// of this filtered trace is the verify baseline for a chaos run —
-/// non-shed requests must produce bit-identical decisions.
+/// serves: the trace, chunked and batched exactly as ServeTrace's
+/// drivers do, with every batch the plan's `shed_every` rule rejects
+/// removed. Pipelining does not move a batch's 1-based submit index, so
+/// the set is the same at any depth. With no plan (or no shed clause)
+/// this is the trace itself. PartitionedSimulate of this filtered trace
+/// is the verify baseline for a chaos run — non-shed requests must
+/// produce bit-identical decisions.
 Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
-                        const fault::FaultPlan* plan,
-                        std::uint64_t request_budget);
+                        const fault::FaultPlan* plan);
 
 struct ServerOptions {
   std::size_t shards = 1;
@@ -490,11 +487,6 @@ class CacheServer {
 struct LoadOptions {
   std::size_t clients = 1;
   std::size_t batch_size = 64;
-  /// Caps how much of the trace is replayed (0 = the whole trace).
-  /// Client c replays its ClientChunk of the capped trace, so the
-  /// concatenation of all chunks in client order is the capped trace
-  /// itself (the determinism rule relies on this).
-  std::uint64_t request_budget = 0;
 };
 
 /// Replays `trace` against a fresh CacheServer with `load.clients`

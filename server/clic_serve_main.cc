@@ -443,8 +443,8 @@ void PrintNetStats(const net::NetStats& n) {
       stderr,
       "clic_serve: wire: %llu conns accepted (%llu shed), %llu frames / "
       "%llu requests in %llu reply writes, %llu rejected frames (%llu "
-      "requests), evicted %llu slow readers, %llu frames drained to "
-      "stopped\n",
+      "requests), %llu slowloris peers evicted by the read deadline, "
+      "%llu frames drained to stopped\n",
       static_cast<unsigned long long>(n.accepted),
       static_cast<unsigned long long>(n.accept_shed),
       static_cast<unsigned long long>(n.frames),
@@ -509,7 +509,7 @@ int RunListen(const CliOptions& opts) {
 /// sockets. Fills *result with the server-side view (wire latencies for
 /// p50/p99); returns non-zero if the wire ledger does not balance.
 int RunWireServe(const CliOptions& opts, const Trace& trace,
-                 std::uint64_t cap, ServeResult* result) {
+                 ServeResult* result) {
   net::NetServerOptions nopts;
   nopts.listen_addr = "127.0.0.1";
   nopts.port = 0;
@@ -536,7 +536,6 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
   wopts.port = server->port();
   wopts.clients = opts.load.clients;
   wopts.batch_size = opts.load.batch_size;
-  wopts.request_budget = cap;
   wopts.deterministic = opts.server.deterministic;
   net::WireLoadResult wire;
   try {
@@ -574,13 +573,21 @@ int Main(int argc, char** argv) {
   const std::uint64_t cap =
       opts.requests > 0 ? opts.requests : sweep::RequestCapFromEnv();
   sweep::TraceCache cache(dir, cap);
-  const Trace& trace = cache.Get(opts.trace);
-
-  const std::uint64_t effective =
-      cap > 0 ? std::min<std::uint64_t>(trace.size(), cap) : trace.size();
-  if (opts.load.batch_size > effective) {
+  // The cache caps every token but an a+b interleave, which is as long
+  // as its capped parts together. The server replays at most `cap`
+  // requests of any token, so it truncates here, once.
+  const Trace& cached = cache.Get(opts.trace);
+  Trace truncated;
+  if (cached.size() > cap) {
+    truncated = {cached.name, cached.hints,
+                 {cached.requests.begin(),
+                  cached.requests.begin() + static_cast<std::ptrdiff_t>(cap)},
+                 cached.client_bound};
+  }
+  const Trace& trace = cached.size() > cap ? truncated : cached;
+  if (opts.load.batch_size > trace.size()) {
     Die("--batch=" + std::to_string(opts.load.batch_size) +
-        " exceeds the request budget of " + std::to_string(effective) +
+        " exceeds the request budget of " + std::to_string(trace.size()) +
         " (a batch larger than the whole run is a typo, not a workload)");
   }
 
@@ -593,9 +600,6 @@ int Main(int argc, char** argv) {
   // Standalone wire server: the workload only parameterizes the cache
   // (policy, shards, hint bound); remote clients supply the traffic.
   if (opts.listen) return RunListen(opts);
-
-  LoadOptions load = opts.load;
-  load.request_budget = cap;
 
   cli::OutputFile out(kProg, opts.output);
 
@@ -611,10 +615,10 @@ int Main(int argc, char** argv) {
 
   ServeResult result;
   if (opts.connect) {
-    if (RunWireServe(opts, trace, cap, &result) != 0) return 1;
+    if (RunWireServe(opts, trace, &result) != 0) return 1;
   } else {
     try {
-      result = ServeTrace(trace, opts.server, load);
+      result = ServeTrace(trace, opts.server, opts.load);
     } catch (const std::invalid_argument& e) {
       Die(e.what());
     }
@@ -627,16 +631,13 @@ int Main(int argc, char** argv) {
   int exit_code = 0;
   if (opts.verify) {
     // With a shedding fault plan, the deterministic baseline is the
-    // capped trace minus the deterministically shed batches; non-shed
-    // requests must still produce bit-identical decisions.
-    if (opts.server.fault != nullptr &&
-        opts.server.fault->shed_every > 0) {
-      const Trace filtered =
-          FilterShedBatches(trace, load, opts.server.fault, cap);
-      exit_code = Verify(result, PartitionedSimulate(filtered, opts.server));
-    } else {
-      exit_code = Verify(result, PartitionedSimulate(trace, opts.server, cap));
-    }
+    // trace minus the deterministically shed batches; non-shed requests
+    // must still produce bit-identical decisions.
+    exit_code = Verify(
+        result,
+        PartitionedSimulate(
+            FilterShedBatches(trace, opts.load, opts.server.fault),
+            opts.server));
   }
 
   const sweep::Row row = SummaryRow(opts, result);

@@ -9,8 +9,9 @@
 // neighbour or a GC pause would), deterministic admission shedding
 // (every k-th batch of every client is rejected, simulating an
 // overloaded front end with a reproducible victim set), and
-// hint-corruption byte flips (seeded bit flips in Request::hint_set at
-// drain time, feeding the kind of garbage a torn wire message would).
+// hint-corruption bit flips (seeded bit flips in Request::hint_set at
+// submit time, in CacheServer::RouteBatch, feeding the kind of garbage
+// a torn wire message would).
 //
 // Determinism contract: every fault fires on a *logical* index — a
 // shard's drain count, a consumer's processed-batch count, a client's
@@ -66,11 +67,12 @@ struct FaultPlan {
   /// a pure function of the plan, so a verify run can simulate exactly
   /// the surviving requests.
   std::uint64_t shed_every = 0;
-  /// > 0: every `corrupt_every`-th drained batch of each client gets
-  /// `corrupt_flips` seeded single-bit flips in Request::hint_set
-  /// fields. Requires the server's hint-sanity guard (hint_bound > 0):
-  /// an unguarded corrupted hint id could index policy state out of
-  /// range or force a gigantic per-hint allocation.
+  /// > 0: every `corrupt_every`-th submitted batch of each client
+  /// (1-based submit index) gets `corrupt_flips` seeded single-bit flips
+  /// in Request::hint_set fields, made as the batch is routed. Requires
+  /// the server's hint-sanity guard (hint_bound > 0): an unguarded
+  /// corrupted hint id could index policy state out of range or force a
+  /// gigantic per-hint allocation.
   std::uint64_t corrupt_every = 0;
   std::uint32_t corrupt_flips = 1;
 
@@ -123,9 +125,11 @@ struct FaultPlan {
 /// accept-stall with a value >= 1 (stall-ms tunes the accept-stall
 /// sleep and requires accept-stall in the same plan).
 ///
-/// Keys within a clause may appear in any order; unlisted keys keep
-/// their defaults. Returns false and fills `*error` (naming the
-/// offending clause or key and the valid set) on any malformed input.
+/// N and F follow the number rules of common/text_parse.h, whose key
+/// tables also print the valid set. Keys within a clause may appear in
+/// any order; unlisted keys keep their defaults. Returns false and
+/// fills `*error` (naming the offending clause or key and the valid
+/// set) on any malformed input.
 bool ParseFaultPlan(const std::string& spec, FaultPlan* out,
                     std::string* error);
 

@@ -157,11 +157,6 @@ WireLoadResult RunWireLoad(const Trace& trace,
         " exceeds " + std::to_string(kWireMaxBatch) +
         ", the most requests one wire frame carries");
   }
-  const std::uint64_t total =
-      options.request_budget > 0
-          ? std::min<std::uint64_t>(options.request_budget,
-                                    trace.requests.size())
-          : trace.requests.size();
   const std::size_t clients = options.clients;
 
   auto drive = [&](std::size_t c, DriverState* st) {
@@ -206,7 +201,7 @@ WireLoadResult RunWireLoad(const Trace& trace,
       return true;
     };
     bool up = client.Connect(options.addr, options.port);
-    const auto [begin, end] = ClientChunk(total, clients, c);
+    const auto [begin, end] = ClientChunk(trace.size(), clients, c);
     for (std::uint64_t off = begin; off < end; off += options.batch_size) {
       const std::size_t n = static_cast<std::size_t>(
           std::min<std::uint64_t>(options.batch_size, end - off));

@@ -91,10 +91,6 @@ struct WireLoadOptions {
   std::uint16_t port = 0;
   std::size_t clients = 1;
   std::size_t batch_size = 64;
-  /// Caps how much of the trace is replayed (0 = all), with ServeTrace's
-  /// chunking rule — concatenating the chunks in client order yields the
-  /// capped trace.
-  std::uint64_t request_budget = 0;
   /// Drive client connections one after another in client id order
   /// (required for a bit-identical verify against PartitionedSimulate).
   bool deterministic = false;

@@ -187,7 +187,11 @@ CliOptions Parse(int argc, char** argv) {
     cli.spec = std::move(*preset);
   }
   if (!traces.empty()) {
-    cli.spec.traces = ::clic::cli::SplitCsvFlag(kProg, "--traces", traces);
+    std::string error;
+    std::optional<std::vector<std::string>> tokens =
+        SplitWorkloadList(traces, &error);
+    if (!tokens) Die("--traces: " + error);
+    cli.spec.traces = std::move(*tokens);
   }
   if (!policies.empty()) {
     cli.spec.policies.clear();

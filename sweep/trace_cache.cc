@@ -10,6 +10,7 @@
 #include <dirent.h>
 #include <sys/stat.h>
 
+#include "common/text_parse.h"
 #include "sim/trace_io.h"
 #include "sim/trace_ops.h"
 #include "workload/scenario.h"
@@ -22,10 +23,8 @@ std::uint64_t RequestCapFromEnv() {
   constexpr std::uint64_t kDefault = 2'000'000;  // full suite in minutes
   const char* env = std::getenv("CLIC_BENCH_REQUESTS");
   if (env == nullptr || *env == '\0') return kDefault;
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(env, &end, 10);
-  if (errno != 0 || end == env || *end != '\0' || value == 0) {
+  std::uint64_t value = 0;
+  if (!parse::Unsigned(env, &value) || value == 0) {
     std::fprintf(stderr,
                  "CLIC_BENCH_REQUESTS='%s' is not a positive integer; "
                  "using default %llu\n",

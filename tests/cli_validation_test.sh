@@ -111,6 +111,29 @@ expect_reject "clic_serve missing trace" "--trace" "DB2_C60" -- \
 expect_reject "clic_serve verify without deterministic" "--verify" "--deterministic" -- \
   "$SERVE" --trace=DB2_C60 --verify
 
+# One number rule for every text input (common/text_parse.h): a value
+# must start with a digit, so a leading space or sign is rejected, not
+# wrapped (' -3' read past its space sizes a 2^64-3-page cache) or
+# skipped (a fault plan's "every= -1" read that way sheds nothing).
+expect_reject "clic_serve space-led negative cache pages" " -3" "positive integer" -- \
+  "$SERVE" --trace=DB2_C60 --cache-pages=' -3'
+expect_reject "clic_sweep space-led negative cache pages" " -3" "positive integer" -- \
+  "$SWEEP" --traces=DB2_C60 --policies=LRU --cache-pages=' -3'
+expect_reject "clic_serve negative scenario seed" "-1" "seed=N" -- \
+  "$SERVE" --workload='zipf:seed=-1'
+expect_reject "clic_sweep negative scan burst spacing" "-1" "scan-every=N" -- \
+  "$SWEEP" --traces='scan-mix:scan-every=-1' --policies=LRU --cache-pages=100
+expect_reject "clic_serve negative phase length" "-7" "phase-len=N" -- \
+  "$SERVE" --workload='phase:phase-len=-7'
+expect_reject "clic_serve space-led negative fault count" "shed:every= -1" "shed:every=N" -- \
+  "$SERVE" --trace=DB2_C60 --fault-plan='shed:every= -1'
+# --traces splits at commas, but a key=value after an inline spec is
+# part of it; one that follows no inline spec is named.
+expect_reject "clic_sweep key after a named trace" "theta=0.9" "inline spec" -- \
+  "$SWEEP" --traces=DB2_C60,theta=0.9 --policies=LRU --cache-pages=100
+expect_reject "clic_sweep empty token between traces" "empty token" "--traces" -- \
+  "$SWEEP" --traces=DB2_C60,,MY_H65 --policies=LRU --cache-pages=100
+
 # Server sizing and overload-resilience flags: zero and negative
 # numeric values must be rejected up front — strtoull would otherwise
 # wrap "-3" to 2^64-3 and size 16 exabytes of client state.

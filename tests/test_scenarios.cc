@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 
 #include "sim/policy_factory.h"
 #include "sim/simulator.h"
@@ -71,6 +72,20 @@ TEST(ScenarioSpecTest, RejectsMalformedSpecs) {
   // ... and for tenants the domain is the per-tenant share.
   EXPECT_FALSE(
       ParseWorkloadSpec("tenants:pages=4000,tenants=4,buffer=1000", &error));
+  // Signs and leading spaces break the number rules
+  // (common/text_parse.h): each is rejected naming its value, never
+  // wrapped or skipped.
+  for (const char* spec :
+       {"zipf:seed=-1", "zipf:seed=+5", "zipf:seed= 5", "zipf:pages= 20000",
+        "zipf:theta=-0.5", "zipf:theta=+0.5", "zipf:theta= 0.5",
+        "zipf:write=-0", "scan-mix:scan-every=-1", "phase:phase-len=-7",
+        "phase:gradual=2", "tenants:tenants=+4"}) {
+    EXPECT_FALSE(ParseWorkloadSpec(spec, &error)) << spec;
+    const std::string value = std::string(spec).substr(
+        std::string(spec).find('=') + 1);
+    EXPECT_NE(error.find("bad value '" + value + "'"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(ScenarioSpecTest, PresetsResolveAndParseTheirOwnSpecs) {

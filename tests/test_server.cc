@@ -167,19 +167,6 @@ TEST(CacheServerTest, MoreClientsThanRequestsAndOversizedBatches) {
   EXPECT_EQ(ResultMismatch(served, PartitionedSimulate(trace, options)), "");
 }
 
-// PartitionedSimulate is the shared ground truth for --verify and the
-// determinism tests; its budget cap must mirror ServeTrace's.
-TEST(PartitionedSimulateTest, HonorsRequestBudget) {
-  const Trace trace = MakeSynthetic("budget", 7, 1000);
-  ServerOptions options;
-  options.shards = 2;
-  options.cache_pages = 32;
-  const SimResult capped = PartitionedSimulate(trace, options, 300);
-  EXPECT_EQ(capped.total.reads + capped.total.writes, 300u);
-  const SimResult full = PartitionedSimulate(trace, options);
-  EXPECT_EQ(full.total.reads + full.total.writes, trace.size());
-}
-
 TEST(CacheServerTest, RejectsUnusableConfigurations) {
   const Trace trace = MakeSynthetic("bad", 1, 10);
   ServerOptions options;

@@ -7,6 +7,7 @@
 #include <utime.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <string>
 #include <thread>
@@ -163,6 +164,26 @@ TEST(TraceCacheTest, CollectStaleTempFilesHonorsTheAgeThreshold) {
   // Idempotent: nothing stale remains.
   EXPECT_EQ(CollectStaleTempFiles(dir), 0u);
   EXPECT_EQ(CollectStaleTempFiles(dir + "/no_such_dir"), 0u);
+}
+
+// CLIC_BENCH_REQUESTS takes the unsigned rule (common/text_parse.h):
+// a sign or a leading space falls back to the default, loudly, instead
+// of wrapping ("-5" read as 2^64 - 5) or being skipped.
+TEST(RequestCapTest, SignedOrSpaceLedValuesFallBackToTheDefault) {
+  const char* saved = std::getenv("CLIC_BENCH_REQUESTS");
+  const std::string restore = saved != nullptr ? saved : "";
+  for (const char* bad : {"-5", " 5", "+5", "5 ", "0", "banana",
+                          "18446744073709551616"}) {
+    ::setenv("CLIC_BENCH_REQUESTS", bad, 1);
+    EXPECT_EQ(RequestCapFromEnv(), 2'000'000u) << "'" << bad << "'";
+  }
+  ::setenv("CLIC_BENCH_REQUESTS", "5", 1);
+  EXPECT_EQ(RequestCapFromEnv(), 5u);
+  if (saved != nullptr) {
+    ::setenv("CLIC_BENCH_REQUESTS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("CLIC_BENCH_REQUESTS");
+  }
 }
 
 TEST(TraceCacheDeathTest, UnknownTraceNameExits) {

@@ -1,8 +1,6 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -220,32 +218,16 @@ void GenTenants(const WorkloadSpec& spec, std::uint64_t target,
 
 // ---- spec parsing ----------------------------------------------------------
 
-bool ParseU64Value(const std::string& value, std::uint64_t* out) {
-  if (value.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
+struct KindName {
+  const char* name;
+  ScenarioKind kind;
+};
 
-bool ParseDoubleValue(const std::string& value, double* out) {
-  if (value.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end == value.c_str() || *end != '\0' ||
-      !std::isfinite(parsed)) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-constexpr char kValidKeys[] =
-    "pages, n, seed, buffer, write, theta, shift, scan-every, scan-len, "
-    "phase-len, hot-pages, gradual, tenants";
+constexpr KindName kKinds[] = {{"zipf", ScenarioKind::kZipf},
+                               {"scan", ScenarioKind::kScan},
+                               {"scan-mix", ScenarioKind::kScanMix},
+                               {"phase", ScenarioKind::kPhase},
+                               {"tenants", ScenarioKind::kTenants}};
 
 }  // namespace
 
@@ -278,6 +260,25 @@ const std::vector<ScenarioPreset>& ScenarioPresets() {
   return presets;
 }
 
+const std::vector<parse::Key<WorkloadSpec>>& ScenarioKeys() {
+  static const std::vector<parse::Key<WorkloadSpec>> keys = {
+      parse::UnsignedKey("pages", &WorkloadSpec::pages),
+      parse::UnsignedKey("n", &WorkloadSpec::requests),
+      parse::UnsignedKey("seed", &WorkloadSpec::seed),
+      parse::UnsignedKey("buffer", &WorkloadSpec::buffer),
+      parse::RealKey("write", &WorkloadSpec::write),
+      parse::RealKey("theta", &WorkloadSpec::theta),
+      parse::UnsignedKey("shift", &WorkloadSpec::shift),
+      parse::UnsignedKey("scan-every", &WorkloadSpec::scan_every),
+      parse::UnsignedKey("scan-len", &WorkloadSpec::scan_len),
+      parse::UnsignedKey("phase-len", &WorkloadSpec::phase_len),
+      parse::UnsignedKey("hot-pages", &WorkloadSpec::hot_pages),
+      parse::UnsignedKey("gradual", &WorkloadSpec::gradual),
+      parse::UnsignedKey("tenants", &WorkloadSpec::tenants),
+  };
+  return keys;
+}
+
 std::optional<WorkloadSpec> ParseWorkloadSpec(const std::string& text,
                                               std::string* error) {
   auto fail = [&](const std::string& why) -> std::optional<WorkloadSpec> {
@@ -286,80 +287,26 @@ std::optional<WorkloadSpec> ParseWorkloadSpec(const std::string& text,
   };
 
   const std::size_t colon = text.find(':');
-  const std::string kind_tok =
-      colon == std::string::npos ? text : text.substr(0, colon);
-  WorkloadSpec spec;
-  if (kind_tok == "zipf") {
-    spec.kind = ScenarioKind::kZipf;
-  } else if (kind_tok == "scan") {
-    spec.kind = ScenarioKind::kScan;
-  } else if (kind_tok == "scan-mix") {
-    spec.kind = ScenarioKind::kScanMix;
-  } else if (kind_tok == "phase") {
-    spec.kind = ScenarioKind::kPhase;
-  } else if (kind_tok == "tenants") {
-    spec.kind = ScenarioKind::kTenants;
-  } else {
-    return fail("unknown scenario kind '" + kind_tok +
-                "' (valid kinds: zipf, scan, scan-mix, phase, tenants)");
-  }
-  spec.text = text;
-
-  if (colon != std::string::npos) {
-    const std::string body = text.substr(colon + 1);
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t comma = body.find(',', start);
-      const std::size_t end =
-          comma == std::string::npos ? body.size() : comma;
-      const std::string pair = body.substr(start, end - start);
-      const std::size_t eq = pair.find('=');
-      if (pair.empty() || eq == std::string::npos || eq == 0) {
-        return fail("malformed key=value token '" + pair + "' in '" + text +
-                    "'");
-      }
-      const std::string key = pair.substr(0, eq);
-      const std::string value = pair.substr(eq + 1);
-      bool ok = true;
-      if (key == "pages") {
-        ok = ParseU64Value(value, &spec.pages);
-      } else if (key == "n") {
-        ok = ParseU64Value(value, &spec.requests);
-      } else if (key == "seed") {
-        ok = ParseU64Value(value, &spec.seed);
-      } else if (key == "buffer") {
-        ok = ParseU64Value(value, &spec.buffer);
-      } else if (key == "write") {
-        ok = ParseDoubleValue(value, &spec.write);
-      } else if (key == "theta") {
-        ok = ParseDoubleValue(value, &spec.theta);
-      } else if (key == "shift") {
-        ok = ParseU64Value(value, &spec.shift);
-      } else if (key == "scan-every") {
-        ok = ParseU64Value(value, &spec.scan_every);
-      } else if (key == "scan-len") {
-        ok = ParseU64Value(value, &spec.scan_len);
-      } else if (key == "phase-len") {
-        ok = ParseU64Value(value, &spec.phase_len);
-      } else if (key == "hot-pages") {
-        ok = ParseU64Value(value, &spec.hot_pages);
-      } else if (key == "gradual") {
-        std::uint64_t flag = 0;
-        ok = ParseU64Value(value, &flag) && flag <= 1;
-        spec.gradual = flag != 0;
-      } else if (key == "tenants") {
-        ok = ParseU64Value(value, &spec.tenants);
-      } else {
-        return fail("unknown key '" + key + "' in '" + text +
-                    "' (valid keys: " + kValidKeys + ")");
-      }
-      if (!ok) {
-        return fail("bad value '" + value + "' for key '" + key + "' in '" +
-                    text + "'");
-      }
-      if (comma == std::string::npos) break;
-      start = comma + 1;
+  const std::string kind = text.substr(0, colon);
+  const auto found =
+      std::find_if(std::begin(kKinds), std::end(kKinds),
+                   [&](const KindName& k) { return kind == k.name; });
+  if (found == std::end(kKinds)) {
+    std::string kinds;
+    for (const KindName& k : kKinds) {
+      kinds.append(kinds.empty() ? "" : ", ").append(k.name);
     }
+    return fail("unknown scenario kind '" + kind + "' (valid kinds: " + kinds +
+                ")");
+  }
+  WorkloadSpec spec;
+  spec.kind = found->kind;
+  spec.text = text;
+  std::string why;
+  if (colon != std::string::npos &&
+      !parse::KeyValues(text.substr(colon + 1), ScenarioKeys(), &spec, &why)) {
+    return fail(why + " in '" + text + "' (valid keys: " +
+                parse::KeyList(ScenarioKeys(), ", ") + ")");
   }
 
   // Range validation: every limit here protects an invariant of the

@@ -4,11 +4,12 @@
 //
 //   <kind>[:<key>=<value>[,<key>=<value>...]]
 //
-// with kinds `zipf` (stationary, optionally rank-shifted, popularity),
-// `scan` (pure cyclic sequential scan), `scan-mix` (Zipf working set
-// polluted by periodic scan bursts), `phase` (working set that shifts
-// abruptly or slides gradually), and `tenants` (N clients with
-// per-client skew and weighted arrival interleave). Every generator
+// (the clause of common/text_parse.h, whose number rules read every
+// value) with kinds `zipf` (stationary, optionally rank-shifted,
+// popularity), `scan` (pure cyclic sequential scan), `scan-mix` (Zipf
+// working set polluted by periodic scan bursts), `phase` (working set
+// that shifts abruptly or slides gradually), and `tenants` (N clients
+// with per-client skew and weighted arrival interleave). Every generator
 // pushes its logical access stream through the simulated client buffer
 // (ServerTraceBuilder), so the emitted Trace carries the same
 // second-tier miss/writeback shape and CLIC-consumable hint
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/text_parse.h"
 #include "core/trace.h"
 
 namespace clic {
@@ -80,6 +82,11 @@ struct ScenarioPreset {
 };
 
 const std::vector<ScenarioPreset>& ScenarioPresets();
+
+/// The spec grammar's key table, shared by every kind
+/// (common/text_parse.h): `write` and `theta` take F, `gradual` 0 or 1,
+/// every other key N.
+const std::vector<parse::Key<WorkloadSpec>>& ScenarioKeys();
 
 /// Parses an inline spec string. Unknown kinds/keys, malformed values,
 /// and out-of-range parameters (e.g. buffer >= pages, which could never

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/text_parse.h"
 #include "workload/trace_factory.h"
 
 namespace clic {
@@ -31,19 +32,14 @@ std::optional<WorkloadToken> ResolveWorkloadToken(const std::string& token,
   std::string why;
   if (token.find('+') != std::string::npos) {
     out.kind = WorkloadToken::Kind::kInterleave;
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t plus = token.find('+', start);
-      const std::size_t end = plus == std::string::npos ? token.size() : plus;
-      std::string part = token.substr(start, end - start);
+    for (std::string& part : parse::Split(token, '+')) {
       if (part.empty()) return fail("empty '+' component in '" + token + "'");
       if (!ResolveWorkloadToken(part, &why)) {
         return fail("part '" + part + "' of '" + token + "': " + why);
       }
       out.parts.push_back(std::move(part));
-      if (plus == std::string::npos) return out;
-      start = plus + 1;
     }
+    return out;
   }
 
   const std::string noise = "~noise=";
@@ -51,11 +47,9 @@ std::optional<WorkloadToken> ResolveWorkloadToken(const std::string& token,
   if (at == std::string::npos) return fail(scenario_error);
   const std::string base = token.substr(0, at);
   const std::string types = token.substr(at + noise.size());
-  const bool digits =
-      !types.empty() && types.size() <= 2 &&
-      types.find_first_not_of("0123456789") == std::string::npos;
-  const int noise_types = digits ? std::stoi(types) : -1;
-  if (noise_types < 0 || noise_types > kMaxNoiseTypes) {
+  unsigned noise_types = 0;
+  if (!parse::Unsigned(types, &noise_types) ||
+      noise_types > static_cast<unsigned>(kMaxNoiseTypes)) {
     return fail("noise T='" + types + "' in '" + token +
                 "' is not an integer in [0, " +
                 std::to_string(kMaxNoiseTypes) + "]");
@@ -65,8 +59,33 @@ std::optional<WorkloadToken> ResolveWorkloadToken(const std::string& token,
   }
   out.kind = WorkloadToken::Kind::kNoise;
   out.parts = {base};
-  out.noise_types = noise_types;
+  out.noise_types = static_cast<int>(noise_types);
   return out;
+}
+
+std::optional<std::vector<std::string>> SplitWorkloadList(
+    const std::string& list, std::string* error) {
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why + " in '" + list + "'";
+    return std::nullopt;
+  };
+  std::vector<std::string> tokens;
+  for (std::string& segment : parse::Split(list, ',')) {
+    if (segment.empty()) return fail("empty token");
+    const std::size_t eq = segment.find('=');
+    const bool key_segment =
+        eq != std::string::npos && segment.find(':') == std::string::npos &&
+        parse::FindKey(ScenarioKeys(), segment.substr(0, eq)) != nullptr;
+    if (!key_segment) {
+      tokens.push_back(std::move(segment));
+    } else if (!tokens.empty() &&
+               tokens.back().find(':') != std::string::npos) {
+      tokens.back().append(",").append(segment);
+    } else {
+      return fail("'" + segment + "' continues no inline spec");
+    }
+  }
+  return tokens;
 }
 
 }  // namespace clic

@@ -48,4 +48,13 @@ struct WorkloadToken {
 std::optional<WorkloadToken> ResolveWorkloadToken(const std::string& token,
                                                   std::string* error = nullptr);
 
+/// Splits a ','-separated list of workload tokens (clic_sweep --traces).
+/// A segment with no ':' whose text before its first '=' is a scenario
+/// key continues the inline spec before it, so
+/// 'zipf:pages=120000,theta=0.9,DB2_C60' is two tokens. An empty segment,
+/// or a key segment with no inline spec before it, yields nullopt with a
+/// one-line reason naming it in *error. The tokens are not resolved.
+std::optional<std::vector<std::string>> SplitWorkloadList(
+    const std::string& list, std::string* error = nullptr);
+
 }  // namespace clic
