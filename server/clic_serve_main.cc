@@ -24,6 +24,7 @@
 #include "server/cache_server.h"
 #include "server/net/net_server.h"
 #include "server/net/wire_client.h"
+#include "server/serve_cli.h"
 #include "sweep/sweep.h"
 #include "sweep/trace_cache.h"
 #include "workload/scenario.h"
@@ -33,109 +34,6 @@ namespace clic::server {
 namespace {
 
 constexpr char kProg[] = "clic_serve";
-
-struct CliOptions {
-  std::string trace;
-  ServerOptions server;
-  LoadOptions load;
-  bool verify = false;
-  std::string cache_dir;       // empty = CLIC_TRACE_CACHE_DIR / default
-  std::uint64_t requests = 0;  // 0 = CLIC_BENCH_REQUESTS / default cap
-  std::string format = "csv";
-  std::string output;  // empty = stdout
-  /// Parsed --fault-plan; server.fault points here when one was given
-  /// (CliOptions is copied once out of Parse, so the pointer is wired
-  /// up in Main after the copy settles).
-  fault::FaultPlan fault_plan;
-  bool has_fault_plan = false;
-
-  // ---- network front end (server/net/) ----
-  bool listen = false;   // standalone wire server until SIGTERM/SIGINT
-  bool connect = false;  // loopback: in-process wire server + wire drivers
-  std::string listen_addr = "127.0.0.1";
-  std::uint16_t port = 0;       // 0 = ephemeral
-  unsigned io_threads = 1;
-  std::size_t conn_limit = 0;   // 0 = auto (clients / 64)
-  double read_timeout_ms = 0.0;
-};
-
-void Usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "Usage: clic_serve --trace=NAME | --workload=SPEC [flags]\n"
-      "\n"
-      "Workload:\n"
-      "  --trace=NAME       named trace to replay (see --list)\n"
-      "  --workload=SPEC    synthetic scenario: a preset name or inline\n"
-      "                     spec like 'zipf:pages=120000,theta=0.9'\n"
-      "                     (see --list; workload/token.h has the\n"
-      "                     grammar). Alias of --trace — both accept\n"
-      "                     every workload token; give exactly one.\n"
-      "  --requests=N       request budget (overrides CLIC_BENCH_REQUESTS)\n"
-      "  --cache-dir=PATH   trace cache dir (overrides "
-      "CLIC_TRACE_CACHE_DIR)\n"
-      "\n"
-      "Server:\n"
-      "  --policy=NAME      shard replacement policy (default LRU; OPT is\n"
-      "                     clairvoyant and not servable)\n"
-      "  --shards=S         hash shards, each with its own policy "
-      "(default 4)\n"
-      "  --cache-pages=N    total cache budget, split across shards\n"
-      "                     (default 12000)\n"
-      "  --clients=C        closed-loop client threads, each keeping up to\n"
-      "                     16 batches in flight (default 4)\n"
-      "  --batch=B          requests per submitted batch (default 64; at\n"
-      "                     most 65535 with --connect)\n"
-      "  --consumers=K      owning-consumer (core) threads; consumer k\n"
-      "                     owns shards k, k+K, k+2K, ...; 0 = auto\n"
-      "                     (min(shards, hardware cores)). Must be\n"
-      "                     <= shards; forced to 1 by --deterministic\n"
-      "  --deterministic    single consumer, strict client order: hit\n"
-      "                     counts match per-shard sequential Simulate()\n"
-      "  --verify           with --deterministic: check that equivalence\n"
-      "                     in-process, exit 1 on any mismatch (with a\n"
-      "                     shedding fault plan, the baseline excludes\n"
-      "                     the deterministically shed batches)\n"
-      "\n"
-      "Overload resilience (all off by default):\n"
-      "  --deadline-ms=F    drop batches older than this at drain time\n"
-      "                     instead of serving them stale\n"
-      "  --watchdog-ms=F    shed batches routed at a shard whose\n"
-      "                     in-flight drain exceeds this threshold\n"
-      "  --fault-plan=SPEC  deterministic fault injection, e.g.\n"
-      "                     'stall:shard=0,after=10,drains=5,ms=50;\n"
-      "                     shed:every=7;seed=42' (grammar in\n"
-      "                     server/fault_injection.h)\n"
-      "\n"
-      "Network front end (server/net/ wire protocol over epoll):\n"
-      "  --listen[=ADDR]    serve the wire protocol on ADDR (default\n"
-      "                     127.0.0.1) until SIGTERM/SIGINT, then drain\n"
-      "                     gracefully (in-flight frames -> `stopped`)\n"
-      "  --connect          loopback mode: start an in-process wire server\n"
-      "                     on an ephemeral port and replay the workload\n"
-      "                     through real sockets; with --deterministic\n"
-      "                     --verify this is the wire-level correctness\n"
-      "                     gate\n"
-      "  --port=N           TCP port for --listen (0..65535; 0 = "
-      "ephemeral)\n"
-      "  --io-threads=N     connection threads (must be 1 with\n"
-      "                     --deterministic)\n"
-      "  --conn-limit=N     connection table bound == server client ports\n"
-      "                     (default: clients for --connect, 64 for\n"
-      "                     --listen); a full table sheds at accept time\n"
-      "  --read-timeout-ms=F  evict a connection whose partial frame is\n"
-      "                     older than this (slowloris guard)\n"
-      "\n"
-      "CLIC options (when --policy=CLIC):\n"
-      "%s"
-      "\n"
-      "Output:\n"
-      "  --format=csv|json  summary row (csv) or full object (json)\n"
-      "  --output=FILE      default: stdout\n"
-      "  --list             print known traces and policies, then exit\n"
-      "  --help             this text\n",
-      cli::kClicFlagsHelp);
-}
 
 [[noreturn]] void Die(const std::string& message) { cli::Die(kProg, message); }
 
@@ -156,216 +54,9 @@ void PrintList() {
   std::printf("\n");
 }
 
-CliOptions Parse(int argc, char** argv) {
-  CliOptions opts;
-  cli::ClicFlags clic_flags;
-  bool net_tuning = false;  // any of --port/--io-threads/--conn-limit/...
-  opts.server.shards = 4;
-  opts.server.cache_pages = 12'000;
-  opts.load.clients = 4;
-  opts.load.batch_size = 64;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      std::exit(0);
-    }
-    if (arg == "--list") {
-      PrintList();
-      std::exit(0);
-    }
-    if (arg == "--deterministic") {
-      opts.server.deterministic = true;
-      continue;
-    }
-    if (arg == "--listen") {
-      opts.listen = true;
-      continue;
-    }
-    if (arg == "--connect") {
-      opts.connect = true;
-      continue;
-    }
-    if (arg == "--verify") {
-      opts.verify = true;
-      continue;
-    }
-    if (clic_flags.Parse(kProg, arg)) continue;
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      Die("unrecognized argument '" + arg + "'");
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "--trace" || key == "--workload") {
-      if (!opts.trace.empty()) {
-        Die("--trace and --workload are aliases; give exactly one "
-            "workload (got '" +
-            opts.trace + "' and '" + value + "')");
-      }
-      cli::RequireKnownWorkload(kProg, key, value);
-      opts.trace = value;
-    } else if (key == "--policy") {
-      opts.server.policy = cli::RequirePolicy(kProg, key, value);
-      if (opts.server.policy == PolicyKind::kOpt) {
-        Die("--policy=OPT: OPT is clairvoyant and cannot serve an online "
-            "stream (valid policies: " +
-            cli::KnownPolicyNames() + ", minus OPT)");
-      }
-    } else if (key == "--shards") {
-      const std::uint64_t shards = cli::ParseU64(kProg, key, value);
-      if (shards > 4096) Die(key + "='" + value + "' is unreasonably large");
-      opts.server.shards = static_cast<std::size_t>(shards);
-    } else if (key == "--cache-pages") {
-      opts.server.cache_pages =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--consumers") {
-      const std::uint64_t consumers = cli::ParseU64(kProg, key, value);
-      if (consumers > 4096) Die(key + "='" + value + "' is unreasonably large");
-      opts.server.consumers = static_cast<unsigned>(consumers);
-    } else if (key == "--clients") {
-      const std::uint64_t clients = cli::ParseU64(kProg, key, value);
-      if (clients > 4096) Die(key + "='" + value + "' is unreasonably large");
-      opts.load.clients = static_cast<std::size_t>(clients);
-    } else if (key == "--batch") {
-      opts.load.batch_size =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--requests") {
-      opts.requests = cli::ParseU64(kProg, key, value);
-    } else if (key == "--deadline-ms") {
-      opts.server.batch_deadline_ms = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--watchdog-ms") {
-      opts.server.watchdog_ms = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--fault-plan") {
-      std::string error;
-      if (!fault::ParseFaultPlan(value, &opts.fault_plan, &error)) {
-        Die(error);
-      }
-      opts.has_fault_plan = true;
-    } else if (key == "--listen") {
-      opts.listen = true;
-      opts.listen_addr = value;
-    } else if (key == "--port") {
-      const std::uint64_t port = cli::ParseU64AllowZero(kProg, key, value);
-      if (port > 65535) {
-        Die("--port='" + value +
-            "' is out of range (TCP ports are 0..65535; 0 binds an "
-            "ephemeral port)");
-      }
-      opts.port = static_cast<std::uint16_t>(port);
-      net_tuning = true;
-    } else if (key == "--io-threads") {
-      const std::uint64_t io = cli::ParseU64(kProg, key, value);
-      if (io > 1024) Die(key + "='" + value + "' is unreasonably large");
-      opts.io_threads = static_cast<unsigned>(io);
-      net_tuning = true;
-    } else if (key == "--conn-limit") {
-      const std::uint64_t limit = cli::ParseU64(kProg, key, value);
-      if (limit > 65536) Die(key + "='" + value + "' is unreasonably large");
-      opts.conn_limit = static_cast<std::size_t>(limit);
-      net_tuning = true;
-    } else if (key == "--read-timeout-ms") {
-      opts.read_timeout_ms = cli::ParseDouble(kProg, key, value);
-      net_tuning = true;
-    } else if (key == "--cache-dir") {
-      opts.cache_dir = value;
-    } else if (key == "--format") {
-      if (value != "csv" && value != "json") {
-        Die("unknown --format='" + value + "' (want csv or json)");
-      }
-      opts.format = value;
-    } else if (key == "--output") {
-      opts.output = value;
-    } else {
-      Die("unrecognized flag '" + key + "'");
-    }
-  }
-  if (opts.trace.empty()) {
-    Die("--trace (or --workload) is required (valid traces: " +
-        cli::KnownWorkloadNames() + ")");
-  }
-  clic_flags.ApplyTo(opts.server.clic);
-  cli::RequireValidAdaptiveWindow(kProg, opts.server.clic);
-  if (opts.verify && !opts.server.deterministic) {
-    Die("--verify requires --deterministic (concurrent interleaving is "
-        "timing-dependent by design)");
-  }
-  if (opts.server.consumers > opts.server.shards) {
-    Die("--consumers=" + std::to_string(opts.server.consumers) +
-        " exceeds --shards=" + std::to_string(opts.server.shards) +
-        " (a consumer must own at least one shard)");
-  }
-  if (opts.server.deterministic && opts.server.consumers > 1) {
-    Die("--deterministic runs exactly one consumer (strict client order); "
-        "drop --consumers=" + std::to_string(opts.server.consumers));
-  }
-  if (opts.listen && opts.connect) {
-    Die("--listen and --connect are mutually exclusive: serve remote "
-        "clients OR drive a loopback server (valid combinations: "
-        "--listen [--port=N], --connect [--deterministic --verify])");
-  }
-  if (net_tuning && !opts.listen && !opts.connect) {
-    Die("--port/--io-threads/--conn-limit/--read-timeout-ms configure the "
-        "network front end; add --listen (standalone server) or "
-        "--connect (loopback wire serving)");
-  }
-  if (opts.listen && opts.verify) {
-    Die("--verify needs the loopback wire client: --listen serves remote "
-        "clients whose stream the in-process verifier cannot replay "
-        "(valid combinations: --connect --deterministic --verify for the "
-        "wire-level gate, --deterministic --verify for in-process, or "
-        "--listen without --verify)");
-  }
-  if (opts.connect && opts.server.deterministic && opts.io_threads > 1) {
-    Die("--deterministic wire serving runs exactly one io thread (slots "
-        "are assigned in strict accept order); drop --io-threads=" +
-        std::to_string(opts.io_threads));
-  }
-  if (opts.connect && opts.load.batch_size > net::kWireMaxBatch) {
-    Die("--batch=" + std::to_string(opts.load.batch_size) + " exceeds " +
-        std::to_string(net::kWireMaxBatch) +
-        ", the most requests one wire frame carries (its count field is "
-        "16 bits); --connect needs a smaller batch");
-  }
-  if (opts.connect && opts.conn_limit > 0 &&
-      opts.conn_limit < opts.load.clients) {
-    Die("--conn-limit=" + std::to_string(opts.conn_limit) +
-        " is below --clients=" + std::to_string(opts.load.clients) +
-        " (every wire driver holds one connection; the table would shed "
-        "drivers at accept time)");
-  }
-  if (opts.verify) {
-    // --verify proves bit-identity against a sequential baseline; these
-    // mechanisms are timing-dependent (watchdog, deadlines) or mutate
-    // requests (corruption), so no baseline exists for them.
-    if (opts.has_fault_plan && opts.fault_plan.HasCorruption()) {
-      Die("--verify cannot be combined with a corrupt: fault clause "
-          "(corruption mutates served requests, so no fault-free baseline "
-          "matches)");
-    }
-    if (opts.has_fault_plan && opts.fault_plan.net_reset_every > 0) {
-      Die("--verify cannot be combined with a net:reset fault clause (a "
-          "reset truncates that connection's served stream, so no "
-          "baseline matches; torn-write/partial-read/accept-stall only "
-          "re-chunk or delay bytes and remain verifiable)");
-    }
-    if (opts.server.watchdog_ms > 0.0) {
-      Die("--verify cannot be combined with --watchdog-ms (watchdog sheds "
-          "are wall-clock dependent, so the served set is not "
-          "reproducible)");
-    }
-    if (opts.server.batch_deadline_ms > 0.0) {
-      Die("--verify cannot be combined with --deadline-ms (deadline "
-          "expiry is wall-clock dependent, so the served set is not "
-          "reproducible)");
-    }
-  }
-  return opts;
-}
-
 /// The summary's one field list: the CSV header and row, and the JSON
 /// object, which adds per_consumer_requests and per_shard.
-sweep::Row SummaryRow(const CliOptions& opts, const ServeResult& r) {
+sweep::Row SummaryRow(const ServeCommand& opts, const ServeResult& r) {
   const auto json_list = [](const auto& items, const auto& to_json) {
     std::string out = "[";
     for (const auto& item : items) {
@@ -467,16 +158,10 @@ void PrintNetStats(const net::NetStats& n) {
   }
 }
 
-/// Standalone wire server (--listen): serve until SIGTERM/SIGINT, then
-/// drain gracefully and report the wire + admission ledgers.
-int RunListen(const CliOptions& opts) {
-  net::NetServerOptions nopts;
-  nopts.listen_addr = opts.listen_addr;
-  nopts.port = opts.port;
-  nopts.io_threads = opts.io_threads;
-  nopts.conn_limit = opts.conn_limit > 0 ? opts.conn_limit : 64;
-  nopts.read_timeout_ms = opts.read_timeout_ms;
-  nopts.server = opts.server;
+/// The wire server of a --listen or --connect command, started; dies
+/// when it cannot start.
+std::unique_ptr<net::NetServer> StartNetServer(const ServeCommand& opts) {
+  const net::NetServerOptions nopts = NetServerOptionsFor(opts);
   std::unique_ptr<net::NetServer> server;
   try {
     server = std::make_unique<net::NetServer>(nopts);
@@ -484,10 +169,18 @@ int RunListen(const CliOptions& opts) {
     Die(e.what());
   }
   std::fprintf(stderr,
-               "clic_serve: listening on %s:%u (%u io thread%s, conn limit "
-               "%zu); SIGTERM/SIGINT drains\n",
+               "clic_serve: %s on %s:%u (%u io thread%s, conn limit %zu)%s\n",
+               opts.listen ? "listening" : "loopback wire serving",
                nopts.listen_addr.c_str(), server->port(), nopts.io_threads,
-               nopts.io_threads == 1 ? "" : "s", nopts.conn_limit);
+               nopts.io_threads == 1 ? "" : "s", nopts.conn_limit,
+               opts.listen ? "; SIGTERM/SIGINT drains" : "");
+  return server;
+}
+
+/// Standalone wire server (--listen): serve until SIGTERM/SIGINT, then
+/// drain gracefully and report the wire + admission ledgers.
+int RunListen(const ServeCommand& opts) {
+  const std::unique_ptr<net::NetServer> server = StartNetServer(opts);
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
   while (g_stop == 0) {
@@ -508,29 +201,9 @@ int RunListen(const CliOptions& opts) {
 /// ephemeral port, ServeTrace-chunked wire drivers through real
 /// sockets. Fills *result with the server-side view (wire latencies for
 /// p50/p99); returns non-zero if the wire ledger does not balance.
-int RunWireServe(const CliOptions& opts, const Trace& trace,
+int RunWireServe(const ServeCommand& opts, const Trace& trace,
                  ServeResult* result) {
-  net::NetServerOptions nopts;
-  nopts.listen_addr = "127.0.0.1";
-  nopts.port = 0;
-  nopts.io_threads = opts.io_threads;
-  nopts.conn_limit = opts.conn_limit > 0
-                         ? opts.conn_limit
-                         : std::max<std::size_t>(opts.load.clients, 1);
-  nopts.read_timeout_ms = opts.read_timeout_ms;
-  nopts.max_batch = std::max<std::size_t>(4096, opts.load.batch_size);
-  nopts.server = opts.server;
-  std::unique_ptr<net::NetServer> server;
-  try {
-    server = std::make_unique<net::NetServer>(nopts);
-  } catch (const std::exception& e) {
-    Die(e.what());
-  }
-  std::fprintf(stderr,
-               "clic_serve: loopback wire serving on 127.0.0.1:%u (%u io "
-               "thread%s, conn limit %zu)\n",
-               server->port(), nopts.io_threads,
-               nopts.io_threads == 1 ? "" : "s", nopts.conn_limit);
+  const std::unique_ptr<net::NetServer> server = StartNetServer(opts);
   net::WireLoadOptions wopts;
   wopts.addr = "127.0.0.1";
   wopts.port = server->port();
@@ -565,7 +238,15 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
 }
 
 int Main(int argc, char** argv) {
-  CliOptions opts = Parse(argc, argv);
+  cli::Parsed<ServeCommand> parsed =
+      ParseServeCommand({argv + 1, argv + argc});
+  if (parsed.action == cli::Action::kReject) Die(parsed.text);
+  if (parsed.action == cli::Action::kList) PrintList();
+  if (parsed.action != cli::Action::kRun) {
+    std::fputs(parsed.text.c_str(), stdout);  // the help; empty for --list
+    return 0;
+  }
+  ServeCommand& opts = parsed.options;
   if (opts.has_fault_plan) opts.server.fault = &opts.fault_plan;
 
   const std::string dir =

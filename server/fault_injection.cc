@@ -1,5 +1,7 @@
 #include "server/fault_injection.h"
 
+#include <set>
+
 #include "common/text_parse.h"
 
 namespace clic::server::fault {
@@ -61,6 +63,7 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* out,
     return false;
   };
   FaultPlan plan;
+  std::set<std::string> given;  // seed, shed, corrupt, each net: key
   for (const std::string& clause : parse::Split(spec, ';')) {
     if (clause.empty()) return fail("fault plan contains an empty clause");
     const auto bad = [&](const std::string& why) {
@@ -106,6 +109,21 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* out,
       }
     } else {
       return fail("fault plan: unknown clause kind '" + kind + "'");
+    }
+    // A setting is given once; stall: and pause: clauses add up.
+    std::vector<std::string> settings;
+    if (kind == "net") {
+      for (const std::string& pair : parse::Split(body, ',')) {
+        settings.push_back("net:" + pair.substr(0, pair.find('=')));
+      }
+    } else if (kind != "stall" && kind != "pause") {
+      settings.push_back(colon == std::string::npos ? "seed" : kind);
+    }
+    for (const std::string& setting : settings) {
+      if (!given.insert(setting).second) {
+        return bad(setting + " given twice (only stall: and pause: clauses "
+                             "add up)");
+      }
     }
   }
   *out = plan;

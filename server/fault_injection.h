@@ -127,9 +127,12 @@ struct FaultPlan {
 ///
 /// N and F follow the number rules of common/text_parse.h, whose key
 /// tables also print the valid set. Keys within a clause may appear in
-/// any order; unlisted keys keep their defaults. Returns false and
-/// fills `*error` (naming the offending clause or key and the valid
-/// set) on any malformed input.
+/// any order; unlisted keys keep their defaults. A setting is given
+/// once: seed=, shed: and corrupt: at most once per plan, and each net:
+/// key at most once across the plan's net: clauses. stall: and pause:
+/// clauses add up, one stall or pause each. Returns false and fills
+/// `*error` (naming the offending clause or key and the valid set) on
+/// any malformed or repeated input.
 bool ParseFaultPlan(const std::string& spec, FaultPlan* out,
                     std::string* error);
 

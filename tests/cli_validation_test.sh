@@ -244,6 +244,64 @@ for tool in "$SWEEP" "$SERVE"; do
   fi
 done
 
+# One flag table per tool (common/cli_util.h): a known flag in the wrong
+# form is named as such, not as an unknown flag, and a setting given
+# twice is rejected instead of the last one silently winning.
+expect_reject "clic_serve switch given a value" "--deterministic" "takes no value" -- \
+  "$SERVE" --trace=DB2_C60 --deterministic=1
+expect_reject "clic_serve verify given a value" "--verify" "takes no value" -- \
+  "$SERVE" --trace=DB2_C60 --verify=yes
+expect_reject "clic_serve CLIC switch given a value" "--no-charge-metadata" "takes no value" -- \
+  "$SERVE" --trace=DB2_C60 --no-charge-metadata=1
+expect_reject "clic_serve help given a value" "--help" "takes no value" -- \
+  "$SERVE" --help=1
+expect_reject "clic_sweep CLIC switch given a value" "--adaptive-window" "takes no value" -- \
+  "$SWEEP" --figure=6 --adaptive-window=0
+expect_reject "clic_sweep list given a value" "--list" "takes no value" -- \
+  "$SWEEP" --list=1
+expect_reject "clic_serve valued flag without a value" "--window" "needs a value (--window=W)" -- \
+  "$SERVE" --trace=DB2_C60 --window
+expect_reject "clic_sweep figure without a value" "--figure" "needs a value (--figure=NAME)" -- \
+  "$SWEEP" --figure
+expect_reject "clic_serve flag given twice" "--shards" "given twice" -- \
+  "$SERVE" --trace=DB2_C60 --shards=2 --shards=4
+expect_reject "clic_serve trace given twice" "--trace" "given twice" -- \
+  "$SERVE" --trace=DB2_C60 --trace=MY_H65
+expect_reject "clic_sweep flag given twice" "--threads" "given twice" -- \
+  "$SWEEP" --figure=6 --threads=2 --threads=4
+expect_reject "clic_sweep CLIC flag given twice" "--window" "given twice" -- \
+  "$SWEEP" --figure=6 --window=2000 --window=4000
+expect_reject "clic_serve shed clause given twice" "shed:every=5" "shed given twice" -- \
+  "$SERVE" --trace=DB2_C60 --fault-plan='shed:every=3;shed:every=5'
+expect_reject "clic_serve seed given twice" "seed=2" "seed given twice" -- \
+  "$SERVE" --trace=DB2_C60 --fault-plan='seed=1;shed:every=3;seed=2'
+expect_reject "clic_serve corrupt clause given twice" "corrupt:flips=2" "corrupt given twice" -- \
+  "$SERVE" --trace=DB2_C60 --fault-plan='corrupt:every=3;corrupt:flips=2'
+expect_reject "clic_serve net key given twice" "net:reset=3" "net:reset given twice" -- \
+  "$SERVE" --trace=DB2_C60 --fault-plan='net:reset=2;net:reset=3'
+
+# The README's CLI cheat-sheet (README.md's path is the optional third
+# argument) lists exactly the flags each tool's --help prints.
+README="${3:-}"
+if [ -n "$README" ]; then
+  for tool in clic_sweep clic_serve; do
+    if [ "$tool" = clic_sweep ]; then bin="$SWEEP"; else bin="$SERVE"; fi
+    help_flags=$("$bin" --help | sed -n 's/^  \(--[a-z-]*\).*/\1/p' | sort -u)
+    sheet_flags=$(awk -v tool="$tool" '
+      index($0, "`" tool "`") == 1 { inside = 1; next }
+      inside && /^\|/ { rows = 1; gsub(/\\\|/, "/"); split($0, cell, "|"); print cell[2]; next }
+      inside && rows { exit }' "$README" | grep -o -- '--[a-z][a-z-]*' | sort -u)
+    if [ -n "$help_flags" ] && [ "$help_flags" = "$sheet_flags" ]; then
+      echo "ok: README cheat-sheet lists every $tool flag"
+    else
+      echo "FAIL: README cheat-sheet for $tool differs from its --help:" >&2
+      echo "  --help: $(echo "$help_flags" | tr '\n' ' ')" >&2
+      echo "  README: $(echo "$sheet_flags" | tr '\n' ' ')" >&2
+      failures=$((failures + 1))
+    fi
+  done
+fi
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI validation check(s) failed" >&2
   exit 1

@@ -90,6 +90,12 @@ TEST(FaultPlanParseTest, RejectsMalformedSpecsNamingTheClause) {
       {"net:reset=-2", "net:reset=-2"},
       {"net:accept-stall=1,stall-ms=-5", "stall-ms=-5"},
       {"corrupt:every=2,flips=4294967297", "flips=4294967297"},
+      // A setting is given once: the repeat is named with its clause.
+      {"shed:every=3;shed:every=5", "'shed:every=5': shed given twice"},
+      {"seed=1;shed:every=2;seed=2", "'seed=2': seed given twice"},
+      {"corrupt:every=3;corrupt:flips=2", "corrupt given twice"},
+      {"net:reset=2;net:torn-write=3,reset=3", "net:reset given twice"},
+      {"net:reset=2,reset=3", "net:reset given twice"},
   };
   for (const auto& c : cases) {
     FaultPlan plan;
@@ -99,6 +105,22 @@ TEST(FaultPlanParseTest, RejectsMalformedSpecsNamingTheClause) {
         << "error for '" << c.spec << "' should mention '" << c.must_mention
         << "', got: " << error;
   }
+}
+
+// stall: and pause: clauses add up, and net: keys may come in several
+// clauses, each key once.
+TEST(FaultPlanParseTest, StallsAndPausesAddUpAndNetClausesMerge) {
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan(
+      "stall:shard=0,ms=1;stall:shard=1,ms=1;pause:consumer=0;"
+      "pause:consumer=1;net:reset=2;net:torn-write=3",
+      &plan, &error))
+      << error;
+  EXPECT_EQ(plan.stalls.size(), 2u);
+  EXPECT_EQ(plan.pauses.size(), 2u);
+  EXPECT_EQ(plan.net_reset_every, 2u);
+  EXPECT_EQ(plan.net_torn_write_every, 3u);
 }
 
 // ---- determinism under injected faults -------------------------------------
