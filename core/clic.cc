@@ -220,12 +220,6 @@ void ClicPolicy::InsertCached(std::uint32_t slot_index, SeqNum now) {
   BucketPushFront(hints_.rank[slots_[slot_index].hint], slot_index);
 }
 
-// clic-lint: hot-path
-bool ClicPolicy::Access(const Request& r, SeqNum seq) {
-  if (seq >= next_event_) HandleWindowEvent(seq);
-  return AccessOne(r, seq);
-}
-
 void ClicPolicy::HandleWindowEvent(SeqNum seq) {
   if (seq >= next_window_end_) {
     EndWindow(next_window_end_);
@@ -305,21 +299,18 @@ template <int kTracker>
 void ClicPolicy::RunBatchSpan(const Request* reqs, SeqNum first_seq,
                               std::size_t begin, std::size_t end,
                               std::size_t n, std::uint8_t* hits_out) {
-  for (std::size_t i = begin; i < end; ++i) {
-    if (i + kBatchPrefetchDistance < n) {
-      page_table_.Prefetch(reqs[i + kBatchPrefetchDistance].page);
-    }
-    if (i + kBatchNodeDistance < n) {
-      // The table slot prefetched kBatchPrefetchDistance ago is warm;
-      // chase it now so the 24-byte Slot is warm too when its request
-      // arrives. Purely advisory — an intervening remap only wastes the
-      // prefetch, never a decision.
-      const std::uint32_t ahead =
-          page_table_.Get(reqs[i + kBatchNodeDistance].page);
-      if (ahead != kInvalidIndex) __builtin_prefetch(&slots_[ahead], 0, 1);
-    }
-    hits_out[i] = AccessOneT<kTracker>(reqs[i], first_seq + i);
-  }
+  PipelinedBatch(
+      reqs, first_seq, begin, end, n, hits_out,
+      [this](PageId p) { page_table_.Prefetch(p); },
+      [this](PageId p) {
+        // The far step warmed this table slot; chase it now so the
+        // 24-byte Slot is warm too when its request arrives.
+        const std::uint32_t ahead = page_table_.Get(p);
+        if (ahead != kInvalidIndex) __builtin_prefetch(&slots_[ahead], 0, 1);
+      },
+      [this](const Request& r, SeqNum seq) {
+        return AccessOneT<kTracker>(r, seq);
+      });
 }
 
 // clic-lint: hot-path
@@ -332,8 +323,8 @@ void ClicPolicy::AccessBatch(const Request* reqs, SeqNum first_seq,
       HandleWindowEvent(seq);
       if (seq >= next_event_) {
         // Degenerate seq jump (more than one window event between
-        // consecutive requests): fall back to the scalar path's
-        // one-event-per-access behaviour for this request.
+        // consecutive requests): this request is applied alone, so each
+        // access handles one event, whatever the batch size.
         hits_out[i] = AccessOne(reqs[i], seq);
         ++i;
         continue;

@@ -82,13 +82,11 @@ class ClicPolicy : public Policy {
   ClicPolicy(std::size_t cache_pages, ClicOptions options);
   ~ClicPolicy() override;
 
-  bool Access(const Request& r, SeqNum seq) override;
-
   /// Batched hot path: window-boundary checks are hoisted out of the
   /// per-request loop (a batch is split into runs that provably end
   /// before the next window close) and upcoming page-table slots are
   /// software-prefetched. Decisions are bit-identical to sequential
-  /// Access() calls.
+  /// Access() calls, each a batch of one.
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,
                    std::uint8_t* hits_out) override;
 
@@ -141,16 +139,20 @@ class ClicPolicy : public Policy {
     std::size_t size() const { return priority.size(); }
   };
 
+  /// One request applied alone, for a degenerate seq jump: dispatches
+  /// on the tracker backend per request. A one-request span would do
+  /// the same, but with AccessOneT<1> then called only once, GCC
+  /// inlines it into AccessBatch, which measured slower (DESIGN.md
+  /// "CLIC batching").
   bool AccessOne(const Request& r, SeqNum seq);
   /// AccessOne specialized on the tracker backend (0 = exact, 1 =
-  /// Space-Saving, 2 = Lossy Counting) so the batched run loop carries
-  /// no per-request tracker branches; the scalar path dispatches once
-  /// per request instead.
+  /// Space-Saving, 2 = Lossy Counting) so the span loop carries no
+  /// per-request tracker branches.
   template <int kTracker>
   bool AccessOneT(const Request& r, SeqNum seq);
-  /// One window-check-free span of a batch, with two-stage software
-  /// prefetch (page-table slot far ahead, the cache slot it points at
-  /// nearer in).
+  /// One window-check-free span of a batch through the one batch loop
+  /// (PipelinedBatch, policies/common.h): page-table slot far ahead,
+  /// the cache slot it points at nearer in.
   template <int kTracker>
   void RunBatchSpan(const Request* reqs, SeqNum first_seq, std::size_t begin,
                     std::size_t end, std::size_t n, std::uint8_t* hits_out);
@@ -160,8 +162,8 @@ class ClicPolicy : public Policy {
   /// The one per-request window check: seq reached either the armed
   /// half-window checkpoint (evaluate churn, maybe close early) or the
   /// scheduled window end (close). Exactly one state transition per
-  /// call, so degenerate seq jumps behave the same on the scalar and
-  /// batched paths.
+  /// call, so a degenerate seq jump handles one event per access at
+  /// every batch size.
   void HandleWindowEvent(SeqNum seq);
   /// Rank similarity in [0, 1] between the previous window's committed
   /// ranks and live partial-window behaviour: the fraction of this

@@ -26,10 +26,10 @@ class PageTable {
   void Clear(PageId page) {
     if (page < table_.size()) table_[page] = kInvalidIndex;
   }
-  /// Hints the cache that Get(page) is imminent. The batched access
-  /// loops issue this for request i+k while processing request i, so
-  /// the (random-access) page-table load is warm by the time it is
-  /// needed. Read-only: never grows the table.
+  /// Hints the cache that Get(page) is imminent. The batch loop
+  /// (PipelinedBatch, policies/common.h) issues this for request i+k
+  /// while processing request i, so the (random-access) page-table load
+  /// is warm by the time it is needed. Read-only: never grows the table.
   void Prefetch(PageId page) const {
     if (page < table_.size()) __builtin_prefetch(&table_[page], 0, 1);
   }

@@ -11,15 +11,16 @@ namespace clic {
 
 /// A cache replacement policy simulated over a request trace.
 ///
-/// Access() decides hit vs miss for one request, updates internal
-/// state, and (for implementations in this repo) allocates nothing on
-/// the heap. `seq` is the 0-based index of the request in the trace;
-/// Simulate() guarantees it increases by exactly 1 per call, which OPT
-/// relies on for its next-use oracle.
+/// AccessBatch() is the one way into a policy: one virtual call covers
+/// a whole block of requests, so dispatch, window checks, and
+/// stats-array traffic are amortized over the batch, and every policy
+/// runs it through the one software-pipelined loop, PipelinedBatch in
+/// policies/common.h. Access() is a batch of one: it warms nothing
+/// ahead and no window closes inside its span, so a loop of Access()
+/// calls is the plain per-request replay, the reference the
+/// equivalence suite compares every batch size against. Neither entry
+/// point allocates on the heap (for the implementations in this repo).
 ///
-/// AccessBatch() is the hot path the replay loops actually use: one
-/// virtual call covers a whole block of requests, so dispatch, window
-/// checks, and stats-array traffic are amortized over the batch.
 /// Batched contract (see DESIGN.md "Batched hot path"):
 ///   - `hits_out[i]` is written 1 iff request i was resident before its
 ///     access, 0 otherwise — byte-for-byte the same decisions as n
@@ -28,9 +29,11 @@ namespace clic {
 ///     (tests/test_batch_equivalence.cc) pins this for every policy.
 ///   - The caller owns `hits_out` (at least n bytes) and `reqs`; both
 ///     must stay valid for the duration of the call only.
-///   - Request i has seq == first_seq + i. Across consecutive batches
-///     the caller keeps seq monotonic exactly as it would across
-///     sequential Access() calls (first_seq' == first_seq + n).
+///   - Request i has seq == first_seq + i, the 0-based index of the
+///     request in the trace. Across consecutive batches the caller
+///     keeps seq monotonic (first_seq' == first_seq + n); Simulate()
+///     advances it by exactly 1 per request, which OPT relies on for
+///     its next-use oracle.
 ///   - n == 0 is a no-op.
 ///
 /// Thread ownership: a Policy instance is NOT thread-safe and has no
@@ -48,19 +51,17 @@ class Policy {
  public:
   virtual ~Policy() = default;
 
-  /// Returns true iff the page was resident before this access.
-  virtual bool Access(const Request& r, SeqNum seq) = 0;
-
   /// Applies `n` consecutive requests with seqs [first_seq, first_seq+n)
-  /// and records the hit/miss decisions in `hits_out`. The scalar
-  /// default is the semantic reference; every policy in the zoo
-  /// overrides it with a tight loop (hoisted branches, software
-  /// prefetch of upcoming page-table slots, one stats touch per batch).
+  /// and records the hit/miss decisions in `hits_out`.
   virtual void AccessBatch(const Request* reqs, SeqNum first_seq,
-                           std::size_t n, std::uint8_t* hits_out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      hits_out[i] = Access(reqs[i], first_seq + i) ? 1 : 0;
-    }
+                           std::size_t n, std::uint8_t* hits_out) = 0;
+
+  /// Returns true iff the page was resident before this access: a
+  /// batch of one. Virtual only so a wrapper can forward it.
+  virtual bool Access(const Request& r, SeqNum seq) {
+    std::uint8_t hit = 0;
+    AccessBatch(&r, seq, 1, &hit);
+    return hit != 0;
   }
 };
 

@@ -4,6 +4,7 @@
 // performs zero heap allocations per request after construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -12,20 +13,48 @@
 
 namespace clic {
 
-/// Intrusive doubly-linked lists over a fixed arena of nodes. Each node
-/// carries the page it caches plus user payload defined by the policy.
-/// Lists are identified by ListHead values owned by the policy.
-/// The AccessBatch loops software-pipeline their lookups: while
-/// processing request i they prefetch the page-table slot of request
-/// i + kBatchPrefetchDistance, and — once that slot is warm — read it
-/// at i + kBatchNodeDistance to prefetch the arena node / cache slot it
-/// points at. The early read is advisory only (a request in between may
-/// remap the page; the prefetched line is then merely useless), so
-/// decisions are unaffected. Distances: far enough to cover a memory
-/// load at a few ns per request, small enough that lines stay resident.
+/// Every policy's AccessBatch runs PipelinedBatch below, which
+/// software-pipelines the lookups: while processing request i it
+/// prefetches the page-table slot of request i + kBatchPrefetchDistance
+/// and — once that slot is warm — reads it at i + kBatchNodeDistance to
+/// prefetch the arena node / cache slot it points at. The early read is
+/// advisory only (a request in between may remap the page; the
+/// prefetched line is then merely useless), so decisions are
+/// unaffected. Distances: far enough to cover a memory load at a few ns
+/// per request, small enough that lines stay resident.
 inline constexpr std::size_t kBatchPrefetchDistance = 12;
 inline constexpr std::size_t kBatchNodeDistance = 4;
 
+/// The one batch loop: applies requests [begin, end) of the batch
+/// reqs[0, n), request i with seq first_seq + i, and writes each
+/// decision to hits_out[i]. A policy passes only its steps:
+/// `warm_far(page)` and `warm_near(page)` prefetch the state of a
+/// request that far and that near ahead, and `step(request, seq)`
+/// applies one request and returns whether it hit. Each lookahead is
+/// bounded by the whole batch, not the span, so a span that ends where
+/// CLIC must close a window still warms the requests after it. A batch
+/// of one warms nothing, so Policy::Access decides through this same
+/// loop.
+// clic-lint: hot-path
+template <typename WarmFar, typename WarmNear, typename Step>
+inline void PipelinedBatch(const Request* reqs, SeqNum first_seq,
+                           std::size_t begin, std::size_t end, std::size_t n,
+                           std::uint8_t* hits_out, WarmFar warm_far,
+                           WarmNear warm_near, Step step) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i + kBatchPrefetchDistance < n) {
+      warm_far(reqs[i + kBatchPrefetchDistance].page);
+    }
+    if (i + kBatchNodeDistance < n) {
+      warm_near(reqs[i + kBatchNodeDistance].page);
+    }
+    hits_out[i] = step(reqs[i], first_seq + i);
+  }
+}
+
+/// Intrusive doubly-linked lists over a fixed arena of nodes. Each node
+/// carries the page it caches plus user payload defined by the policy.
+/// Lists are identified by ListHead values owned by the policy.
 struct ListHead {
   std::uint32_t head = kInvalidIndex;  // front (e.g. MRU)
   std::uint32_t tail = kInvalidIndex;  // back (e.g. LRU victim end)
@@ -58,7 +87,8 @@ class ListArena {
   Node& operator[](std::uint32_t i) { return nodes_[i]; }
   const Node& operator[](std::uint32_t i) const { return nodes_[i]; }
 
-  /// Warms the cache line of node `i` (see kBatchNodeDistance).
+  /// Warms the cache line of node `i` (see kBatchNodeDistance); an
+  /// index past the arena, such as kInvalidIndex, warms nothing.
   void Prefetch(std::uint32_t i) const {
     if (i < nodes_.size()) __builtin_prefetch(&nodes_[i], 0, 1);
   }

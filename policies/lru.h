@@ -12,7 +12,6 @@ class LruPolicy : public Policy {
  public:
   explicit LruPolicy(std::size_t cache_pages);
 
-  bool Access(const Request& r, SeqNum seq) override;
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,
                    std::uint8_t* hits_out) override;
 

@@ -17,7 +17,6 @@ class MqPolicy : public Policy {
   /// for the paper's peak-temporal-distance estimate.
   explicit MqPolicy(std::size_t cache_pages, std::uint64_t lifetime = 0);
 
-  bool Access(const Request& r, SeqNum seq) override;
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,
                    std::uint8_t* hits_out) override;
 

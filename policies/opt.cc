@@ -58,27 +58,20 @@ inline bool OptPolicy::AccessOne(const Request& r, SeqNum seq) {
 }
 
 // clic-lint: hot-path
-bool OptPolicy::Access(const Request& r, SeqNum seq) {
-  return AccessOne(r, seq);
-}
-
-// clic-lint: hot-path
 void OptPolicy::AccessBatch(const Request* reqs, SeqNum first_seq,
                             std::size_t n, std::uint8_t* hits_out) {
   // No PageTable here: the per-page state is the resident_ / cur_next_
-  // pair, so those are what the lookahead warms.
-  const std::size_t main =
-      n > kBatchPrefetchDistance ? n - kBatchPrefetchDistance : 0;
-  std::size_t i = 0;
-  for (; i < main; ++i) {
-    const PageId p = reqs[i + kBatchPrefetchDistance].page;
-    __builtin_prefetch(&resident_[p], 0, 1);
-    __builtin_prefetch(&cur_next_[p], 0, 1);
-    hits_out[i] = AccessOne(reqs[i], first_seq + i);
-  }
-  for (; i < n; ++i) {
-    hits_out[i] = AccessOne(reqs[i], first_seq + i);
-  }
+  // pair, so those are what the far step warms, and the near step has
+  // nothing left to chase.
+  PipelinedBatch(reqs, first_seq, 0, n, n, hits_out,
+                 [this](PageId p) {
+                   __builtin_prefetch(&resident_[p], 0, 1);
+                   __builtin_prefetch(&cur_next_[p], 0, 1);
+                 },
+                 [](PageId) {},
+                 [this](const Request& r, SeqNum seq) {
+                   return AccessOne(r, seq);
+                 });
 }
 
 }  // namespace clic

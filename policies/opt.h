@@ -15,7 +15,6 @@ class OptPolicy : public Policy {
  public:
   OptPolicy(std::size_t cache_pages, const Trace& trace);
 
-  bool Access(const Request& r, SeqNum seq) override;
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,
                    std::uint8_t* hits_out) override;
 

@@ -63,25 +63,12 @@ inline bool TqPolicy::AccessOne(const Request& r) {
 }
 
 // clic-lint: hot-path
-bool TqPolicy::Access(const Request& r, SeqNum /*seq*/) {
-  return AccessOne(r);
-}
-
-// clic-lint: hot-path
-void TqPolicy::AccessBatch(const Request* reqs, SeqNum /*first_seq*/,
+void TqPolicy::AccessBatch(const Request* reqs, SeqNum first_seq,
                            std::size_t n, std::uint8_t* hits_out) {
-  const std::size_t main =
-      n > kBatchPrefetchDistance ? n - kBatchPrefetchDistance : 0;
-  std::size_t i = 0;
-  for (; i < main; ++i) {
-    table_.Prefetch(reqs[i + kBatchPrefetchDistance].page);
-    const std::uint32_t ahead = table_.Get(reqs[i + kBatchNodeDistance].page);
-    if (ahead != kInvalidIndex) arena_.Prefetch(ahead);
-    hits_out[i] = AccessOne(reqs[i]);
-  }
-  for (; i < n; ++i) {
-    hits_out[i] = AccessOne(reqs[i]);
-  }
+  PipelinedBatch(reqs, first_seq, 0, n, n, hits_out,
+                 [this](PageId p) { table_.Prefetch(p); },
+                 [this](PageId p) { arena_.Prefetch(table_.Get(p)); },
+                 [this](const Request& r, SeqNum) { return AccessOne(r); });
 }
 
 }  // namespace clic

@@ -18,7 +18,6 @@ class TqPolicy : public Policy {
  public:
   explicit TqPolicy(std::size_t cache_pages);
 
-  bool Access(const Request& r, SeqNum seq) override;
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,
                    std::uint8_t* hits_out) override;
 

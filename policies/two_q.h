@@ -13,7 +13,6 @@ class TwoQPolicy : public Policy {
  public:
   explicit TwoQPolicy(std::size_t cache_pages);
 
-  bool Access(const Request& r, SeqNum seq) override;
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,
                    std::uint8_t* hits_out) override;
 

@@ -70,7 +70,7 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
     std::uint64_t index = 0;
     for (std::uint64_t pos = begin; pos < end; pos += batch) {
       ++index;
-      if (every > 0 && index % every == 0) continue;
+      if (fault::Fires(every, index)) continue;
       const std::uint64_t count = std::min<std::uint64_t>(batch, end - pos);
       out.requests.insert(
           out.requests.end(), trace.requests.begin() + static_cast<long>(pos),
@@ -79,16 +79,6 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
   }
   return out;
 }
-
-namespace {
-
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
     : pages_per_shard_(ShardCachePages(options.cache_pages, options.shards)),
@@ -194,8 +184,8 @@ void CacheServer::RouteBatch(ClientPort& port, Batch* batch,
   // land on the same requests no matter how drains interleave — replay
   // stays bit-identical. Flips touch hint_set only, never the page, so
   // shard routing below is unaffected.
-  if (fault_ != nullptr && fault_->corrupt_every > 0 &&
-      batch->submit_index % fault_->corrupt_every == 0) {
+  if (fault_ != nullptr &&
+      fault::Fires(fault_->corrupt_every, batch->submit_index)) {
     port.staging.assign(requests, requests + n);
     Fnv1a mix;
     mix.MixScalar(fault_->seed);
@@ -298,8 +288,8 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
   }
   // Deterministic overload injection: a pure function of (client,
   // submit index), so a verify run can reconstruct the shed set.
-  if (fault_ != nullptr && fault_->shed_every > 0 &&
-      batch->submit_index % fault_->shed_every == 0) {
+  if (fault_ != nullptr &&
+      fault::Fires(fault_->shed_every, batch->submit_index)) {
     port.adm.Add(SubmitResult::kShed, n);
     return SubmitResult::kShed;
   }
@@ -498,8 +488,11 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
     assert(!reentered && "two consumers inside one shard's policy");
 #endif
     // Published before any injected stall so the watchdog sees the full
-    // in-flight time of a wedged drain.
-    shard.busy_since_ns.store(NowNs(), std::memory_order_relaxed);
+    // in-flight time of a wedged drain. Only the watchdog reads it, so
+    // without one the drain reads no clock.
+    if (watchdog_ms_ > 0.0) {
+      shard.busy_since_ns.store(NowNs(), std::memory_order_relaxed);
+    }
     if (fault_ != nullptr && fault_->HasStalls()) {
       StallIfPlanned(shard, run.shard);
     }
@@ -524,7 +517,9 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
       }
     }
     ++shard.drains;
-    shard.busy_since_ns.store(0, std::memory_order_relaxed);
+    if (watchdog_ms_ > 0.0) {
+      shard.busy_since_ns.store(0, std::memory_order_relaxed);
+    }
 #ifndef NDEBUG
     // release: publishes this run's shard writes to whichever consumer
     // a (buggy) topology would let in next, keeping the assert honest.

@@ -64,6 +64,15 @@
 
 namespace clic::server {
 
+/// Nanoseconds since the steady clock's epoch: the serving path's one
+/// clock (the watchdog's busy stamps, the wire edge's deadlines and
+/// idle spin).
+inline std::int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Shard assignment for a page. FNV-1a over the page id so adjacent
 /// pages spread across shards; every component that partitions (the
 /// server, PartitionByShard, the determinism test) must use this one
@@ -414,8 +423,9 @@ class CacheServer {
     std::uint64_t drains CLIC_GUARDED_BY(ownership) = 0;
     std::uint64_t quarantined CLIC_GUARDED_BY(ownership) = 0;
     /// Nanoseconds-since-steady-epoch when the in-flight drain started,
-    /// 0 when idle. Written by the owning consumer, read lock-free by
-    /// the admission watchdog — deliberately NOT role-guarded.
+    /// 0 when idle; written only when the watchdog is on. Written by the
+    /// owning consumer, read lock-free by the admission watchdog —
+    /// deliberately NOT role-guarded.
     std::atomic<std::int64_t> busy_since_ns{0};
 #ifndef NDEBUG
     std::atomic<bool> entered{false};  // asserts single-owner discipline

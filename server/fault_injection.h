@@ -109,6 +109,14 @@ struct FaultPlan {
   }
 };
 
+/// The plan's one "every k-th" rule: a rule with `every` > 0 fires
+/// when the logical `index` (a 1-based counter of submits, reads,
+/// replies or accepts) is a multiple of it, and `every` == 0 never
+/// fires. Pure, so every trigger replays with the plan.
+inline bool Fires(std::uint64_t every, std::uint64_t index) {
+  return every > 0 && index % every == 0;
+}
+
 /// Parses the textual plan grammar:
 ///
 ///   plan    := clause (';' clause)*

@@ -19,12 +19,6 @@
 namespace clic::server::net {
 namespace {
 
-std::int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Status and error frames carry no payload.
 constexpr std::size_t kReplyFrameBytes =
     kFrameHeaderBytes + kFrameChecksumBytes;
@@ -153,8 +147,8 @@ void NetServer::AcceptLoop() {
                                SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) break;  // EAGAIN, or a transient accept error
       ++accept_count;
-      if (plan != nullptr && plan->net_accept_stall_every > 0 &&
-          accept_count % plan->net_accept_stall_every == 0) {
+      if (plan != nullptr &&
+          fault::Fires(plan->net_accept_stall_every, accept_count)) {
         // The trigger is the logical accept index, so replaying the plan
         // stalls the same accepts; the sliced sleep keeps a concurrent
         // Drain() from waiting the stall out.
@@ -304,8 +298,8 @@ void NetServer::HandleReadable(Connection& conn) {
   for (;;) {
     std::size_t want = sizeof(buf);
     ++conn.reads;
-    if (plan != nullptr && plan->net_partial_read_every > 0 &&
-        conn.reads % plan->net_partial_read_every == 0) {
+    if (plan != nullptr &&
+        fault::Fires(plan->net_partial_read_every, conn.reads)) {
       // Deterministically exercise the partial-frame path: this read
       // event drains a single byte; level-triggered epoll re-arms for
       // the rest.
@@ -392,8 +386,8 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
     next.begun = server_->Begin(conn.slot, slot, next.frame.requests.data(),
                                 next.frame.requests.size());
     ++conn.inflight;
-    if (plan != nullptr && plan->net_reset_every > 0 &&
-        conn.accept_index % plan->net_reset_every == 0 &&
+    if (plan != nullptr &&
+        fault::Fires(plan->net_reset_every, conn.accept_index) &&
         conn.parser.frames() == 1) {
       // net:reset — tear this connection down right after its first
       // reply, RST instead of FIN.
@@ -433,8 +427,9 @@ void NetServer::QueueReply(Connection& conn, FrameType type,
   AppendReplyFrame(type, code, seq, &conn.outbuf);
   ++conn.replies;
   const fault::FaultPlan* plan = options_.server.fault;
-  if (plan != nullptr && plan->net_torn_write_every > 0 &&
-      conn.replies % plan->net_torn_write_every == 0 && !conn.closed) {
+  if (plan != nullptr &&
+      fault::Fires(plan->net_torn_write_every, conn.replies) &&
+      !conn.closed) {
     // net:torn-write — this reply straddles two write() calls: flush up
     // to its midpoint now, the rest with the next flush. The client
     // parser must reassemble.

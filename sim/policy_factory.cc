@@ -14,34 +14,67 @@
 
 namespace clic {
 
-const char* PolicyName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kOpt:
-      return "OPT";
-    case PolicyKind::kTq:
-      return "TQ";
-    case PolicyKind::kLru:
-      return "LRU";
-    case PolicyKind::kArc:
-      return "ARC";
-    case PolicyKind::kClic:
-      return "CLIC";
-    case PolicyKind::kClock:
-      return "CLOCK";
-    case PolicyKind::kTwoQ:
-      return "2Q";
-    case PolicyKind::kMq:
-      return "MQ";
+namespace {
+
+template <typename P>
+std::unique_ptr<Policy> Make(std::size_t cache_pages, const Trace*,
+                             const ClicOptions&) {
+  return std::make_unique<P>(cache_pages);
+}
+
+std::unique_ptr<Policy> MakeOpt(std::size_t cache_pages, const Trace* trace,
+                                const ClicOptions&) {
+  if (trace == nullptr) {
+    std::fprintf(stderr, "MakePolicy(kOpt) requires a trace\n");
+    std::exit(1);
   }
-  return "?";
+  return std::make_unique<OptPolicy>(cache_pages, *trace);
+}
+
+std::unique_ptr<Policy> MakeClic(std::size_t cache_pages, const Trace*,
+                                 const ClicOptions& options) {
+  return std::make_unique<ClicPolicy>(cache_pages, options);
+}
+
+/// The one policy table, in AllPolicies() order: the paper's legend
+/// order, then the related-work baselines.
+struct PolicyRow {
+  PolicyKind kind;
+  const char* name;
+  std::unique_ptr<Policy> (*make)(std::size_t cache_pages, const Trace* trace,
+                                  const ClicOptions& options);
+};
+constexpr PolicyRow kPolicies[] = {
+    {PolicyKind::kOpt, "OPT", MakeOpt},
+    {PolicyKind::kTq, "TQ", Make<TqPolicy>},
+    {PolicyKind::kLru, "LRU", Make<LruPolicy>},
+    {PolicyKind::kArc, "ARC", Make<ArcPolicy>},
+    {PolicyKind::kClic, "CLIC", MakeClic},
+    {PolicyKind::kClock, "CLOCK", Make<ClockPolicy>},
+    {PolicyKind::kTwoQ, "2Q", Make<TwoQPolicy>},
+    {PolicyKind::kMq, "MQ", Make<MqPolicy>},
+};
+
+const PolicyRow* RowOf(PolicyKind kind) {
+  for (const PolicyRow& row : kPolicies) {
+    if (row.kind == kind) return &row;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+const char* PolicyName(PolicyKind kind) {
+  const PolicyRow* row = RowOf(kind);
+  return row != nullptr ? row->name : "?";
 }
 
 const std::vector<PolicyKind>& AllPolicies() {
-  static const std::vector<PolicyKind> kinds = {
-      PolicyKind::kOpt,   PolicyKind::kTq,  PolicyKind::kLru,
-      PolicyKind::kArc,   PolicyKind::kClic, PolicyKind::kClock,
-      PolicyKind::kTwoQ,  PolicyKind::kMq,
-  };
+  static const std::vector<PolicyKind> kinds = [] {
+    std::vector<PolicyKind> out;
+    for (const PolicyRow& row : kPolicies) out.push_back(row.kind);
+    return out;
+  }();
   return kinds;
 }
 
@@ -56,8 +89,8 @@ std::optional<PolicyKind> ParsePolicyKind(std::string_view name) {
     }
     return true;
   };
-  for (PolicyKind kind : AllPolicies()) {
-    if (equals_ignore_case(name, PolicyName(kind))) return kind;
+  for (const PolicyRow& row : kPolicies) {
+    if (equals_ignore_case(name, row.name)) return row.kind;
   }
   if (equals_ignore_case(name, "TWOQ")) return PolicyKind::kTwoQ;
   return std::nullopt;
@@ -66,29 +99,8 @@ std::optional<PolicyKind> ParsePolicyKind(std::string_view name) {
 std::unique_ptr<Policy> MakePolicy(PolicyKind kind, std::size_t cache_pages,
                                    const Trace* trace,
                                    const ClicOptions& options) {
-  switch (kind) {
-    case PolicyKind::kOpt:
-      if (trace == nullptr) {
-        std::fprintf(stderr, "MakePolicy(kOpt) requires a trace\n");
-        std::exit(1);
-      }
-      return std::make_unique<OptPolicy>(cache_pages, *trace);
-    case PolicyKind::kTq:
-      return std::make_unique<TqPolicy>(cache_pages);
-    case PolicyKind::kLru:
-      return std::make_unique<LruPolicy>(cache_pages);
-    case PolicyKind::kArc:
-      return std::make_unique<ArcPolicy>(cache_pages);
-    case PolicyKind::kClic:
-      return std::make_unique<ClicPolicy>(cache_pages, options);
-    case PolicyKind::kClock:
-      return std::make_unique<ClockPolicy>(cache_pages);
-    case PolicyKind::kTwoQ:
-      return std::make_unique<TwoQPolicy>(cache_pages);
-    case PolicyKind::kMq:
-      return std::make_unique<MqPolicy>(cache_pages);
-  }
-  return nullptr;
+  const PolicyRow* row = RowOf(kind);
+  return row != nullptr ? row->make(cache_pages, trace, options) : nullptr;
 }
 
 }  // namespace clic

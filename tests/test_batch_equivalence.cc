@@ -1,14 +1,15 @@
 // Batch == scalar equivalence suite: the AccessBatch contract in
 // core/policy.h promises that a batched replay makes bit-identical
-// per-request hit/miss decisions to sequential Access() calls, for
-// every policy, any batch size, and any window phase. These tests pin
-// that for the whole zoo over a randomized trace, for CLIC across its
-// option space (trackers, decay, outqueue, generalization — the
-// incremental window close has to reproduce the eager analysis
-// exactly), and for the one case that is easy to get wrong: a CLIC
-// window boundary falling in the middle of a batch. The same contract
-// is checked at bench scale with the paper's options, next to the
-// throughput floors of the batched Simulate() loop.
+// per-request hit/miss decisions to sequential Access() calls (each a
+// batch of one, the scalar reference here), for every policy, any
+// batch size, and any window phase. These tests pin that for the whole
+// zoo over a randomized trace, for CLIC across its option space
+// (trackers, decay, outqueue, generalization — the incremental window
+// close has to reproduce the eager analysis exactly), and for the
+// cases that are easy to get wrong: a CLIC window boundary falling in
+// the middle of a batch, and a seq jump past several window ends. The
+// same contract is checked at bench scale with the paper's options,
+// next to the throughput floors of the batched Simulate() loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -271,6 +272,53 @@ TEST(BatchEquivalenceTest, ClicWindowBoundaryMidBatch) {
   EXPECT_EQ(ScalarDecisions(scalar_small, small), want);
   ClicPolicy batched_small(4, tight);
   EXPECT_EQ(BatchedDecisions(batched_small, small, {8}), want);
+}
+
+// A degenerate seq jump: the caller's seq line skips past several
+// window ends, which neither Simulate nor the server ever does. Each
+// access then handles one window event until the policy catches up, so
+// the first requests after a jump are spans of one inside a batch, and
+// every batch size must close the same windows at the same requests.
+TEST(BatchEquivalenceTest, ClicSeqJumpPastSeveralWindowEnds) {
+  const Trace trace = RandomTrace(0x5EC, 3'000);
+  // Every 250 requests the seq line jumps 450 ahead: past four or five
+  // window ends of W = 100, and with the adaptive window past many
+  // checkpoints and ends of shorter windows.
+  constexpr std::size_t kSegment = 250;
+  constexpr SeqNum kJump = 450;
+  const auto replay = [&](ClicPolicy& policy, std::size_t batch) {
+    std::vector<std::uint8_t> out(trace.size());
+    for (std::size_t pos = 0; pos < trace.size();) {
+      const std::size_t segment_end =
+          std::min(trace.size(), (pos / kSegment + 1) * kSegment);
+      const std::size_t count = std::min(batch, segment_end - pos);
+      const SeqNum seq = pos + (pos / kSegment) * kJump;
+      policy.AccessBatch(trace.requests.data() + pos, seq, count,
+                         out.data() + pos);
+      pos += count;
+    }
+    return out;
+  };
+  const std::size_t jumps = (trace.size() - 1) / kSegment;
+  ClicOptions fixed;
+  fixed.window = 100;
+  ClicOptions adaptive = fixed;
+  adaptive.adaptive_window = true;
+  for (const ClicOptions& options : {fixed, adaptive}) {
+    const char* mode = options.adaptive_window ? "adaptive" : "fixed";
+    ClicPolicy reference(32, options);
+    const std::vector<std::uint8_t> expected = replay(reference, 1);
+    EXPECT_GE(reference.windows_completed(), 4 * jumps) << mode;
+    for (std::size_t batch : {std::size_t{7}, std::size_t{256}}) {
+      ClicPolicy policy(32, options);
+      const std::vector<std::uint8_t> got = replay(policy, batch);
+      EXPECT_EQ(FirstDivergence(expected, got), -1)
+          << mode << " diverged at request "
+          << FirstDivergence(expected, got) << " with batch size " << batch;
+      EXPECT_EQ(policy.windows_completed(), reference.windows_completed())
+          << mode << " with batch size " << batch;
+    }
+  }
 }
 
 TEST(BatchEquivalenceTest, SimulateMatchesManualScalarReplay) {

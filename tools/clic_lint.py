@@ -22,8 +22,9 @@ Enforces concurrency and determinism rules the compiler cannot express
       ordering contract the code depends on.
   no-alloc-hot-path
       No new/make_unique/container-growth calls lexically inside a
-      function marked `// clic-lint: hot-path` (the policies'
-      Access/AccessBatch loops and the SPSC ring push/pop).
+      function marked `// clic-lint: hot-path` (the one batch loop,
+      PipelinedBatch in policies/common.h, each policy's AccessBatch
+      and per-request step, and the SPSC ring push/pop).
 
 Pragmas (parsed from comments, so they never collide with code):
 
