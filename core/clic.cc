@@ -314,22 +314,18 @@ void ClicPolicy::RunBatchSpan(const Request* reqs, SeqNum first_seq,
 }
 
 // clic-lint: hot-path
-void ClicPolicy::AccessBatch(const Request* reqs, SeqNum first_seq,
+void ClicPolicy::AccessBatch(const Request* reqs,
+                             [[maybe_unused]] SeqNum first_seq,
                              std::size_t n, std::uint8_t* hits_out) {
+  // Windows are measured in requests, so the seq line must be gap-free
+  // (core/policy.h); the clock is this policy's own request count.
+  assert(first_seq == next_seq_ && "gap in the seq line");
+  const SeqNum base = next_seq_;
+  next_seq_ = base + n;
   std::size_t i = 0;
   while (i < n) {
-    const SeqNum seq = first_seq + i;
-    if (seq >= next_event_) {
-      HandleWindowEvent(seq);
-      if (seq >= next_event_) {
-        // Degenerate seq jump (more than one window event between
-        // consecutive requests): this request is applied alone, so each
-        // access handles one event, whatever the batch size.
-        hits_out[i] = AccessOne(reqs[i], seq);
-        ++i;
-        continue;
-      }
-    }
+    const SeqNum seq = base + i;
+    if (seq >= next_event_) HandleWindowEvent(seq);
     // No window event (checkpoint or close) can fire before `run`, so
     // the inner span needs no boundary check at all — the per-request
     // branch is hoisted here, and the tracker dispatch happens once per
@@ -338,27 +334,19 @@ void ClicPolicy::AccessBatch(const Request* reqs, SeqNum first_seq,
         i + static_cast<std::size_t>(
                 std::min<std::uint64_t>(n - i, next_event_ - seq));
     if (space_saving_) {
-      RunBatchSpan<1>(reqs, first_seq, i, run, n, hits_out);
+      RunBatchSpan<1>(reqs, base, i, run, n, hits_out);
     } else if (lossy_counting_) {
-      RunBatchSpan<2>(reqs, first_seq, i, run, n, hits_out);
+      RunBatchSpan<2>(reqs, base, i, run, n, hits_out);
     } else {
-      RunBatchSpan<0>(reqs, first_seq, i, run, n, hits_out);
+      RunBatchSpan<0>(reqs, base, i, run, n, hits_out);
     }
     i = run;
   }
 }
 
 // clic-lint: hot-path
-inline bool ClicPolicy::AccessOne(const Request& r, SeqNum seq) {
-  if (space_saving_) return AccessOneT<1>(r, seq);
-  if (lossy_counting_) return AccessOneT<2>(r, seq);
-  return AccessOneT<0>(r, seq);
-}
-
-// clic-lint: hot-path
 template <int kTracker>
 inline bool ClicPolicy::AccessOneT(const Request& r, SeqNum seq) {
-  last_seq_ = seq;
   EnsureHint(r.hint_set);
   if (hints_.refs_w[r.hint_set]++ == 0) Touch(r.hint_set);
   if constexpr (kTracker == 1) {
@@ -471,7 +459,7 @@ void ClicPolicy::SetPriority(HintSetId h, double priority) {
 
 void ClicPolicy::EndWindow(SeqNum end) {
   const std::uint64_t length = end - window_start_;
-  if (options_.adaptive_window) {
+  if (options_.adaptive_window && length > 0) {
     // MIMD adaptation: a churn-triggered (or forced) early close halves
     // the effective window; kStableClosesToGrow consecutive windows
     // that ran to their scheduled end double it back. Both moves clamp
@@ -479,7 +467,9 @@ void ClicPolicy::EndWindow(SeqNum end) {
     // shrinkage: a short window keeps the checkpoint cadence fine while
     // a churn episode is still resolving, and the only cost of staying
     // short during stability is the rank recompute, not ranking quality
-    // (the decay blend accumulates across windows either way).
+    // (the decay blend accumulates across windows either way). An empty
+    // window (a forced close where one starts) closes nothing, so it
+    // adapts nothing either.
     if (end < next_window_end_) {
       ++early_closes_;
       stable_closes_ = 0;
@@ -792,7 +782,7 @@ void ClicPolicy::CheckBuckets() const {
 }
 #endif
 
-void ClicPolicy::ForceEndWindow() { EndWindow(last_seq_ + 1); }
+void ClicPolicy::ForceEndWindow() { EndWindow(next_seq_); }
 
 std::vector<std::pair<HintSetId, double>> ClicPolicy::Priorities() const {
   std::vector<std::pair<HintSetId, double>> out;

@@ -86,12 +86,15 @@ class ClicPolicy : public Policy {
   /// per-request loop (a batch is split into runs that provably end
   /// before the next window close) and upcoming page-table slots are
   /// software-prefetched. Decisions are bit-identical to sequential
-  /// Access() calls, each a batch of one.
+  /// Access() calls, each a batch of one. The window clock counts the
+  /// requests applied so far, which the gap-free seq line of
+  /// core/policy.h makes equal to `first_seq`; debug builds assert it.
   void AccessBatch(const Request* reqs, SeqNum first_seq, std::size_t n,
                    std::uint8_t* hits_out) override;
 
-  /// Ends the current evaluation window immediately and recomputes all
-  /// priorities (used by the figure-3 style one-shot analysis).
+  /// Ends the current evaluation window at the next request's seq and
+  /// recomputes all priorities (used by the figure-3 style one-shot
+  /// analysis). A window that holds no request only reschedules.
   void ForceEndWindow();
 
   /// Current priority of every hint set observed so far.
@@ -139,31 +142,27 @@ class ClicPolicy : public Policy {
     std::size_t size() const { return priority.size(); }
   };
 
-  /// One request applied alone, for a degenerate seq jump: dispatches
-  /// on the tracker backend per request. A one-request span would do
-  /// the same, but with AccessOneT<1> then called only once, GCC
-  /// inlines it into AccessBatch, which measured slower (DESIGN.md
-  /// "CLIC batching").
-  bool AccessOne(const Request& r, SeqNum seq);
-  /// AccessOne specialized on the tracker backend (0 = exact, 1 =
+  /// One request, specialized on the tracker backend (0 = exact, 1 =
   /// Space-Saving, 2 = Lossy Counting) so the span loop carries no
   /// per-request tracker branches.
   template <int kTracker>
   bool AccessOneT(const Request& r, SeqNum seq);
   /// One window-check-free span of a batch through the one batch loop
   /// (PipelinedBatch, policies/common.h): page-table slot far ahead,
-  /// the cache slot it points at nearer in.
+  /// the cache slot it points at nearer in. Out of line, so AccessBatch
+  /// stays a small dispatcher instead of taking in every tracker's
+  /// loop (DESIGN.md "CLIC batching").
   template <int kTracker>
-  void RunBatchSpan(const Request* reqs, SeqNum first_seq, std::size_t begin,
-                    std::size_t end, std::size_t n, std::uint8_t* hits_out);
+  __attribute__((noinline)) void RunBatchSpan(
+      const Request* reqs, SeqNum first_seq, std::size_t begin,
+      std::size_t end, std::size_t n, std::uint8_t* hits_out);
   void EnsureHint(HintSetId h);
   void FlushArea(HintSetId h, SeqNum now);
   void Annotate(Slot& slot, HintSetId hint, SeqNum now);
-  /// The one per-request window check: seq reached either the armed
-  /// half-window checkpoint (evaluate churn, maybe close early) or the
-  /// scheduled window end (close). Exactly one state transition per
-  /// call, so a degenerate seq jump handles one event per access at
-  /// every batch size.
+  /// The one window check, run when seq reaches next_event_: either the
+  /// armed checkpoint (evaluate churn, maybe close early) or the
+  /// scheduled window end (close). Either way the next event lies past
+  /// seq, so the span that follows holds at least this request.
   void HandleWindowEvent(SeqNum seq);
   /// Rank similarity in [0, 1] between the previous window's committed
   /// ranks and live partial-window behaviour: the fraction of this
@@ -285,7 +284,8 @@ class ClicPolicy : public Policy {
 
   SeqNum window_start_ = 0;
   SeqNum next_window_end_;
-  SeqNum last_seq_ = 0;
+  /// Seq of the next request: the first_seq the next batch must carry.
+  SeqNum next_seq_ = 0;
   std::uint64_t windows_completed_ = 0;
 
   // Adaptive-window state. next_event_ is the next seq at which the

@@ -30,10 +30,12 @@ namespace clic {
 ///   - The caller owns `hits_out` (at least n bytes) and `reqs`; both
 ///     must stay valid for the duration of the call only.
 ///   - Request i has seq == first_seq + i, the 0-based index of the
-///     request in the trace. Across consecutive batches the caller
-///     keeps seq monotonic (first_seq' == first_seq + n); Simulate()
-///     advances it by exactly 1 per request, which OPT relies on for
-///     its next-use oracle.
+///     request in the trace. The seq line is gap-free: a policy's
+///     first batch starts at 0 and each later one where the previous
+///     ended (first_seq' == first_seq + n). OPT's next-use oracle
+///     relies on it, and CLIC measures its windows in requests and
+///     asserts the line at every batch in debug builds. Simulate() and
+///     each server shard keep it by construction.
 ///   - n == 0 is a no-op.
 ///
 /// Thread ownership: a Policy instance is NOT thread-safe and has no

@@ -43,20 +43,6 @@ std::string HintRegistry::Describe(HintSetId id) const {
   return out;
 }
 
-ClientId Trace::MaxClient() const {
-  if (client_bound > 0) return static_cast<ClientId>(client_bound - 1);
-  ClientId max_client = 0;
-  for (const Request& r : requests) {
-    if (r.client > max_client) max_client = r.client;
-  }
-  return max_client;
-}
-
-void Trace::CacheMaxClient() {
-  client_bound = 0;  // invalidate so MaxClient() scans the final state
-  client_bound = static_cast<std::uint32_t>(MaxClient()) + 1;
-}
-
 TraceStats ComputeStats(const Trace& trace) {
   TraceStats stats;
   stats.requests = trace.requests.size();

@@ -87,31 +87,17 @@ class HintRegistry {
 /// alias the registry; derived traces (noise-injected, interleaved) must
 /// build or deep-copy their own — two traces sharing one registry would
 /// also share mutable interning state, so an Intern() through either
-/// would mutate both (the trace-ops bug fixed in PR 2).
+/// would mutate both. A trace caches nothing derived from its requests,
+/// so a producer or a derivation (shard partition, capped prefix, shed
+/// filter) fills only these three fields; a consumer that needs a
+/// bound, such as ClientTally's per-client table, grows to it as it
+/// reads.
 struct Trace {
   std::string name;
   std::shared_ptr<HintRegistry> hints = std::make_shared<HintRegistry>();
   std::vector<Request> requests;
 
-  /// Cached upper bound on client ids: max ClientId + 1, or 0 when not
-  /// yet computed. Builders and loaders call CacheMaxClient() once so
-  /// Simulate() never re-scans the full trace per run; traces assembled
-  /// by hand (tests, ad-hoc tools) may leave it 0 and MaxClient() falls
-  /// back to a scan. Derived sub-traces (shard partitions, capped
-  /// prefixes) may inherit their source's bound, which is then a valid
-  /// over-estimate — every consumer needs only an upper bound.
-  std::uint32_t client_bound = 0;
-
   std::size_t size() const { return requests.size(); }
-
-  /// Largest ClientId appearing in the trace (0 for an empty trace),
-  /// or the inherited upper bound for derived sub-traces. O(1) when
-  /// cached, one fallback scan otherwise.
-  ClientId MaxClient() const;
-
-  /// Recomputes and stores the client-id bound. Call after the request
-  /// vector reaches its final state (generation, load, derivation).
-  void CacheMaxClient();
 };
 
 /// Summary columns of the paper's Figure 5 trace table, plus the client

@@ -27,7 +27,6 @@ std::vector<Trace> PartitionByShard(const Trace& trace, std::size_t shards) {
   for (std::size_t s = 0; s < parts.size(); ++s) {
     parts[s].name = trace.name + "#shard" + std::to_string(s);
     parts[s].hints = std::make_shared<HintRegistry>(*trace.hints);
-    parts[s].client_bound = trace.client_bound;  // valid upper bound
   }
   for (const Request& r : trace.requests) {
     parts[ShardOf(r.page, parts.size())].requests.push_back(r);
@@ -58,7 +57,6 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
   Trace out;
   out.name = trace.name;
   out.hints = trace.hints;  // read-only alias; PartitionByShard deep-copies
-  out.client_bound = trace.client_bound;
   const std::uint64_t every = plan != nullptr ? plan->shed_every : 0;
   out.requests.reserve(trace.size());
   const std::uint64_t clients = std::max<std::size_t>(1, load.clients);
@@ -501,13 +499,7 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
     // gathers contiguous per-shard request spans.
     shard.policy->AccessBatch(span, shard.seq, run.count, hits);
     shard.seq += run.count;
-    for (std::size_t i = 0; i < run.count; ++i) {
-      const Request& r = span[i];
-      if (r.client >= shard.client_stats.size()) {
-        shard.client_stats.resize(static_cast<std::size_t>(r.client) + 1);
-      }
-      shard.client_stats[r.client].Record(r, hits[i] != 0);
-    }
+    shard.tally.Record(span, hits, run.count);
     if (batch.has_quarantine) {
       // Only remapped requests carry the reserved id, so this recovers
       // the per-shard quarantine attribution without a second pass on
@@ -614,13 +606,7 @@ ServeResult CacheServer::Snapshot() const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     shard.ownership.AssertHeld();  // quiescent (post-join) read
-    CacheStats shard_total;
-    for (std::size_t c = 0; c < shard.client_stats.size(); ++c) {
-      const CacheStats& stats = shard.client_stats[c];
-      if (stats.reads + stats.writes == 0) continue;
-      result.per_client[static_cast<ClientId>(c)] += stats;
-      shard_total += stats;
-    }
+    const CacheStats shard_total = shard.tally.FoldInto(result.per_client);
     result.total += shard_total;
     result.per_shard.push_back(shard_total);
     result.per_consumer_requests[owner_of_[s]] +=

@@ -419,7 +419,7 @@ class CacheServer {
     ThreadRole ownership;
     std::unique_ptr<Policy> policy CLIC_GUARDED_BY(ownership);
     SeqNum seq CLIC_GUARDED_BY(ownership) = 0;
-    std::vector<CacheStats> client_stats CLIC_GUARDED_BY(ownership);
+    ClientTally tally CLIC_GUARDED_BY(ownership);
     std::uint64_t drains CLIC_GUARDED_BY(ownership) = 0;
     std::uint64_t quarantined CLIC_GUARDED_BY(ownership) = 0;
     /// Nanoseconds-since-steady-epoch when the in-flight drain started,

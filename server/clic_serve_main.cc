@@ -262,8 +262,7 @@ int Main(int argc, char** argv) {
   if (cached.size() > cap) {
     truncated = {cached.name, cached.hints,
                  {cached.requests.begin(),
-                  cached.requests.begin() + static_cast<std::ptrdiff_t>(cap)},
-                 cached.client_bound};
+                  cached.requests.begin() + static_cast<std::ptrdiff_t>(cap)}};
   }
   const Trace& trace = cached.size() > cap ? truncated : cached;
   if (opts.load.batch_size > trace.size()) {

@@ -1,6 +1,6 @@
 #include "sim/simulator.h"
 
-#include <vector>
+#include <algorithm>
 
 namespace clic {
 namespace {
@@ -40,72 +40,39 @@ std::string ResultMismatch(const SimResult& got, const SimResult& want) {
   return out;
 }
 
+void ClientTally::Grow(ClientId client) {
+  counts_.resize(static_cast<std::size_t>(client) + 1);
+}
+
+CacheStats ClientTally::FoldInto(
+    std::map<ClientId, CacheStats>& per_client) const {
+  CacheStats total;
+  for (std::size_t c = 0; c < counts_.size(); ++c) {
+    const Counts& k = counts_[c];
+    CacheStats stats;
+    stats.reads = k[0] + k[1];
+    stats.read_hits = k[1];
+    stats.writes = k[2] + k[3];
+    stats.write_hits = k[3];
+    if (stats.reads + stats.writes == 0) continue;
+    per_client[static_cast<ClientId>(c)] += stats;
+    total += stats;
+  }
+  return total;
+}
+
 SimResult Simulate(const Trace& trace, Policy& policy) {
-  SimResult result;
-  // Client ids are usually small dense integers, so the common path
-  // uses flat per-client accumulators pre-sized from the trace's cached
-  // client bound (computed once at build/load time; legacy traces fall
-  // back to one scan inside MaxClient()), folded into the map
-  // afterwards. One stray huge ClientId must not turn that pre-size
-  // into a massive allocation, so a density bound guards the flat path:
-  // when the id space is much larger than the trace itself, fall back
-  // to the map.
-  const std::size_t spread =
-      trace.requests.empty() ? 0
-                             : static_cast<std::size_t>(trace.MaxClient()) + 1;
-  const bool dense = spread <= 1024 || spread <= 2 * trace.requests.size();
-  // The replay loop is batched: one AccessBatch call per block of
-  // requests, then one stats pass over the block's hit bytes. Policies
-  // guarantee the decisions are bit-identical to sequential Access().
-  // Stats are touched once per batch and only per client — the total is
-  // folded from the per-client accumulators at the end (it is additive),
-  // so the old loop's two Record() calls per request become one
-  // branchless one, with a zero-indexing fast path for the single-
-  // client traces the microbenches replay.
   const Request* reqs = trace.requests.data();
   const std::size_t total = trace.requests.size();
+  ClientTally tally;
   std::uint8_t hits[kSimulateBatch];
-  if (dense) {
-    std::vector<CacheStats> clients(spread);
-    CacheStats* const client_stats = clients.data();
-    const bool single_client = spread <= 1;
-    for (std::size_t pos = 0; pos < total; pos += kSimulateBatch) {
-      const std::size_t count = std::min(kSimulateBatch, total - pos);
-      policy.AccessBatch(reqs + pos, pos, count, hits);
-      if (single_client) {
-        CacheStats& c = client_stats[0];
-        for (std::size_t i = 0; i < count; ++i) {
-          c.Record(reqs[pos + i], hits[i] != 0);
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          const Request& r = reqs[pos + i];
-          client_stats[r.client].Record(r, hits[i] != 0);
-        }
-      }
-    }
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      const CacheStats& c = clients[i];
-      if (c.reads + c.writes == 0) continue;
-      result.total += c;
-      result.per_client.emplace(static_cast<ClientId>(i), c);
-    }
-  } else {
-    // Sparse ids: accumulate straight into the result map. Slower per
-    // request, but only ever taken for degenerate traces where a flat
-    // vector would waste far more memory than the trace occupies.
-    for (std::size_t pos = 0; pos < total; pos += kSimulateBatch) {
-      const std::size_t count = std::min(kSimulateBatch, total - pos);
-      policy.AccessBatch(reqs + pos, pos, count, hits);
-      for (std::size_t i = 0; i < count; ++i) {
-        const Request& r = reqs[pos + i];
-        result.per_client[r.client].Record(r, hits[i] != 0);
-      }
-    }
-    for (const auto& [client, stats] : result.per_client) {
-      result.total += stats;
-    }
+  for (std::size_t pos = 0; pos < total; pos += kSimulateBatch) {
+    const std::size_t count = std::min(kSimulateBatch, total - pos);
+    policy.AccessBatch(reqs + pos, pos, count, hits);
+    tally.Record(reqs + pos, hits, count);
   }
+  SimResult result;
+  result.total = tally.FoldInto(result.per_client);
   return result;
 }
 

@@ -3,8 +3,12 @@
 // client (Figure 11 needs the per-client split).
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/policy.h"
 #include "core/trace.h"
@@ -16,22 +20,6 @@ struct CacheStats {
   std::uint64_t writes = 0;
   std::uint64_t read_hits = 0;
   std::uint64_t write_hits = 0;
-
-  /// The one place hit/miss bookkeeping lives: the simulator and the
-  /// online server both account through this, so a new counter can
-  /// never be added to one replay path and missed in the other.
-  /// Branchless on purpose — the batched stats pass runs this back to
-  /// back over a block of requests and op is data-dependent, so a
-  /// conditional here would be the "one stats branch per request" the
-  /// batch refactor removed.
-  void Record(const Request& r, bool hit) {
-    const std::uint64_t is_read = r.op == OpType::kRead ? 1 : 0;
-    const std::uint64_t h = hit ? 1 : 0;
-    reads += is_read;
-    read_hits += is_read & h;
-    writes += 1 - is_read;
-    write_hits += (1 - is_read) & h;
-  }
 
   CacheStats& operator+=(const CacheStats& o) {
     reads += o.reads;
@@ -64,6 +52,44 @@ struct SimResult {
   std::map<ClientId, CacheStats> per_client;
 };
 
+/// The one per-client accumulator: Simulate() and every server shard
+/// count their decisions here, so a counter can never be added to one
+/// replay path and missed in the other. A flat table indexed by
+/// ClientId, grown on demand to the largest id seen (at most 65,536
+/// entries, since ClientId is 16 bits), holding one counter per (op,
+/// hit) pair, so a request costs one increment and no branch on its op
+/// or outcome.
+class ClientTally {
+ public:
+  /// Counts request i of reqs[0, n) as a hit iff hits[i] != 0.
+  // clic-lint: hot-path
+  void Record(const Request* reqs, const std::uint8_t* hits,
+              std::size_t n) {
+    Counts* counts = counts_.data();
+    std::size_t size = counts_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const Request& r = reqs[i];
+      if (r.client >= size) {
+        Grow(r.client);
+        counts = counts_.data();
+        size = counts_.size();
+      }
+      const std::size_t is_write = r.op != OpType::kRead ? 1 : 0;
+      ++counts[r.client][2 * is_write + (hits[i] != 0 ? 1 : 0)];
+    }
+  }
+
+  /// Adds each client's counts to `per_client`, leaving out clients
+  /// with no request, and returns their sum.
+  CacheStats FoldInto(std::map<ClientId, CacheStats>& per_client) const;
+
+ private:
+  /// Read misses, read hits, write misses, write hits.
+  using Counts = std::array<std::uint64_t, 4>;
+  void Grow(ClientId client);
+  std::vector<Counts> counts_;
+};
+
 /// The one SimResult comparison: "" when `got` equals `want` in the
 /// total and in every client, otherwise one line per divergence naming
 /// what diverged ("total", "client 3", "client 3 missing", "unexpected
@@ -82,11 +108,9 @@ inline constexpr std::size_t kSimulateBatch = 4096;
 /// Replays `trace` through `policy` from a cold cache, in blocks of a
 /// few thousand requests per Policy::AccessBatch call (seq = request
 /// index, which OPT depends on); decisions are identical to sequential
-/// Access() by the batched-contract guarantee in core/policy.h.
-/// Per-client accumulation is flat-vector for dense client ids (sized
-/// from the trace's cached client bound) and falls back to a map when
-/// the id space is much larger than the trace, so a stray huge
-/// ClientId cannot blow up the accumulator allocation.
+/// Access() by the batched-contract guarantee in core/policy.h. One
+/// loop: each block's decisions go straight into a ClientTally, and
+/// the total is folded from it at the end.
 SimResult Simulate(const Trace& trace, Policy& policy);
 
 }  // namespace clic

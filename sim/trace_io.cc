@@ -155,7 +155,6 @@ std::optional<Trace> LoadTrace(const std::string& path,
     return std::nullopt;  // each request record is 12 bytes on disk
   }
   trace.requests.resize(num_requests);
-  ClientId max_client = 0;
   for (std::uint64_t i = 0; i < num_requests; ++i) {
     Request& r = trace.requests[i];
     std::uint8_t op = 0, write_kind = 0;
@@ -170,11 +169,7 @@ std::optional<Trace> LoadTrace(const std::string& path,
     if (r.hint_set >= num_hints) return std::nullopt;
     r.op = static_cast<OpType>(op);
     r.write_kind = static_cast<WriteKind>(write_kind);
-    if (r.client > max_client) max_client = r.client;
   }
-  // Requests stream through this loop anyway, so the client bound comes
-  // for free — Simulate() then never re-scans a loaded trace.
-  trace.client_bound = static_cast<std::uint32_t>(max_client) + 1;
 
   std::uint64_t stored = 0;
   if (std::fread(&stored, 1, sizeof(stored), f) != sizeof(stored)) {

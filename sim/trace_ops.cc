@@ -17,7 +17,6 @@ Trace InjectNoiseHints(const Trace& base, int num_types, int domain_size,
     // through either trace would mutate both.
     out.hints = std::make_shared<HintRegistry>(*base.hints);
     out.requests = base.requests;
-    out.client_bound = base.client_bound;  // same clients; reuse or stay lazy
     return out;
   }
   Rng rng(seed);
@@ -32,7 +31,6 @@ Trace InjectNoiseHints(const Trace& base, int num_types, int domain_size,
     nr.hint_set = out.hints->Intern(std::move(v));
     out.requests.push_back(nr);
   }
-  out.client_bound = base.client_bound;  // clients are copied unchanged
   return out;
 }
 
@@ -68,7 +66,6 @@ Trace Interleave(const std::string& name,
       out.requests.push_back(r);
     }
   }
-  out.CacheMaxClient();
   return out;
 }
 

@@ -48,7 +48,6 @@ Trace PhasedTrace(std::uint64_t seed, std::size_t n, std::size_t phase_len) {
     if (rng.Chance(0.2)) r.op = OpType::kWrite;
     trace.requests.push_back(r);
   }
-  trace.CacheMaxClient();
   return trace;
 }
 

@@ -69,6 +69,37 @@ TEST(ClicWindowTest, HandComputedEquation2) {
   EXPECT_DOUBLE_EQ(priorities.at(kB), 0.0);
 }
 
+TEST(ClicWindowTest, ForceEndWindowBeforeAnyRequestOnlyReschedules) {
+  // No request yet: the window ends at seq 0 and holds nothing, so the
+  // call closes no window and, with the adaptive window on, counts no
+  // early close and keeps the window's length.
+  ClicOptions adaptive_options = BareOptions(100);
+  adaptive_options.adaptive_window = true;
+  ClicPolicy adaptive(4, adaptive_options);
+  adaptive.ForceEndWindow();
+  EXPECT_EQ(adaptive.windows_completed(), 0u);
+  EXPECT_EQ(adaptive.early_closes(), 0u);
+  EXPECT_EQ(adaptive.effective_window(), 100u);
+
+  // And the first window still starts at seq 0: the
+  // HandComputedEquation2 requests give the same priorities.
+  ClicPolicy clic(4, BareOptions(100));
+  clic.ForceEndWindow();
+  EXPECT_EQ(clic.windows_completed(), 0u);
+  EXPECT_TRUE(clic.Priorities().empty());
+  Driver d(&clic);
+  EXPECT_FALSE(d.Read(1, kA));
+  EXPECT_FALSE(d.Read(2, kA));
+  EXPECT_TRUE(d.Read(1, kB));
+  EXPECT_TRUE(d.Read(2, kA));
+  clic.ForceEndWindow();
+  EXPECT_EQ(clic.windows_completed(), 1u);
+  const auto priorities = PriorityMap(clic);
+  ASSERT_EQ(priorities.size(), 2u);
+  EXPECT_DOUBLE_EQ(priorities.at(kA), 1.6);
+  EXPECT_DOUBLE_EQ(priorities.at(kB), 0.0);
+}
+
 TEST(ClicWindowTest, OutqueueReReferencesCount) {
   // Cache of 1, outqueue of 2 entries. p1 is evicted into the outqueue
   // and re-referenced from there: the re-reference must still credit A.

@@ -25,11 +25,11 @@ Trace TraceWithClients(std::initializer_list<ClientId> clients) {
   return trace;
 }
 
-// Regression: the per-client accumulator used to be sized max_client+1
-// unconditionally, so one stray large ClientId in a short trace paid
-// for the whole id space. The density bound must route such traces
-// through the map path and still produce identical accounting.
-TEST(SimulatorTest, SparseClientIdsDoNotInflateAccumulators) {
+// The per-client tally grows to the largest id it sees, so a short
+// trace holding 65535, the largest ClientId, grows it to all 65,536
+// entries; both ends of the table must still count exactly, and the
+// clients in between that sent nothing must not appear.
+TEST(SimulatorTest, LargestClientIdIsCountedExactly) {
   const Trace trace = TraceWithClients({0, 65535});  // 4 requests total
   LruPolicy lru(16);
   const SimResult result = Simulate(trace, lru);
@@ -42,10 +42,11 @@ TEST(SimulatorTest, SparseClientIdsDoNotInflateAccumulators) {
   EXPECT_EQ(result.per_client.at(65535).read_hits, 1u);
 }
 
-TEST(SimulatorTest, DenseAndSparsePathsAgree) {
-  // Same access pattern, once with dense client ids (flat-vector path)
-  // and once with the ids spread across the full ClientId range (map
-  // path). Hit accounting must be identical field for field.
+TEST(SimulatorTest, SpreadClientIdsCountLikeDenseOnes) {
+  // Same access pattern, once with dense client ids and once with the
+  // ids spread across the ClientId range, which grows the tally in
+  // steps as each new id arrives. Hit accounting must be identical
+  // field for field.
   const Trace dense = TraceWithClients({0, 1, 2, 3});
   const Trace sparse = TraceWithClients({0, 20000, 40000, 60000});
   LruPolicy lru_a(16);

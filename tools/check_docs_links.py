@@ -15,6 +15,10 @@ Three classes of reference are verified, all relative to the repo root
    Runtime artifacts (.json/.csv/.trc logs) are deliberately excluded.
 3. Backticked `./binary` invocations — the binary name must be a build
    target: clic_sweep, clic_serve, or a bench_*/test_* source basename.
+4. Backticked GoogleTest references — `Suite.Name` must be a
+   TEST(Suite, Name) or TEST_F(Suite, Name) in a .cc file under tests/,
+   and a bare `...Test` token must name a suite of one. A deleted or
+   renamed test therefore cannot stay cited in the docs.
 
 Exit 1 on any missing reference, 2 on usage errors. Stdlib only; CI
 runs this so a README quickstart can never name a file or target that
@@ -55,7 +59,21 @@ def known_targets(files):
     return targets
 
 
-def check_doc(doc, root, files, basenames, targets):
+def known_tests(root, files):
+    """Returns ({(suite, name)}, {suite}) for every test under tests/."""
+    tests = set()
+    for path in files:
+        if not (path.startswith("tests/") and path.endswith(".cc")):
+            continue
+        with open(os.path.join(root, path), encoding="utf-8") as f:
+            text = f.read()
+        tests.update(re.findall(
+            r"\bTEST(?:_F)?\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\)",
+            text))
+    return tests, {suite for suite, _ in tests}
+
+
+def check_doc(doc, root, files, basenames, targets, tests, suites):
     problems = []
     try:
         with open(os.path.join(root, doc), encoding="utf-8") as f:
@@ -98,6 +116,14 @@ def check_doc(doc, root, files, basenames, targets):
 
     for match in re.finditer(r"`([^`\n]+)`", text):
         token = match.group(1).strip()
+        test = re.fullmatch(r"([A-Za-z_]\w*Test)(?:\.([A-Za-z_]\w*))?", token)
+        if test:
+            suite, name = test.groups()
+            if name is None and suite not in suites:
+                problems.append(f"{doc}: unknown test suite '{token}'")
+            elif name is not None and (suite, name) not in tests:
+                problems.append(f"{doc}: unknown test '{token}'")
+            continue
         # Placeholders, globs, env vars, and flags are not paths.
         if any(c in token for c in "*<>$ {}|="):
             # ... but a `./binary --flags` invocation still names a
@@ -145,9 +171,11 @@ def main(argv):
     files = repo_files(root)
     basenames = {os.path.basename(f) for f in files}
     targets = known_targets(files)
+    tests, suites = known_tests(root, files)
     problems = []
     for doc in argv[1:]:
-        problems += check_doc(doc, root, files, basenames, targets)
+        problems += check_doc(doc, root, files, basenames, targets, tests,
+                              suites)
     for problem in problems:
         print(f"check_docs_links: {problem}", file=sys.stderr)
     checked = len(argv) - 1
@@ -156,7 +184,7 @@ def main(argv):
               f"{checked} doc(s)", file=sys.stderr)
         return 1
     print(f"check_docs_links: OK ({checked} doc(s), {len(files)} repo files, "
-          f"{len(targets)} targets)")
+          f"{len(targets)} targets, {len(tests)} tests)")
     return 0
 
 

@@ -24,7 +24,8 @@ Enforces concurrency and determinism rules the compiler cannot express
       No new/make_unique/container-growth calls lexically inside a
       function marked `// clic-lint: hot-path` (the one batch loop,
       PipelinedBatch in policies/common.h, each policy's AccessBatch
-      and per-request step, and the SPSC ring push/pop).
+      and per-request step, ClientTally::Record, and the SPSC ring
+      push/pop).
 
 Pragmas (parsed from comments, so they never collide with code):
 

@@ -431,7 +431,6 @@ Trace MakeScenarioTrace(const WorkloadSpec& spec,
   if (trace.requests.size() > target) {
     trace.requests.resize(target);
   }
-  trace.CacheMaxClient();
   return trace;
 }
 

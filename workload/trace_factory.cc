@@ -312,15 +312,12 @@ Trace MakeNamedTrace(const std::string& name,
     if (target_requests != 0 && target_requests < target) {
       target = target_requests;
     }
-    Trace trace =
-        info.workload == "TPCC"
-            ? MakeOltpTrace(info, target)
-            : MakeDssTrace(info, target,
-                           info.dbms == "DB2" ? Db2DssLayout()
-                                              : MySqlDssLayout(),
-                           info.dbms == "DB2");
-    trace.CacheMaxClient();
-    return trace;
+    return info.workload == "TPCC"
+               ? MakeOltpTrace(info, target)
+               : MakeDssTrace(info, target,
+                              info.dbms == "DB2" ? Db2DssLayout()
+                                                 : MySqlDssLayout(),
+                              info.dbms == "DB2");
   }
   std::fprintf(stderr, "MakeNamedTrace: unknown trace '%s'\n", name.c_str());
   std::exit(1);
