@@ -81,8 +81,11 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
 CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
     : pages_per_shard_(ShardCachePages(options.cache_pages, options.shards)),
       deterministic_(options.deterministic),
-      batch_deadline_ms_(options.batch_deadline_ms),
-      watchdog_ms_(options.watchdog_ms),
+      // Rounded up, so any positive deadline stays one, and capped at
+      // 1e12 ms (about 32 years), so the stamp NowNs() + deadline_ns_
+      // cannot overflow into the past.
+      deadline_ns_(static_cast<std::int64_t>(
+          std::ceil(std::min(options.batch_deadline_ms, 1e12) * 1e6))),
       hint_bound_(options.hint_bound),
       fault_(options.fault) {
   if (options.shards == 0) {
@@ -201,7 +204,6 @@ void CacheServer::RouteBatch(ClientPort& port, Batch* batch,
   // untrusted bucket before the batch reaches any policy. The policy
   // sees a well-formed hint set whose priority reflects the untrusted
   // traffic's own behaviour; within its rank bucket eviction is LRU.
-  batch->has_quarantine = false;
   if (hint_bound_ > 0) {
     std::size_t bad = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -218,7 +220,7 @@ void CacheServer::RouteBatch(ClientPort& port, Batch* batch,
           port.staging[i].hint_set = hint_bound_;
         }
       }
-      batch->has_quarantine = true;
+      port.quarantined += bad;
     }
   }
   batch->runs.clear();
@@ -262,18 +264,6 @@ void CacheServer::RouteBatch(ClientPort& port, Batch* batch,
   batch->reqs = batch->routed.data();
 }
 
-bool CacheServer::TouchesStalledShard(const Batch& batch,
-                                      std::int64_t now_ns) const {
-  const std::int64_t limit_ns = static_cast<std::int64_t>(watchdog_ms_ * 1e6);
-  // O(runs), using the shard ids computed at routing — no page rescan.
-  for (const ShardRun& run : batch.runs) {
-    const std::int64_t busy =
-        shards_[run.shard]->busy_since_ns.load(std::memory_order_relaxed);
-    if (busy != 0 && now_ns - busy > limit_ns) return true;
-  }
-  return false;
-}
-
 SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
                                 const Request* requests, std::size_t n) {
   port.adm.submitted_batches += 1;
@@ -292,13 +282,6 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
     return SubmitResult::kShed;
   }
   RouteBatch(port, batch, requests, n);
-  // Watchdog: shed traffic aimed at a shard whose in-flight drain has
-  // been running past the threshold.
-  if (watchdog_ms_ > 0.0 && TouchesStalledShard(*batch, NowNs())) {
-    port.adm.Add(SubmitResult::kShed, n);
-    watchdog_sheds_.fetch_add(1, std::memory_order_relaxed);
-    return SubmitResult::kShed;
-  }
   // The batch's slices go to the consumers owning its runs' shards.
   port.targets.clear();
   for (const ShardRun& run : batch->runs) {
@@ -309,18 +292,11 @@ SubmitResult CacheServer::Admit(ClientPort& port, Batch* batch,
     }
     if (!seen) port.targets.push_back(owner);
   }
-  batch->deadline = Clock::time_point{};
-  if (batch_deadline_ms_ > 0.0) {
-    batch->deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               batch_deadline_ms_));
-  }
+  batch->deadline_ns = deadline_ns_ > 0 ? NowNs() + deadline_ns_ : 0;
   batch->pending.store(static_cast<std::uint32_t>(port.targets.size()),
                        std::memory_order_relaxed);
-  batch->fail_bits.store(0, std::memory_order_relaxed);
+  batch->outcome.store(SubmitResult::kEnqueued, std::memory_order_relaxed);
   batch->done.store(false, std::memory_order_relaxed);
-  batch->result = SubmitResult::kApplied;
   // Push phase, guarded by the submitting flag: Stop()'s final drain
   // spins this flag out after raising stop_, so either we observe stop_
   // here (and nothing is pushed) or every push below lands before the
@@ -373,7 +349,7 @@ SubmitResult CacheServer::Await(std::size_t client, std::size_t slot) {
   // drain, so every admitted batch completes.
   port.done.Wait(
       [&batch] { return batch.done.load(std::memory_order_acquire); });
-  return batch.result;
+  return batch.outcome.load(std::memory_order_relaxed);
 }
 
 void CacheServer::Finish(std::size_t client) {
@@ -392,37 +368,59 @@ void CacheServer::Stop() {
   stop_.store(true, std::memory_order_seq_cst);
   // Consumers see stop_ in their wait predicate. A producer awaiting a
   // batch is woken when the batch finishes: by its consumer after the
-  // slice in hand, or as stopped by the final drain below.
+  // slice in hand, or by the final drain below.
   for (auto& cp : consumers_) cp->work.Wake();
   Shutdown();
   // Final drain: with consumers joined, every admitted-but-unfinished
   // slice sits in exactly one ring. Quiesce any producer mid-push first
   // (the submitting flag; such a producer saw stop_ false and will
-  // complete its pushes promptly), then pop and finish everything as
-  // stopped, with exact accounting.
+  // complete its pushes promptly); after that no push can land.
   for (auto& pp : ports_) {
-    ClientPort& port = *pp;
-    while (port.submitting.load(std::memory_order_seq_cst)) {
+    while (pp->submitting.load(std::memory_order_seq_cst)) {
       std::this_thread::yield();
     }
-    for (auto& ring : port.rings) {
+  }
+  // Then this thread takes each joined consumer's role in turn: it
+  // applies the slices of batches a consumer already decided to serve,
+  // so each of them reaches all of its shards, and decides the rest
+  // stopped.
+  for (std::size_t k = 0; k < consumers_.size(); ++k) {
+    Consumer& me = *consumers_[k];
+    me.self.Acquire();
+    for (auto& pp : ports_) {
       Batch* batch = nullptr;
-      while (ring->TryPop(&batch)) FinishSlice(port, batch, kStoppedBit);
+      while (pp->rings[k]->TryPop(&batch)) {
+        if (Decide(*batch, SubmitResult::kStopped) == SubmitResult::kApplied) {
+          ApplySlice(k, me, *batch);
+        }
+        FinishSlice(*pp, batch);
+      }
     }
+    me.self.Release();
   }
 }
 
-void CacheServer::FinishSlice(ClientPort& port, Batch* batch,
-                              std::uint8_t bits) {
-  if (bits != 0) batch->fail_bits.fetch_or(bits, std::memory_order_relaxed);
+SubmitResult CacheServer::Decide(Batch& batch, SubmitResult first) {
+  // Relaxed: the outcome orders nothing else. Each slice decides or
+  // reads it before its FinishSlice, whose acq_rel count hands it to
+  // the last finisher and, through done, to the producer. The ring pop
+  // orders this load after Admit's reset, so it never reads a value
+  // from the slot's previous batch. A slice that sees the decision
+  // skips the exchange; one that races the first loses it and gets
+  // the decision from the failed exchange.
+  SubmitResult decided = batch.outcome.load(std::memory_order_relaxed);
+  if (decided == SubmitResult::kEnqueued &&
+      batch.outcome.compare_exchange_strong(decided, first,
+                                            std::memory_order_relaxed)) {
+    return first;
+  }
+  return decided;
+}
+
+void CacheServer::FinishSlice(ClientPort& port, Batch* batch) {
   if (batch->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  // Last finisher resolves the one batch outcome.
-  const std::uint8_t fb = batch->fail_bits.load(std::memory_order_relaxed);
-  const SubmitResult outcome = (fb & kStoppedBit) != 0
-                                   ? SubmitResult::kStopped
-                                   : (fb & kExpiredBit) != 0
-                                         ? SubmitResult::kExpired
-                                         : SubmitResult::kApplied;
+  // Last finisher records the one outcome the first slice decided.
+  const SubmitResult outcome = batch->outcome.load(std::memory_order_relaxed);
   const std::size_t n = batch->n;
   switch (outcome) {
     case SubmitResult::kApplied:
@@ -438,7 +436,6 @@ void CacheServer::FinishSlice(ClientPort& port, Batch* batch,
       port.stopped_requests.fetch_add(n, std::memory_order_relaxed);
       break;
   }
-  batch->result = outcome;
   // The producer may reuse the slot as soon as it sees done, so the batch
   // is not touched after this store.
   batch->done.store(true, std::memory_order_release);
@@ -485,12 +482,6 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
         shard.entered.exchange(true, std::memory_order_acq_rel);
     assert(!reentered && "two consumers inside one shard's policy");
 #endif
-    // Published before any injected stall so the watchdog sees the full
-    // in-flight time of a wedged drain. Only the watchdog reads it, so
-    // without one the drain reads no clock.
-    if (watchdog_ms_ > 0.0) {
-      shard.busy_since_ns.store(NowNs(), std::memory_order_relaxed);
-    }
     if (fault_ != nullptr && fault_->HasStalls()) {
       StallIfPlanned(shard, run.shard);
     }
@@ -500,18 +491,7 @@ void CacheServer::ApplySlice(std::size_t k, Consumer& me, Batch& batch) {
     shard.policy->AccessBatch(span, shard.seq, run.count, hits);
     shard.seq += run.count;
     shard.tally.Record(span, hits, run.count);
-    if (batch.has_quarantine) {
-      // Only remapped requests carry the reserved id, so this recovers
-      // the per-shard quarantine attribution without a second pass on
-      // the trusted fast path.
-      for (std::size_t i = 0; i < run.count; ++i) {
-        shard.quarantined += span[i].hint_set == hint_bound_ ? 1 : 0;
-      }
-    }
     ++shard.drains;
-    if (watchdog_ms_ > 0.0) {
-      shard.busy_since_ns.store(0, std::memory_order_relaxed);
-    }
 #ifndef NDEBUG
     // release: publishes this run's shard writes to whichever consumer
     // a (buggy) topology would let in next, keeping the assert honest.
@@ -528,15 +508,15 @@ bool CacheServer::PopAndProcess(std::size_t k, Consumer& me, std::size_t c) {
   if (fault_ != nullptr && fault_->HasPauses()) {
     PauseIfPlanned(k, me.batches_processed);
   }
-  std::uint8_t bits = 0;
-  if (batch->deadline != Clock::time_point{} &&
-      Clock::now() > batch->deadline) {
-    bits = kExpiredBit;  // stale: drop this slice, don't serve it
-  } else {
+  // The first slice popped decides for the whole batch: a stale batch is
+  // dropped on every shard, a fresh one served on every shard.
+  const bool stale = batch->deadline_ns != 0 && NowNs() > batch->deadline_ns;
+  if (Decide(*batch, stale ? SubmitResult::kExpired : SubmitResult::kApplied) ==
+      SubmitResult::kApplied) {
     ApplySlice(k, me, *batch);
   }
   ++me.batches_processed;
-  FinishSlice(port, batch, bits);
+  FinishSlice(port, batch);
   return true;
 }
 
@@ -568,7 +548,7 @@ void CacheServer::ConsumeOwned(std::size_t k) {
       // A visit pops at most one ring's worth, so a client that keeps
       // its ring full cannot starve the others. Re-check stop between
       // pops: batches queued behind a stall that Stop() unwound belong
-      // to the final stopped-accounting drain, not to this consumer.
+      // to Stop()'s final drain, not to this consumer.
       for (std::size_t pops = 0; pops < kPipelineDepth &&
                                  !stop_.load(std::memory_order_acquire) &&
                                  PopAndProcess(k, me, c);
@@ -612,7 +592,6 @@ ServeResult CacheServer::Snapshot() const {
     result.per_consumer_requests[owner_of_[s]] +=
         shard_total.reads + shard_total.writes;
     result.shard_drains += shard.drains;
-    result.quarantined += shard.quarantined;
   }
   result.requests = result.total.reads + result.total.writes;
   result.avg_drained_batch =
@@ -625,8 +604,9 @@ ServeResult CacheServer::Snapshot() const {
   for (const auto& pp : ports_) {
     result.per_client_admission.push_back(SnapshotAdmission(*pp));
     result.admission += result.per_client_admission.back();
+    pp->producer.AssertHeld();  // quiescent read of a producer field
+    result.quarantined += pp->quarantined;
   }
-  result.watchdog_sheds = watchdog_sheds();
   return result;
 }
 

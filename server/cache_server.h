@@ -34,14 +34,15 @@
 // keeps at most kPipelineDepth batches in flight, one per closed-loop
 // slot, and every ring has that many slots, so admission never waits
 // for space. Admitted batches can carry a service deadline past which
-// they are dropped instead of served stale, a watchdog sheds traffic
-// routed at a shard whose in-flight drain has exceeded a threshold, a
-// hint-sanity guard quarantines corrupted hint ids into an untrusted
-// fallback bucket instead of letting them index (or explode) policy
-// state, and Stop() aborts a wedged run — resolving every in-flight
-// batch, discarding queued work with exact accounting, and joining all
-// consumers. Deterministic fault injection (server/fault_injection.h)
-// drives all of it reproducibly.
+// they are dropped instead of served stale, a hint-sanity guard
+// quarantines corrupted hint ids into an untrusted fallback bucket
+// instead of letting them index (or explode) policy state, and Stop()
+// aborts a wedged run — joining all consumers, finishing every batch a
+// consumer had started, and discarding the rest with exact accounting.
+// A batch has one outcome, decided once by the first of its slices to
+// be popped: it is applied on every shard it touches or on none.
+// Deterministic fault injection (server/fault_injection.h) drives all
+// of it reproducibly.
 #pragma once
 
 #include <array>
@@ -65,8 +66,7 @@
 namespace clic::server {
 
 /// Nanoseconds since the steady clock's epoch: the serving path's one
-/// clock (the watchdog's busy stamps, the wire edge's deadlines and
-/// idle spin).
+/// clock (batch deadlines, the wire edge's deadlines and idle spin).
 inline std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -136,13 +136,9 @@ struct ServerOptions {
 
   // ---- overload resilience (all off by default) ----
 
-  /// > 0: a drained batch older than this (submit-to-drain) is dropped
-  /// as kExpired instead of served stale.
+  /// > 0: a batch older than this (admission to the first pop of one of
+  /// its slices) is dropped whole as kExpired instead of served stale.
   double batch_deadline_ms = 0.0;
-  /// > 0: admission sheds any batch containing a request routed to a
-  /// shard whose in-flight drain has been running longer than this.
-  /// Recovery is automatic the moment the stalled drain completes.
-  double watchdog_ms = 0.0;
   /// > 0: hint-sanity guard. A submitted request with hint_set >=
   /// hint_bound (possible only via corruption — trace loading validates
   /// ids) is quarantined: remapped to the reserved untrusted hint id
@@ -164,9 +160,8 @@ struct ServerOptions {
 /// PartitionedSimulate baseline.
 struct ServeResult : SimResult {
   std::vector<CacheStats> per_shard;
-  /// Requests that reached a shard policy. Normally the ledger's
-  /// applied_requests; above it when a batch was only partly applied
-  /// (see AdmissionStats).
+  /// Requests that reached a shard policy. A batch is applied whole or
+  /// not at all, so this is the ledger's applied_requests.
   std::uint64_t requests = 0;
   /// Per-shard AccessBatch applications; requests / shard_drains is the
   /// average drained batch size (how much of the submitted batch size
@@ -186,9 +181,9 @@ struct ServeResult : SimResult {
   AdmissionStats admission;
   std::vector<AdmissionStats> per_client_admission;
   /// Requests remapped to the untrusted hint bucket by the sanity
-  /// guard — the degraded-mode counter.
+  /// guard at admission — the degraded-mode counter. A remap counts even
+  /// if its batch later expires or is stopped.
   std::uint64_t quarantined = 0;
-  std::uint64_t watchdog_sheds = 0;
   /// Filled by the load driver, not the server: ServeTrace's in-process
   /// Begin-to-Await latencies, or the wire latencies of a loopback run,
   /// with up to kPipelineDepth batches in flight per client.
@@ -205,8 +200,8 @@ struct ServeResult : SimResult {
 /// Begin/Await split that into admission and completion so one
 /// producer can keep up to kPipelineDepth batches in flight (as
 /// ServeTrace's drivers and the wire front end do). Stop() aborts a run
-/// from any thread: waiting producers return kStopped, queued batches
-/// are discarded with exact accounting, and consumers join.
+/// from any thread: consumers join, batches already started finish,
+/// and the rest are discarded as kStopped with exact accounting.
 ///
 /// Threading contract: each client id must be driven by AT MOST ONE
 /// producer thread at a time (Submit / Begin / Await / Finish for one
@@ -269,12 +264,13 @@ class CacheServer {
   /// Idempotent; called by the destructor if needed.
   void Shutdown();
 
-  /// Aborts the run: producers waiting for a closed-loop batch return
-  /// kStopped, every still-queued batch is discarded and counted as
-  /// stopped, and consumers exit after the batch slice they are
+  /// Aborts the run: consumers exit after the batch slice they are
   /// currently applying (a fault-injected stall checks the stop flag
-  /// every millisecond, so even a stalled shard unwinds promptly).
-  /// Joins the consumers before returning; idempotent, and a later
+  /// every millisecond, so even a stalled shard unwinds promptly) and
+  /// join. Then the queued slices of every batch a consumer had decided
+  /// to serve are applied, so each reaches all of its shards, and every
+  /// batch none of whose slices was popped is discarded as kStopped;
+  /// producers waiting on either kind return. Idempotent, and a later
   /// Shutdown() is a no-op.
   void Stop();
 
@@ -294,11 +290,6 @@ class CacheServer {
   std::uint64_t requests_applied() const { return Snapshot().requests; }
   std::uint64_t shard_drains() const { return Snapshot().shard_drains; }
   AdmissionStats TotalAdmission() const { return Snapshot().admission; }
-  /// Batches shed by the watchdog (subset of the shed counts). Safe to
-  /// read while the server runs.
-  std::uint64_t watchdog_sheds() const {
-    return watchdog_sheds_.load(std::memory_order_relaxed);
-  }
 
   std::size_t shards() const { return shards_.size(); }
   std::size_t pages_per_shard() const { return pages_per_shard_; }
@@ -307,8 +298,6 @@ class CacheServer {
   std::size_t OwnerOf(std::size_t shard) const { return owner_of_[shard]; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// A contiguous per-shard run inside a routed batch: requests
   /// [offset, offset + count) of the batch's request span all hash to
   /// `shard`. Runs are shard-ascending; the owning consumer applies
@@ -318,11 +307,6 @@ class CacheServer {
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
   };
-
-  // Batch completion bits, OR-ed by slices; precedence stopped >
-  // expired > applied when the last slice finalizes the outcome.
-  static constexpr std::uint8_t kExpiredBit = 1;
-  static constexpr std::uint8_t kStoppedBit = 2;
 
   /// One submitted batch: a reusable per-client slot inside ClientPort
   /// (up to kPipelineDepth in flight per client, one per slot, each
@@ -336,15 +320,17 @@ class CacheServer {
     std::vector<Request> routed;     // backing store when copied
     std::vector<ShardRun> runs;      // shard-ascending
     std::size_t n = 0;
-    Clock::time_point deadline{};    // epoch = no deadline
+    std::int64_t deadline_ns = 0;    // NowNs() stamp; 0 = no deadline
     std::uint64_t submit_index = 0;  // 1-based per client; drives faults
     ClientId client = 0;
-    bool has_quarantine = false;     // any request remapped by the guard
     /// Slices (owning consumers) that have not yet finished.
     std::atomic<std::uint32_t> pending{0};
-    std::atomic<std::uint8_t> fail_bits{0};
+    /// The batch's one outcome: kEnqueued until the first of its slices
+    /// to be popped decides kApplied or kExpired (or Stop()'s final drain
+    /// decides kStopped) with one compare-exchange; every later slice
+    /// follows it (Decide).
+    std::atomic<SubmitResult> outcome{SubmitResult::kEnqueued};
     std::atomic<bool> done{false};
-    SubmitResult result = SubmitResult::kApplied;
   };
 
   /// Per-client ingress port: one SPSC ring per consumer (this client
@@ -361,6 +347,8 @@ class CacheServer {
     // --- producer-side (plain: one producer thread per client) ---
     AdmissionStats adm CLIC_GUARDED_BY(producer);
     std::uint64_t submit_counter CLIC_GUARDED_BY(producer) = 0;  // 1-based
+    /// Requests the hint-sanity guard remapped (RouteBatch).
+    std::uint64_t quarantined CLIC_GUARDED_BY(producer) = 0;
     /// Reusable closed-loop batch slots, one per pipelined batch in
     /// flight (Submit uses slot 0). Role-guarded use, but consumers read
     /// them through the ring, so the pointer-shaped contract lives in
@@ -389,11 +377,12 @@ class CacheServer {
 
   /// One owning consumer: its shard set, per-core apply scratch and
   /// stats (guarded by the `self` role — only the consumer thread
-  /// itself, or the post-join snapshot, may touch them), and the parker
-  /// it idles on.
+  /// itself, or after the join Stop()'s final drain and the snapshot,
+  /// may touch them), and the parker it idles on.
   struct Consumer {
     /// The "I am this consumer's drain thread" role. Acquired for the
-    /// lifetime of ConsumeOwned.
+    /// lifetime of ConsumeOwned, and by Stop()'s final drain once the
+    /// thread has joined.
     ThreadRole self;
     std::vector<std::size_t> owned;    // shard ids, ascending; written
                                        // once before threads start
@@ -413,20 +402,14 @@ class CacheServer {
   /// CLIC_REQUIRES(ownership) — and the NDEBUG-gated `entered` flag
   /// still asserts it dynamically against topology bugs.
   struct Shard {
-    /// "I am the consumer that owns this shard (or the post-join
-    /// quiescent snapshot thread)". Acquired per drained run in
-    /// ApplySlice, asserted by the stats readers.
+    /// "I am the consumer that owns this shard (or, after the join,
+    /// Stop()'s final drain or the quiescent snapshot thread)". Acquired
+    /// per drained run in ApplySlice, asserted by the stats readers.
     ThreadRole ownership;
     std::unique_ptr<Policy> policy CLIC_GUARDED_BY(ownership);
     SeqNum seq CLIC_GUARDED_BY(ownership) = 0;
     ClientTally tally CLIC_GUARDED_BY(ownership);
     std::uint64_t drains CLIC_GUARDED_BY(ownership) = 0;
-    std::uint64_t quarantined CLIC_GUARDED_BY(ownership) = 0;
-    /// Nanoseconds-since-steady-epoch when the in-flight drain started,
-    /// 0 when idle; written only when the watchdog is on. Written by the
-    /// owning consumer, read lock-free by the admission watchdog —
-    /// deliberately NOT role-guarded.
-    std::atomic<std::int64_t> busy_since_ns{0};
 #ifndef NDEBUG
     std::atomic<bool> entered{false};  // asserts single-owner discipline
 #endif
@@ -441,23 +424,23 @@ class CacheServer {
   SubmitResult Admit(ClientPort& port, Batch* batch, const Request* requests,
                      std::size_t n) CLIC_REQUIRES(port.producer);
   /// Builds batch->reqs/runs from `requests`, including the corruption
-  /// and quarantine passes (both submit-time now; corruption stays
+  /// and quarantine passes (both submit-time; corruption stays
   /// bit-identical because it draws from the same (seed, client,
-  /// submit_index) RNG over the original batch order).
+  /// submit_index) RNG over the original batch order), and counts the
+  /// quarantined requests in port.quarantined.
   void RouteBatch(ClientPort& port, Batch* batch, const Request* requests,
                   std::size_t n) CLIC_REQUIRES(port.producer);
-  /// True when one of the batch's shard runs targets a shard whose
-  /// in-flight drain exceeds the watchdog threshold. O(runs), using the
-  /// shard ids computed at routing — no page rescan.
-  bool TouchesStalledShard(const Batch& batch, std::int64_t now_ns) const;
+  /// The batch's outcome: `first` if this slice is the first to decide
+  /// it, else whatever the first decided.
+  static SubmitResult Decide(Batch& batch, SubmitResult first);
   /// Applies consumer `me`'s owned runs of `batch` to their shards,
   /// acquiring each shard's ownership capability for the run.
   void ApplySlice(std::size_t k, Consumer& me, Batch& batch)
       CLIC_REQUIRES(me.self);
-  /// Finishes one slice: last finisher resolves the batch outcome
-  /// (stopped > expired > applied), updates the completion ledger,
-  /// publishes done, wakes a parked producer.
-  void FinishSlice(ClientPort& port, Batch* batch, std::uint8_t bits);
+  /// Finishes one slice: the last finisher records the batch's decided
+  /// outcome in the completion ledger, publishes done and wakes a
+  /// parked producer.
+  void FinishSlice(ClientPort& port, Batch* batch);
   /// Pops and fully processes one batch slice from client `c`'s ring of
   /// consumer `k` (== `me`). Returns false when the ring was empty.
   bool PopAndProcess(std::size_t k, Consumer& me, std::size_t c)
@@ -485,12 +468,10 @@ class CacheServer {
   std::size_t pages_per_shard_ = 0;
   bool deterministic_ = false;
   bool joined_ = false;
-  double batch_deadline_ms_ = 0.0;
-  double watchdog_ms_ = 0.0;
+  std::int64_t deadline_ns_ = 0;  // batch deadline after admission; 0 = none
   std::uint32_t hint_bound_ = 0;
   const fault::FaultPlan* fault_ = nullptr;
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> watchdog_sheds_{0};
 };
 
 /// Closed-loop load generation against a CacheServer.

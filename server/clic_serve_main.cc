@@ -85,7 +85,6 @@ sweep::Row SummaryRow(const ServeCommand& opts, const ServeResult& r) {
       .Count("shed_requests", r.admission.shed_requests)
       .Count("expired_requests", r.admission.expired_requests)
       .Count("quarantined", r.quarantined)
-      .Count("watchdog_sheds", r.watchdog_sheds)
       .Real("wall_seconds", r.timing.wall_seconds)
       .Real("throughput_rps", r.timing.throughput_rps)
       .Count("consumers", r.consumers)
@@ -123,6 +122,21 @@ bool LedgerBalanced(const char* which, const AdmissionStats& ledger) {
   if (ledger.Balanced()) return true;
   std::fprintf(stderr, "clic_serve: %s LEDGER BROKEN: %s\n", which,
                ledger.Describe().c_str());
+  return false;
+}
+
+/// The server's ledger check, run in every mode: its admission ledger
+/// balances, and, since a batch is applied whole or not at all, the
+/// requests the shards applied are exactly the ledger's applied ones.
+/// Prints both counts when they differ.
+bool ServerLedgerExact(const ServeResult& r) {
+  if (!LedgerBalanced("ADMISSION", r.admission)) return false;
+  if (r.requests == r.admission.applied_requests) return true;
+  std::fprintf(stderr,
+               "clic_serve: APPLIED MISMATCH: the shards applied %llu "
+               "requests, the ledger counts %llu applied\n",
+               static_cast<unsigned long long>(r.requests),
+               static_cast<unsigned long long>(r.admission.applied_requests));
   return false;
 }
 
@@ -189,11 +203,11 @@ int RunListen(const ServeCommand& opts) {
   std::fprintf(stderr, "clic_serve: draining\n");
   server->Drain();
   PrintNetStats(server->Stats());
-  const AdmissionStats adm = server->cache().TotalAdmission();
-  if (!LedgerBalanced("ADMISSION", adm)) return 1;
+  const ServeResult result = server->cache().Snapshot();
+  if (!ServerLedgerExact(result)) return 1;
   std::fprintf(stderr,
                "clic_serve: drained cleanly; %llu requests applied\n",
-               static_cast<unsigned long long>(adm.applied_requests));
+               static_cast<unsigned long long>(result.requests));
   return 0;
 }
 
@@ -305,8 +319,8 @@ int Main(int argc, char** argv) {
   }
 
   // The admission ledger must balance exactly on every run, fault plan
-  // or not.
-  if (!LedgerBalanced("ADMISSION", result.admission)) return 1;
+  // or not, and agree with the shards.
+  if (!ServerLedgerExact(result)) return 1;
 
   int exit_code = 0;
   if (opts.verify) {
@@ -345,11 +359,10 @@ int Main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "clic_serve: degraded-mode counters: shed %llu, expired %llu "
-        "requests; quarantined hints %llu; watchdog sheds %llu batches\n",
+        "requests; quarantined hints %llu\n",
         static_cast<unsigned long long>(result.admission.shed_requests),
         static_cast<unsigned long long>(result.admission.expired_requests),
-        static_cast<unsigned long long>(result.quarantined),
-        static_cast<unsigned long long>(result.watchdog_sheds));
+        static_cast<unsigned long long>(result.quarantined));
   }
   return exit_code;
 }

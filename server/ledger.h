@@ -18,9 +18,9 @@ namespace clic::server {
 enum class SubmitResult : std::uint8_t {
   kApplied,   // every request was applied
   kEnqueued,  // Begin: admitted; Await returns the final outcome
-  kShed,      // rejected at admission (watchdog or fault plan)
+  kShed,      // rejected at admission (shed: fault)
   kExpired,   // admitted, but its service deadline passed before drain
-  kStopped,   // Stop() aborted it (at admission, queued, or in flight)
+  kStopped,   // Stop() aborted it (at admission, or queued unstarted)
 };
 
 /// Exact admission accounting. On the server
@@ -30,13 +30,10 @@ enum class SubmitResult : std::uint8_t {
 /// request-granular, with nothing counted twice or lost. The wire
 /// client adds conn_lost (batches whose reply never arrived because the
 /// transport died); the server never counts it. A batch whose shard
-/// runs straddle several consumers completes with one outcome (stopped
-/// beats expired beats applied), so the ledger stays batch-exact even
-/// when only some of its slices were applied. Two things leave a batch
-/// half-applied: Stop() interrupting it, and a deadline that one
-/// consumer finds passed after another already applied its slice. In
-/// both cases the shard-side requests_applied() exceeds
-/// applied_requests, which counts whole batches.
+/// runs straddle several consumers has one outcome, decided by the
+/// first of its slices to be popped, and every slice follows it: the
+/// batch is applied on all of its shards or on none. So the shards'
+/// requests_applied() equals applied_requests exactly.
 struct AdmissionStats {
   std::uint64_t submitted_batches = 0, submitted_requests = 0;
   std::uint64_t enqueued_batches = 0, enqueued_requests = 0;

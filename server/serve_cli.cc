@@ -42,9 +42,7 @@ cli::FlagTable ServeTable(cli::Parsed<ServeCommand>* p) {
                     "check --deterministic hits in-process; exit 1 if not")}},
       {"Overload resilience (all off by default)",
        {cli::Row("--deadline-ms", Form::kF, "F", &o.server.batch_deadline_ms,
-                 "drop batches older than this at drain time"),
-        cli::Row("--watchdog-ms", Form::kF, "F", &o.server.watchdog_ms,
-                 "shed batches for a shard stalled this long"),
+                 "drop batches not started this long after admission"),
         cli::Row("--fault-plan", "SPEC",
                  [&o](const std::string& spec) {
                    std::string error;
@@ -157,8 +155,8 @@ std::vector<cli::Rule> ServeRules(const ServeCommand& o,
            " (every wire driver holds one connection; the table would shed "
            "drivers at accept time)"},
       // --verify proves bit-identity against a sequential baseline; these
-      // mechanisms are timing-dependent (watchdog, deadlines) or mutate
-      // requests (corruption), so no baseline exists for them.
+      // mechanisms are timing-dependent (deadlines) or mutate requests
+      // (corruption), so no baseline exists for them.
       {o.verify && o.fault_plan.HasCorruption(),
        VerifyWith("a corrupt: fault clause",
                   "corruption mutates served requests, so no fault-free "
@@ -168,10 +166,6 @@ std::vector<cli::Rule> ServeRules(const ServeCommand& o,
                   "a reset truncates that connection's served stream, so no "
                   "baseline matches; torn-write/partial-read/accept-stall "
                   "only re-chunk or delay bytes and remain verifiable")},
-      {o.verify && o.server.watchdog_ms > 0.0,
-       VerifyWith("--watchdog-ms",
-                  "watchdog sheds are wall-clock dependent, so the served "
-                  "set is not reproducible")},
       {o.verify && o.server.batch_deadline_ms > 0.0,
        VerifyWith("--deadline-ms",
                   "deadline expiry is wall-clock dependent, so the served "

@@ -151,8 +151,8 @@ expect_reject "clic_serve fault clause missing field" "shed" "every" -- \
   "$SERVE" --trace=DB2_C60 --fault-plan=shed:
 expect_reject "clic_serve verify vs corruption" "corrupt" "baseline" -- \
   "$SERVE" --trace=DB2_C60 --deterministic --verify --fault-plan=corrupt:every=3
-expect_reject "clic_serve verify vs watchdog" "--watchdog-ms" "reproducible" -- \
-  "$SERVE" --trace=DB2_C60 --deterministic --verify --watchdog-ms=5
+expect_reject "clic_serve verify vs deadline" "--deadline-ms" "reproducible" -- \
+  "$SERVE" --trace=DB2_C60 --deterministic --verify --deadline-ms=5
 
 # Thread-per-core topology flags (PR 7): a consumer owning zero shards
 # would idle forever and deterministic mode is one consumer by

@@ -125,8 +125,8 @@ const std::vector<Rejection>& CliValidationCases() {
       {kServe, "corrupt", "baseline",
        {"--trace=DB2_C60", "--deterministic", "--verify",
         "--fault-plan=corrupt:every=3"}},
-      {kServe, "--watchdog-ms", "reproducible",
-       {"--trace=DB2_C60", "--deterministic", "--verify", "--watchdog-ms=5"}},
+      {kServe, "--deadline-ms", "reproducible",
+       {"--trace=DB2_C60", "--deterministic", "--verify", "--deadline-ms=5"}},
       {kServe, "--consumers", "positive integer",
        {"--trace=DB2_C60", "--consumers=0"}},
       {kServe, "--consumers=4", "exceeds --shards",
@@ -289,10 +289,9 @@ TEST(CliActionTest, HelpHasARowForEveryFlag) {
   for (const char* flag :
        {"--trace=NAME", "--workload=SPEC", "--policy=NAME", "--shards=S",
         "--cache-pages=N", "--clients=C", "--batch=B", "--consumers=K",
-        "--deterministic", "--verify", "--deadline-ms=F", "--watchdog-ms=F",
-        "--fault-plan=SPEC", "--listen", "--listen=ADDR", "--connect",
-        "--port=N", "--io-threads=N", "--conn-limit=N",
-        "--read-timeout-ms=F"}) {
+        "--deterministic", "--verify", "--deadline-ms=F", "--fault-plan=SPEC",
+        "--listen", "--listen=ADDR", "--connect", "--port=N",
+        "--io-threads=N", "--conn-limit=N", "--read-timeout-ms=F"}) {
     EXPECT_TRUE(HasRow(serve, flag)) << flag;
   }
   for (const char* flag : {"--figure=NAME", "--traces=A,B",
@@ -340,7 +339,6 @@ std::string Describe(const ServeCommand& o) {
                     " dir=" + o.cache_dir + " " + o.format +
                     " out=" + o.output +
                     " deadline=" + Real(o.server.batch_deadline_ms) +
-                    " watchdog=" + Real(o.server.watchdog_ms) +
                     " clic=" + DescribeClic(o.server.clic) + " fault=";
   if (o.has_fault_plan) {
     out += std::to_string(f.seed) + "/shed" + std::to_string(f.shed_every) +
@@ -403,61 +401,61 @@ const SameOptions kServeLines[] = {
     {"--trace=DB2_C60 --policy=LRU --shards=1 --clients=4 "
      "--cache-pages=12000 --batch=256 --format=json",
      "DB2_C60 LRU shards=1 pages=12000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=256 requests=0 dir= json out= deadline=0 watchdog=0 "
+     "batch=256 requests=0 dir= json out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=LRU --shards=4 --clients=4 "
      "--cache-pages=12000 --batch=256 --format=json",
      "DB2_C60 LRU shards=4 pages=12000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=256 requests=0 dir= json out= deadline=0 watchdog=0 "
+     "batch=256 requests=0 dir= json out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=1 --clients=4 "
      "--cache-pages=12000 --batch=256 --format=json",
      "DB2_C60 CLIC shards=1 pages=12000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=256 requests=0 dir= json out= deadline=0 watchdog=0 "
+     "batch=256 requests=0 dir= json out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 "
      "--cache-pages=12000 --batch=256 --format=json",
      "DB2_C60 CLIC shards=4 pages=12000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=256 requests=0 dir= json out= deadline=0 watchdog=0 "
+     "batch=256 requests=0 dir= json out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     // ci.yml: the server smoke.
     {"--trace=DB2_C60 --policy=LRU --shards=2 --clients=2 --cache-pages=6000 "
      "--deterministic --verify",
      "DB2_C60 LRU shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --deterministic --verify",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 "
      "--cache-pages=6000 --format=json --output=serve.json",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= json out=serve.json deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= json out=serve.json deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 "
      "--cache-pages=6000 --format=csv --output=serve.csv",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out=serve.csv deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out=serve.csv deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--workload=DB2_C60+DB2_C300 --policy=LRU --shards=2 --clients=2 "
      "--cache-pages=6000 --deterministic --verify --format=json "
      "--output=mix.json",
      "DB2_C60+DB2_C300 LRU shards=2 pages=6000 consumers=0 det=1 verify=1 "
      "clients=2 batch=64 requests=0 dir= json out=mix.json deadline=0 "
-     "watchdog=0 clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
+     "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     // Also the README Quickstart's first serve.
     {"--workload=scan-pollute --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --deterministic --verify",
      "scan-pollute CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 "
-     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--workload=phase-abrupt --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --adaptive-window --window=2000 --deterministic "
      "--verify",
      "phase-abrupt CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 "
-     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=2000/1/5/1/0/100/1/0.5/0/0 fault=- net -"},
     // ci.yml: the chaos smoke.
     {"--trace=DB2_C60 --policy=CLIC --shards=2 --clients=2 "
@@ -465,95 +463,102 @@ const SameOptions kServeLines[] = {
      "--fault-plan=stall:shard=0,after=3,drains=2,ms=20;"
      "pause:consumer=0,after=5,batches=1,ms=10",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls1/pauses1/net0,0,0,0 net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --deterministic --verify --fault-plan=shed:every=5",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed5/corrupt0x1/stalls0/pauses0/net0,0,0,0 net -"},
     {"--workload=scan-pollute --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --fault-plan=corrupt:every=3,flips=2;seed=9",
      "scan-pollute CLIC shards=2 pages=6000 consumers=0 det=0 verify=0 "
-     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=9/shed0/corrupt3x2/stalls0/pauses0/net0,0,0,0 net -"},
     {"--trace=DB2_C60 --policy=LRU --shards=2 --clients=2 --cache-pages=6000 "
-     "--watchdog-ms=10 --fault-plan=stall:shard=0,after=0,drains=100,ms=20",
+     "--fault-plan=stall:shard=0,after=0,drains=100,ms=20",
      "DB2_C60 LRU shards=2 pages=6000 consumers=0 det=0 verify=0 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=10 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls1/pauses0/net0,0,0,0 net -"},
     // ci.yml: the wire smoke (the first is also the README's).
     {"--trace=DB2_C60 --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --connect --deterministic --verify",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net connect 127.0.0.1:0 "
      "io=1 conns=2 rto=0 max_batch=4096"},
     {"--workload=phase-abrupt --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --adaptive-window --window=2000 --connect "
      "--deterministic --verify",
      "phase-abrupt CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 "
-     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "clients=2 batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=2000/1/5/1/0/100/1/0.5/0/0 fault=- net connect 127.0.0.1:0 io=1 "
      "conns=2 rto=0 max_batch=4096"},
     {"--trace=DB2_C60 --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --connect --deterministic --verify "
      "--fault-plan=net:torn-write=3,partial-read=5,accept-stall=2,stall-ms=2",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls0/pauses0/net3,5,0,2 net connect "
      "127.0.0.1:0 io=1 conns=2 rto=0 max_batch=4096"},
     {"--trace=DB2_C60 --policy=LRU --shards=4 --clients=4 --cache-pages=6000 "
      "--connect --io-threads=2 --fault-plan=net:reset=3",
      "DB2_C60 LRU shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls0/pauses0/net0,0,3,0 net connect "
      "127.0.0.1:0 io=2 conns=4 rto=0 max_batch=4096"},
     // ci.yml: the ASan job's serves.
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 --cache-pages=6000",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=2 --clients=2 "
      "--cache-pages=6000 --connect --deterministic --verify "
      "--fault-plan=net:torn-write=3,partial-read=4",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls0/pauses0/net3,4,0,0 net connect "
      "127.0.0.1:0 io=1 conns=2 rto=0 max_batch=4096"},
     // ci.yml: the TSan job's serves.
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 --cache-pages=6000 "
-     "--watchdog-ms=10 --fault-plan=stall:shard=0,after=0,drains=50,ms=10;"
+     "--fault-plan=stall:shard=0,after=0,drains=50,ms=10;"
      "pause:consumer=1,after=3,batches=2,ms=5",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=10 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls1/pauses1/net0,0,0,0 net -"},
     {"--trace=DB2_C60 --policy=LRU --shards=2 --clients=4 --cache-pages=6000 "
      "--deadline-ms=50 --fault-plan=stall:shard=1,after=2,drains=20,ms=15",
      "DB2_C60 LRU shards=2 pages=6000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out= deadline=50 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=50 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls1/pauses0/net0,0,0,0 net -"},
+    {"--trace=DB2_C60 --policy=LRU --shards=2 --clients=4 --cache-pages=6000 "
+     "--deadline-ms=50 --fault-plan=stall:shard=0,after=2,drains=20,ms=15;"
+     "stall:shard=1,after=2,drains=20,ms=15",
+     "DB2_C60 LRU shards=2 pages=6000 consumers=0 det=0 verify=0 clients=4 "
+     "batch=64 requests=0 dir= csv out= deadline=50 "
+     "clic=100000/1/5/1/0/100/0/0.5/0/0 "
+     "fault=1/shed0/corrupt0x1/stalls2/pauses0/net0,0,0,0 net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 --cache-pages=6000 "
-     "--consumers=2 --watchdog-ms=10 "
+     "--consumers=2 "
      "--fault-plan=stall:shard=2,after=1,drains=30,ms=10;shed:every=9",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=2 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=10 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed9/corrupt0x1/stalls1/pauses0/net0,0,0,0 net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 --cache-pages=6000 "
      "--connect --io-threads=2 "
      "--fault-plan=net:torn-write=2,partial-read=3,reset=5",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls0/pauses0/net2,3,5,0 net connect "
      "127.0.0.1:0 io=2 conns=4 rto=0 max_batch=4096"},
@@ -562,20 +567,20 @@ const SameOptions kServeLines[] = {
      "--clients=2 --cache-pages=6000 --requests=20000 --window=2000 "
      "--deterministic --verify",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=20000 dir=DIR csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=20000 dir=DIR csv out= deadline=0 "
      "clic=2000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--cache-dir=DIR --format=csv --trace=DB2_C60 --policy=CLIC --shards=2 "
      "--clients=2 --cache-pages=6000 --requests=20000 --window=2000 "
      "--deterministic --verify --connect",
      "DB2_C60 CLIC shards=2 pages=6000 consumers=0 det=1 verify=1 clients=2 "
-     "batch=64 requests=20000 dir=DIR csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=20000 dir=DIR csv out= deadline=0 "
      "clic=2000/1/5/1/0/100/0/0.5/0/0 fault=- net connect 127.0.0.1:0 io=1 "
      "conns=2 rto=0 max_batch=4096"},
     // README Quickstart: the stand-alone network server.
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --listen --port=7433 "
      "--conn-limit=64 --read-timeout-ms=1000",
      "DB2_C60 CLIC shards=4 pages=12000 consumers=0 det=0 verify=0 clients=4 "
-     "batch=64 requests=0 dir= csv out= deadline=0 watchdog=0 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net listen 127.0.0.1:7433 "
      "io=1 conns=64 rto=1000 max_batch=4096"},
 };

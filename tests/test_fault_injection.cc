@@ -2,8 +2,9 @@
 // offending clause named), injected faults replay deterministically,
 // admission accounting stays exact under every outcome, the hint-sanity
 // guard quarantines corruption instead of crashing or polluting CLIC
-// state, the watchdog and deadline paths both fire and count, and a
-// stalled shard costs only the client routed at it.
+// state, deadlines fire and count, and a batch split across consumers
+// is applied on every shard or on none, past a deadline and through
+// Stop() alike.
 #include "server/fault_injection.h"
 
 #include <gtest/gtest.h>
@@ -325,57 +326,35 @@ TEST(FaultInjectionTest, QueuedBatchesExpireBehindAStall) {
   EXPECT_TRUE(a.Balanced()) << a.Describe();
 }
 
-// The watchdog: while shard 0's drain is wedged past watchdog_ms,
-// admission sheds batches routed at it (counted separately), and
-// recovery is automatic once the drain completes.
-TEST(FaultInjectionTest, WatchdogShedsTrafficAtStalledShard) {
-  const Trace trace = MakeSynthetic("watchdog", 31, 32 * 200, 1);
-  FaultPlan plan;
-  std::string error;
-  ASSERT_TRUE(
-      ParseFaultPlan("stall:shard=0,after=0,drains=2,ms=150", &plan, &error));
-  ServerOptions options;
-  options.shards = 1;  // every batch touches the stalled shard
-  options.cache_pages = 32;
-  options.watchdog_ms = 10.0;
-  options.fault = &plan;
-  CacheServer server(options, 1);
-  // Paced pipelined Begins: the first lands in the stall, and once the
-  // drain has been in flight > 10ms the watchdog starts shedding the
-  // rest at admission instead of queueing them behind the wedge. A shed
-  // Begin leaves its slot free; an admitted one is Awaited before the
-  // slot is reused.
-  std::array<bool, CacheServer::kPipelineDepth> in_flight{};
-  std::uint64_t submitted = 0;
-  for (std::size_t pos = 0; pos + 32 <= trace.requests.size(); pos += 32) {
-    const std::size_t slot = submitted % in_flight.size();
-    if (in_flight[slot]) server.Await(0, slot);
-    in_flight[slot] = server.Begin(0, slot, trace.requests.data() + pos,
-                                   32) == SubmitResult::kEnqueued;
-    ++submitted;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (server.watchdog_sheds() >= 3) break;  // proven; stop early
+// A deadline too long for any run never fires, however large the
+// finite value --deadline-ms accepts: its stamp must not overflow into
+// the past and expire every batch.
+TEST(FaultInjectionTest, HugeDeadlinesNeverFire) {
+  const Trace trace = MakeSynthetic("huge-deadline", 29, 64 * 4, 1);
+  for (const double deadline_ms : {9.3e12, 1e13, 1e300}) {
+    SCOPED_TRACE(testing::Message() << "deadline_ms " << deadline_ms);
+    ServerOptions options;
+    options.shards = 2;
+    options.cache_pages = 32;
+    options.batch_deadline_ms = deadline_ms;
+    CacheServer server(options, 1);
+    for (std::size_t b = 0; b < 4; ++b) {
+      EXPECT_EQ(server.Submit(0, trace.requests.data() + 64 * b, 64),
+                SubmitResult::kApplied);
+    }
+    server.Finish(0);
+    server.Shutdown();
   }
-  server.Finish(0);
-  server.Stop();
-  for (std::size_t slot = 0; slot < in_flight.size(); ++slot) {
-    if (in_flight[slot]) server.Await(0, slot);
-  }
-  EXPECT_GE(server.watchdog_sheds(), 1u);
-  const AdmissionStats a = server.TotalAdmission();
-  EXPECT_EQ(a.submitted_batches, submitted);
-  EXPECT_GE(a.shed_batches, server.watchdog_sheds());
-  EXPECT_TRUE(a.Balanced()) << a.Describe();
 }
 
 // A wedged shard under pipelined load: 4 shards with one owning
-// consumer each, LRU at 12,000 pages, a 50 ms batch deadline, a 10 ms
-// watchdog, and a 20 ms stall on every drain of shard 0. Client c
-// replays only shard c's partition: client 0 keeps kPipelineDepth
-// batches in flight into the stall, clients 1-3 drive closed-loop. The
-// ledger balances in total and per client, and only client 0 is turned
-// away: its queued batches outlive the deadline or meet the watchdog,
-// while clients 1-3 never touch the stalled shard.
+// consumer each, LRU at 12,000 pages, a 50 ms batch deadline and a
+// 20 ms stall on every drain of shard 0. Client c replays only shard
+// c's partition, so no batch splits: client 0 keeps kPipelineDepth
+// batches in flight into the stall, clients 1-3 drive closed-loop at
+// shards that never stall. The ledger balances in total and per
+// client, it agrees with the shards, and client 0's queued batches
+// outlive the deadline.
 TEST(FaultInjectionTest, StalledShardLedgerExactUnderPipelinedLoad) {
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kBatch = 256;
@@ -394,7 +373,6 @@ TEST(FaultInjectionTest, StalledShardLedgerExactUnderPipelinedLoad) {
   options.cache_pages = 12'000;
   options.policy = PolicyKind::kLru;
   options.batch_deadline_ms = 50.0;
-  options.watchdog_ms = 10.0;
   options.fault = &plan;
   CacheServer server(options, kShards);
   std::vector<std::uint64_t> driver_batches(kShards, 0);
@@ -432,18 +410,130 @@ TEST(FaultInjectionTest, StalledShardLedgerExactUnderPipelinedLoad) {
   EXPECT_EQ(total.submitted_batches, submitted);
   EXPECT_TRUE(total.Balanced()) << total.Describe();
   EXPECT_GT(total.applied_requests, 0u);
+  EXPECT_EQ(result.requests, total.applied_requests);
   const std::vector<AdmissionStats>& per_client = result.per_client_admission;
   ASSERT_EQ(per_client.size(), kShards);
   for (std::size_t c = 0; c < kShards; ++c) {
     SCOPED_TRACE("client " + std::to_string(c));
     EXPECT_TRUE(per_client[c].Balanced()) << per_client[c].Describe();
-    if (c == 0) {
-      EXPECT_GT(per_client[c].shed_batches + per_client[c].expired_batches,
-                0u);
-    } else {
-      EXPECT_EQ(per_client[c].shed_batches, 0u);
-    }
   }
+  EXPECT_GT(per_client[0].expired_batches, 0u);
+}
+
+// ---- one outcome per batch -------------------------------------------------
+
+// A trace of `batches` batches of `batch` requests in which every
+// request carries its batch's index as its client id, so the server's
+// per-client counts say how much of each batch the shards applied.
+Trace BatchTaggedTrace(const std::string& name, std::uint32_t salt,
+                       std::size_t batches, std::size_t batch) {
+  Trace trace = MakeSynthetic(name, salt, batches * batch, 1);
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+    trace.requests[i].client = static_cast<ClientId>(i / batch);
+  }
+  return trace;
+}
+
+// Each batch was applied on all of its shards or on none, as its one
+// outcome says, and the shards' count equals the ledger's.
+void ExpectWholeBatches(const ServeResult& result,
+                        const std::vector<SubmitResult>& outcomes,
+                        std::size_t batch) {
+  for (std::size_t b = 0; b < outcomes.size(); ++b) {
+    const auto it = result.per_client.find(static_cast<ClientId>(b));
+    const std::uint64_t applied =
+        it == result.per_client.end() ? 0 : it->second.reads + it->second.writes;
+    EXPECT_EQ(applied, outcomes[b] == SubmitResult::kApplied ? batch : 0u)
+        << "batch " << b << " ended " << static_cast<int>(outcomes[b]);
+  }
+  EXPECT_EQ(result.requests, result.admission.applied_requests);
+  EXPECT_TRUE(result.admission.Balanced()) << result.admission.Describe();
+}
+
+// 2 shards on 2 consumers, so nearly every batch splits into two
+// slices, and shard 1 stalls 15 ms on each of 20 drains while 4 clients
+// keep kPipelineDepth batches in flight: batches queue past their 50 ms
+// deadline at shard 1 while shard 0's consumer keeps up. The first
+// slice popped decides for the batch, so no batch is applied on one
+// shard and reported expired for the other.
+TEST(FaultInjectionTest, SplitBatchesExpireWholeOrNotAtAll) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 100;
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
+  const Trace trace =
+      BatchTaggedTrace("expire-split", 43, kClients * kPerClient, kBatch);
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan("stall:shard=1,after=2,drains=20,ms=15", &plan,
+                             &error))
+      << error;
+  ServerOptions options;
+  options.shards = 2;
+  options.consumers = 2;
+  options.cache_pages = 6000;
+  options.batch_deadline_ms = 50.0;
+  options.fault = &plan;
+  CacheServer server(options, kClients);
+  std::vector<SubmitResult> outcomes(kClients * kPerClient);
+  std::vector<std::thread> drivers;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    drivers.emplace_back([&, c] {
+      // Client c's batches are c * kPerClient + i; batch i uses slot
+      // i % kDepth, awaited just before the slot is reused.
+      const auto await = [&](std::size_t i) {
+        outcomes[c * kPerClient + i] = server.Await(c, i % kDepth);
+      };
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        if (i >= kDepth) await(i - kDepth);
+        const Request* reqs =
+            trace.requests.data() + (c * kPerClient + i) * kBatch;
+        EXPECT_EQ(server.Begin(c, i % kDepth, reqs, kBatch),
+                  SubmitResult::kEnqueued);
+      }
+      for (std::size_t i = kPerClient - kDepth; i < kPerClient; ++i) await(i);
+      server.Finish(c);
+    });
+  }
+  for (std::thread& t : drivers) t.join();
+  server.Shutdown();
+  ExpectWholeBatches(server.Snapshot(), outcomes, kBatch);
+}
+
+// Stop() while shard 1's consumer sits in a 2 s stall on the first of
+// 16 in-flight batches, each split across 2 consumers: shard 0's
+// consumer has already started every batch, so Stop() finishes them
+// all on shard 1 too instead of reporting them stopped, and returns
+// without riding out the stall.
+TEST(FaultInjectionTest, StopFinishesSplitBatchesAlreadyStarted) {
+  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
+  const Trace trace = BatchTaggedTrace("stop-split", 47, kDepth, kBatch);
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan("stall:shard=1,after=0,drains=1000,ms=2000",
+                             &plan, &error))
+      << error;
+  ServerOptions options;
+  options.shards = 2;
+  options.consumers = 2;
+  options.cache_pages = 6000;
+  options.fault = &plan;
+  CacheServer server(options, 1);
+  for (std::size_t b = 0; b < kDepth; ++b) {
+    ASSERT_EQ(server.Begin(0, b, trace.requests.data() + b * kBatch, kBatch),
+              SubmitResult::kEnqueued);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto t0 = std::chrono::steady_clock::now();
+  server.Stop();
+  const double stop_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(stop_seconds, 1.0) << "the final drain must not sleep out stalls";
+  std::vector<SubmitResult> outcomes(kDepth);
+  for (std::size_t b = 0; b < kDepth; ++b) outcomes[b] = server.Await(0, b);
+  ExpectWholeBatches(server.Snapshot(), outcomes, kBatch);
 }
 
 }  // namespace

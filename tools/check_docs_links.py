@@ -3,7 +3,7 @@
 
 Usage: check_docs_links.py README.md DESIGN.md bench/README.md ...
 
-Three classes of reference are verified, all relative to the repo root
+Five classes of reference are verified, all relative to the repo root
 (the parent directory of this script):
 
 1. Markdown links `[text](path)` whose target is not a URL or anchor —
@@ -19,6 +19,11 @@ Three classes of reference are verified, all relative to the repo root
    TEST(Suite, Name) or TEST_F(Suite, Name) in a .cc file under tests/,
    and a bare `...Test` token must name a suite of one. A deleted or
    renamed test therefore cannot stay cited in the docs.
+5. Backticked `--flag` tokens — each must be a row of a tool's flag
+   table: the first argument of a `Row`, `Switch` or `OneOf` call in
+   FLAG_TABLES, or one of FLAG_EXCEPTIONS. A removed flag therefore
+   cannot stay documented. ROADMAP.md is exempt: it names planned
+   flags.
 
 Exit 1 on any missing reference, 2 on usage errors. Stdlib only; CI
 runs this so a README quickstart can never name a file or target that
@@ -36,6 +41,19 @@ SKIP_DIRS = {".git", "build", "build-asan", "clic_trace_cache", ".claude"}
 # `./name` tokens that are runtime artifacts (created by running the
 # binaries), not build targets.
 RUNTIME_DIRS = {"clic_trace_cache"}
+# The sources holding every flag table row of clic_serve and clic_sweep.
+FLAG_TABLES = ("server/serve_cli.cc", "sweep/sweep_cli.cc",
+               "common/cli_util.h")
+# Backticked flags the docs may name although no flag table has them:
+# flag -> (file that must still define it, or None; why it is allowed).
+FLAG_EXCEPTIONS = {
+    "--seconds": ("benchmark/run.sh", "the benchmark driver's run length"),
+    "--list-suppressions": ("tools/clic_lint.py",
+                            "the linter's suppression report"),
+    "--name": (None, "the text grammar's placeholder for any switch"),
+}
+# Docs whose flags are not checked: the roadmap names planned flags.
+FLAG_EXEMPT_DOCS = {"ROADMAP.md"}
 
 
 def repo_files(root):
@@ -73,7 +91,30 @@ def known_tests(root, files):
     return tests, {suite for suite, _ in tests}
 
 
-def check_doc(doc, root, files, basenames, targets, tests, suites):
+def known_flags(root):
+    """Every flag a tool's table has, plus the named exceptions whose
+    defining file still mentions them; and the problems found."""
+    flags, problems = set(), []
+    for path in FLAG_TABLES:
+        with open(os.path.join(root, path), encoding="utf-8") as f:
+            flags.update(re.findall(
+                r"\b(?:Row|Switch|OneOf)\(\s*\"(--[a-z0-9-]+)\"", f.read()))
+    for flag, (path, _why) in FLAG_EXCEPTIONS.items():
+        if flag in flags:
+            problems.append(f"flag exception '{flag}' is a table row now")
+        elif path is None:
+            flags.add(flag)
+        else:
+            with open(os.path.join(root, path), encoding="utf-8") as f:
+                if flag in f.read():
+                    flags.add(flag)
+                else:
+                    problems.append(
+                        f"flag exception '{flag}' is gone from {path}")
+    return flags, problems
+
+
+def check_doc(doc, root, files, basenames, targets, tests, suites, flags):
     problems = []
     try:
         with open(os.path.join(root, doc), encoding="utf-8") as f:
@@ -116,6 +157,11 @@ def check_doc(doc, root, files, basenames, targets, tests, suites):
 
     for match in re.finditer(r"`([^`\n]+)`", text):
         token = match.group(1).strip()
+        if doc not in FLAG_EXEMPT_DOCS:
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", token):
+                if flag not in flags:
+                    problems.append(f"{doc}: unknown flag '{flag}' in "
+                                    f"'{token}'")
         test = re.fullmatch(r"([A-Za-z_]\w*Test)(?:\.([A-Za-z_]\w*))?", token)
         if test:
             suite, name = test.groups()
@@ -172,10 +218,10 @@ def main(argv):
     basenames = {os.path.basename(f) for f in files}
     targets = known_targets(files)
     tests, suites = known_tests(root, files)
-    problems = []
+    flags, problems = known_flags(root)
     for doc in argv[1:]:
         problems += check_doc(doc, root, files, basenames, targets, tests,
-                              suites)
+                              suites, flags)
     for problem in problems:
         print(f"check_docs_links: {problem}", file=sys.stderr)
     checked = len(argv) - 1
@@ -184,7 +230,7 @@ def main(argv):
               f"{checked} doc(s)", file=sys.stderr)
         return 1
     print(f"check_docs_links: OK ({checked} doc(s), {len(files)} repo files, "
-          f"{len(targets)} targets, {len(tests)} tests)")
+          f"{len(targets)} targets, {len(tests)} tests, {len(flags)} flags)")
     return 0
 
 
