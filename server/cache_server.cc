@@ -352,6 +352,11 @@ SubmitResult CacheServer::Await(std::size_t client, std::size_t slot) {
   return batch.outcome.load(std::memory_order_relaxed);
 }
 
+bool CacheServer::Completed(std::size_t client, std::size_t slot) const {
+  return ports_.at(client)->slots.at(slot).done.load(
+      std::memory_order_acquire);
+}
+
 void CacheServer::Finish(std::size_t client) {
   ClientPort& port = *ports_.at(client);
   port.eos.store(true, std::memory_order_release);

@@ -256,6 +256,11 @@ class CacheServer {
   /// contract as Submit.
   SubmitResult Await(std::size_t client, std::size_t slot);
 
+  /// Whether the batch Begin put in `slot` has completed, so that
+  /// Await(client, slot) returns at once. Never waits; same
+  /// producer-thread contract as Await.
+  bool Completed(std::size_t client, std::size_t slot) const;
+
   /// Marks `client`'s stream complete. Every client must be finished
   /// before Shutdown() returns.
   void Finish(std::size_t client);

@@ -149,7 +149,8 @@ void PrintNetStats(const net::NetStats& n) {
       "clic_serve: wire: %llu conns accepted (%llu shed), %llu frames / "
       "%llu requests in %llu reply writes, %llu rejected frames (%llu "
       "requests), %llu slowloris peers evicted by the read deadline, "
-      "%llu frames drained to stopped\n",
+      "%llu frames drained to stopped, %llu replies an io thread blocked "
+      "on\n",
       static_cast<unsigned long long>(n.accepted),
       static_cast<unsigned long long>(n.accept_shed),
       static_cast<unsigned long long>(n.frames),
@@ -158,7 +159,8 @@ void PrintNetStats(const net::NetStats& n) {
       static_cast<unsigned long long>(n.rejected_frames),
       static_cast<unsigned long long>(n.rejected_requests),
       static_cast<unsigned long long>(n.evicted_read),
-      static_cast<unsigned long long>(n.drained_frames));
+      static_cast<unsigned long long>(n.drained_frames),
+      static_cast<unsigned long long>(n.blocked_retires));
   if (n.torn_writes + n.partial_reads + n.resets_injected + n.accept_stalls >
       0) {
     std::fprintf(

@@ -228,20 +228,24 @@ void NetServer::IoLoop(std::size_t k) {
       has_deadline
           ? std::max(1, static_cast<int>(options_.read_timeout_ms / 4.0))
           : -1;
-  // Spin, then block: for one budget after the last event the loop
-  // polls (timeout 0, yielding the core between polls), so a frame that
-  // follows within the budget is read without a kernel wake-up; after
-  // that it blocks in epoll_wait until the next event or tick.
+  // Spin, then block: the loop polls (timeout 0, yielding the core when
+  // an iteration finds nothing to do) while a frame is in flight and
+  // for one budget after its last progress, a frame read or retired.
+  // It never blocks in epoll_wait with a frame in flight: a budget with
+  // no progress sends it to wait in Await instead, whose parker the
+  // consumers wake.
   const std::int64_t spin_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(kSpinBudget)
           .count();
-  std::int64_t last_event_ns = NowNs();
+  std::int64_t last_progress_ns = NowNs();
+  bool in_flight = false;
   epoll_event events[64];
   for (;;) {
     if (stopping_.load(std::memory_order_acquire)) break;
-    const bool polling = NowNs() - last_event_ns < spin_ns;
+    const bool polling = in_flight || NowNs() - last_progress_ns < spin_ns;
     const int n = ::epoll_wait(t.epfd, events, 64, polling ? 0 : tick_ms);
-    if (n == 0 && polling) std::this_thread::yield();
+    // Event pass: one read() per ready connection, Beginning every
+    // complete frame in it.
     for (int i = 0; i < n; ++i) {
       Connection* conn = static_cast<Connection*>(events[i].data.ptr);
       if (conn == nullptr) {
@@ -267,7 +271,36 @@ void NetServer::IoLoop(std::size_t k) {
       }
       conn->io.Release();
     }
-    if (n > 0) last_event_ns = NowNs();
+    // Retire pass: answer whatever has completed, on every connection,
+    // without waiting on any of them.
+    std::size_t retired = 0;
+    in_flight = false;
+    for (auto& conn : t.owned) {
+      conn->io.Acquire();
+      if (!conn->closed) {
+        retired += RetireCompleted(*conn);
+        in_flight = in_flight || conn->inflight > 0;
+      }
+      conn->io.Release();
+    }
+    if (n > 0 || retired > 0) {
+      last_progress_ns = NowNs();
+    } else if (in_flight && NowNs() - last_progress_ns >= spin_ns) {
+      // A whole budget with frames in flight and none completing (a
+      // stalled shard, say): wait for them, parked in Await.
+      for (auto& conn : t.owned) {
+        conn->io.Acquire();
+        if (!conn->closed) {
+          RetireAll(*conn);
+          FlushWrites(*conn, 0);
+        }
+        conn->io.Release();
+      }
+      in_flight = false;
+      last_progress_ns = NowNs();
+    } else if (polling) {
+      std::this_thread::yield();
+    }
     if (has_deadline) SweepDeadlines(t, NowNs());
     // Deferred removal: a closed connection's pointer may still sit in
     // this iteration's event array, so destruction waits for the end of
@@ -280,9 +313,10 @@ void NetServer::IoLoop(std::size_t k) {
       if (gone) t.owned.erase(t.owned.begin() + (i - 1));
     }
   }
-  // Drain path: flush what each connection already sent into the
-  // stopped bucket (the cache server is stopped by now, so every
-  // submit lands there with exact accounting), reply, close.
+  // Drain path: answer what is in flight and flush what each connection
+  // already sent into the stopped bucket (the cache server is stopped
+  // by now, so every submit lands there with exact accounting), reply,
+  // close.
   AdoptNewConnections(t);
   for (auto& conn : t.owned) {
     conn->io.Acquire();
@@ -295,52 +329,49 @@ void NetServer::IoLoop(std::size_t k) {
 void NetServer::HandleReadable(Connection& conn) {
   const fault::FaultPlan* plan = options_.server.fault;
   std::uint8_t buf[16384];
-  for (;;) {
-    std::size_t want = sizeof(buf);
-    ++conn.reads;
-    if (plan != nullptr &&
-        fault::Fires(plan->net_partial_read_every, conn.reads)) {
-      // Deterministically exercise the partial-frame path: this read
-      // event drains a single byte; level-triggered epoll re-arms for
-      // the rest.
-      counters_.partial_reads.fetch_add(1, std::memory_order_relaxed);
-      want = 1;
-    }
-    const ssize_t r = ::read(conn.fd, buf, want);
-    if (r == 0) {
-      // EOF (every earlier frame is answered: ConsumeFrames leaves
-      // nothing in flight). A stream cut mid-frame is malformed input —
-      // count it as a rejected frame even though no error reply can
-      // reach the peer.
-      if (conn.parser.HasPartial()) {
-        counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      }
-      CloseConnection(conn);
-      return;
-    }
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      CloseConnection(conn);
-      return;
-    }
-    if (!ConsumeFrames(conn, buf, static_cast<std::size_t>(r),
-                       /*draining=*/false)) {
-      return;
-    }
-    // Partial-frame timer for the slowloris sweep.
+  std::size_t want = sizeof(buf);
+  ++conn.reads;
+  if (plan != nullptr &&
+      fault::Fires(plan->net_partial_read_every, conn.reads)) {
+    // Deterministically exercise the partial-frame path: this read
+    // event takes a single byte; level-triggered epoll reports the rest.
+    counters_.partial_reads.fetch_add(1, std::memory_order_relaxed);
+    want = 1;
+  }
+  // One read() per event: whatever it leaves in the socket,
+  // level-triggered epoll reports again on the next poll.
+  const ssize_t r = ::read(conn.fd, buf, want);
+  if (r == 0) {
+    // EOF: every frame already read is answered, in order, before the
+    // close. A stream cut mid-frame is malformed input — count it as a
+    // rejected frame even though no error reply can reach the peer.
     if (conn.parser.HasPartial()) {
-      if (conn.partial_since_ns == 0) conn.partial_since_ns = NowNs();
-    } else {
-      conn.partial_since_ns = 0;
+      counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
     }
+    RetireAll(conn);
+    FlushWrites(conn, 0);
+    CloseConnection(conn);
+    return;
+  }
+  if (r < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
+    CloseConnection(conn);
+    return;
+  }
+  if (!ConsumeFrames(conn, buf, static_cast<std::size_t>(r))) return;
+  // Partial-frame timer for the slowloris sweep.
+  if (conn.parser.HasPartial()) {
+    if (conn.partial_since_ns == 0) conn.partial_since_ns = NowNs();
+  } else {
+    conn.partial_since_ns = 0;
   }
 }
 
 bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
-                              std::size_t len, bool draining) {
+                              std::size_t len) {
   const fault::FaultPlan* plan = options_.server.fault;
   constexpr std::size_t kDepth = CacheServer::kPipelineDepth;
+  bool begun = false;
   for (;;) {
     // The pipeline always has a free entry here: it is retired down
     // below kDepth right after each Begin.
@@ -348,13 +379,14 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
     Connection::InFlight& next = conn.pipe[slot];
     const ParseStatus st = conn.parser.Consume(&data, &len, &next.frame);
     if (st == ParseStatus::kNeedMore) {
-      // The chunk is used up: answer all of it, in frame order, with
-      // one flush. Answering here rather than after the read() that
-      // would find the socket dry keeps that syscall off a lone frame's
-      // reply path.
-      RetireAll(conn);
-      FlushWrites(conn, 0);
-      return !conn.closed;
+      // The chunk is used up. Its frames stay in flight; the newest of
+      // them (a full pipeline retires only older ones) flushes the
+      // replies when it is retired.
+      if (begun) {
+        conn.pipe[(conn.head + conn.inflight - 1) % kDepth].ends_chunk =
+            true;
+      }
+      return true;
     }
     if (st == ParseStatus::kError) {
       // Fail closed: answer the frames before it, then a typed error
@@ -380,11 +412,10 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
     counters_.frames.fetch_add(1, std::memory_order_relaxed);
     counters_.frame_requests.fetch_add(next.frame.requests.size(),
                                        std::memory_order_relaxed);
-    if (draining) {
-      counters_.drained_frames.fetch_add(1, std::memory_order_relaxed);
-    }
     next.begun = server_->Begin(conn.slot, slot, next.frame.requests.data(),
                                 next.frame.requests.size());
+    next.ends_chunk = false;
+    begun = true;
     ++conn.inflight;
     if (plan != nullptr &&
         fault::Fires(plan->net_reset_every, conn.accept_index) &&
@@ -407,15 +438,34 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
 
 void NetServer::RetireOldest(Connection& conn) {
   Connection::InFlight& f = conn.pipe[conn.head];
-  const SubmitResult res = f.begun == SubmitResult::kEnqueued
-                               ? server_->Await(conn.slot, conn.head)
-                               : f.begun;
+  SubmitResult res = f.begun;
+  if (res == SubmitResult::kEnqueued) {
+    if (!server_->Completed(conn.slot, conn.head)) {
+      counters_.blocked_retires.fetch_add(1, std::memory_order_relaxed);
+    }
+    res = server_->Await(conn.slot, conn.head);
+  }
   // An emptied pipeline restarts at entry 0, so a connection that sends
   // one frame at a time keeps reusing one warm slot.
   --conn.inflight;
   conn.head =
       conn.inflight == 0 ? 0 : (conn.head + 1) % CacheServer::kPipelineDepth;
   QueueReply(conn, FrameType::kStatus, WireCodeFor(res), f.frame.seq);
+  if (f.ends_chunk) FlushWrites(conn, 0);
+}
+
+std::size_t NetServer::RetireCompleted(Connection& conn) {
+  std::size_t retired = 0;
+  while (conn.inflight > 0) {
+    const Connection::InFlight& f = conn.pipe[conn.head];
+    if (f.begun == SubmitResult::kEnqueued &&
+        !server_->Completed(conn.slot, conn.head)) {
+      break;
+    }
+    RetireOldest(conn);
+    ++retired;
+  }
+  return retired;
 }
 
 void NetServer::RetireAll(Connection& conn) {
@@ -507,8 +557,10 @@ void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
     if (!conn.closed && conn.partial_since_ns != 0 &&
         now_ns - conn.partial_since_ns > read_limit) {
       // Slowloris eviction: a partial frame has been dangling past the
-      // read deadline. Best-effort typed reply, then close.
+      // read deadline. The frames in flight are answered first, then a
+      // best-effort typed reply, then the close.
       counters_.evicted_read.fetch_add(1, std::memory_order_relaxed);
+      RetireAll(conn);
       SendReply(conn, FrameType::kError, kWireReadTimeout, 0);
       if (!conn.closed) CloseConnection(conn);
     }
@@ -520,17 +572,21 @@ void NetServer::DrainConnection(Connection& conn) {
   // One final non-blocking read pass: frames the client already sent
   // go through the normal parse -> Begin -> Await path — the stopped
   // cache server counts each as submitted + stopped, keeping the ledger
-  // exact — and are answered with a `stopped` reply.
+  // exact — and are answered with a `stopped` reply, after every frame
+  // still in flight from before the drain.
+  const std::uint64_t parsed_before = conn.parser.frames();
   std::uint8_t buf[16384];
-  for (;;) {
+  bool open = true;
+  while (open) {
     const ssize_t r = ::read(conn.fd, buf, sizeof(buf));
     if (r < 0 && errno == EINTR) continue;
     if (r <= 0) break;
-    if (!ConsumeFrames(conn, buf, static_cast<std::size_t>(r),
-                       /*draining=*/true)) {
-      return;
-    }
+    open = ConsumeFrames(conn, buf, static_cast<std::size_t>(r));
   }
+  counters_.drained_frames.fetch_add(conn.parser.frames() - parsed_before,
+                                     std::memory_order_relaxed);
+  if (!open) return;
+  RetireAll(conn);
   FlushWrites(conn, 0);
   CloseConnection(conn);
 }
@@ -574,6 +630,8 @@ NetStats NetServer::Stats() const {
   s.partial_reads = counters_.partial_reads.load(std::memory_order_relaxed);
   s.accept_stalls = counters_.accept_stalls.load(std::memory_order_relaxed);
   s.reply_writes = counters_.reply_writes.load(std::memory_order_relaxed);
+  s.blocked_retires =
+      counters_.blocked_retires.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -19,23 +19,35 @@
 // slot, and slot recycling hands the port to the next connection
 // through the free-list mutex (a happens-before edge).
 //
-// Waiting: after it last handled an event, an io thread polls epoll
-// with timeout 0 for one spin budget (kSpinBudget, server/parker.h)
-// and only then blocks, so a frame that follows within the budget costs
-// no wake-up. It adopts new connections when its wake eventfd fires,
-// never on the polling path.
+// Waiting: each io loop iteration is an event pass, which gives every
+// ready connection one read() and Begins each complete frame in it,
+// then a retire pass, which answers the completed front of every
+// connection's pipeline without waiting. The rule the io thread's
+// freedom from lost wake-ups rests on: it never sleeps in epoll_wait
+// while one of its own frames is in flight, since no consumer can wake
+// it there. While any frame is in flight it polls epoll with timeout 0
+// and yields; after one spin budget (kSpinBudget, server/parker.h) in
+// which no frame was read or retired it waits for them in
+// CacheServer::Await, whose Parker a finishing consumer does wake. With
+// nothing in flight it polls for one budget after its last progress,
+// so a frame that follows within the budget costs no wake-up, and then
+// blocks in epoll_wait. It adopts new connections when its wake
+// eventfd fires, never on the polling path.
 //
 // Pipelining: a connection keeps up to CacheServer::kPipelineDepth
 // frames in flight, one per closed-loop slot of its port. Each frame
 // is parsed into its own slot and Begun as soon as it parses; the
-// oldest is Awaited only when the pipeline is full, and the rest once
-// the bytes of that read() are used up. Replies are queued strictly in
-// frame order (FIFO, the order a one-frame-at-a-time server would send
-// them) and written with one flush per read() chunk, so a client that
-// sends several frames per write gets their replies back in about one
-// write. Per-shard apply order is unchanged: each (client, consumer)
-// ring is FIFO. Every in-flight frame is Awaited and answered before
-// any error reply or close, so no batch outlives its connection.
+// oldest is Awaited only when the pipeline is full, and the rest are
+// retired by the retire passes as they complete, so one connection's
+// slow frame never holds up another connection's completed one.
+// Replies are queued strictly in frame order (FIFO, the order a
+// one-frame-at-a-time server would send them) and written once the
+// last frame of a read() chunk is retired: one flush per chunk, so a
+// client that sends several frames per write gets their replies back
+// in about one write. Per-shard apply order is unchanged: each
+// (client, consumer) ring is FIFO. Every in-flight frame is retired
+// and answered before any error reply or close, at EOF included, so no
+// batch outlives its connection.
 //
 // Robustness model:
 //   * fail-closed parsing — a malformed frame gets a typed error reply
@@ -119,6 +131,10 @@ struct NetStats {
   /// write() calls that carried reply bytes; frames / reply_writes is
   /// the reply coalescing pipelining achieves.
   std::uint64_t reply_writes = 0;
+  /// Frames whose reply an io thread had to wait for, its other
+  /// connections unserved meanwhile: retired before they had completed
+  /// (a full pipeline, a spin budget with no progress, or a close).
+  std::uint64_t blocked_retires = 0;
 };
 
 class NetServer {
@@ -166,11 +182,13 @@ class NetServer {
     int epfd = -1;                   // owning thread's epoll fd (set at adoption)
     FrameParser parser CLIC_GUARDED_BY(io);
     /// One pipelined frame: its decode buffer (which a single-shard
-    /// batch is served from zero-copy, so it must outlive the Await)
-    /// and what Begin returned for it.
+    /// batch is served from zero-copy, so it must outlive the Await),
+    /// what Begin returned for it, and whether it is the last frame of
+    /// its read() chunk, whose retirement flushes the queued replies.
     struct InFlight {
       ParsedFrame frame;
       SubmitResult begun = SubmitResult::kApplied;
+      bool ends_chunk = false;
     };
     /// FIFO of in-flight frames; entry i uses CacheServer closed-loop
     /// slot i.
@@ -208,18 +226,27 @@ class NetServer {
   /// Runs when the wake eventfd fires and once more at drain, so the
   /// polling loop itself never takes the inbox mutex.
   void AdoptNewConnections(IoThread& t);
+  /// Gives the connection one read(): parses and Begins every complete
+  /// frame in it (ConsumeFrames). At EOF it retires and flushes every
+  /// frame already read, then closes.
   void HandleReadable(Connection& conn) CLIC_REQUIRES(conn.io);
   /// Parses every complete frame in the read() chunk [data, data + len)
   /// and Begins each batch frame, retiring the oldest when the pipeline
-  /// is full; then retires the rest and flushes, so nothing stays in
-  /// flight between chunks. On a malformed frame, a non-batch frame or
-  /// net:reset it retires the pipeline, answers and closes. Returns
-  /// false once the connection is closed.
+  /// is full, and marks the chunk's last frame, so its retirement
+  /// flushes. The rest stay in flight for the retire pass. On a
+  /// malformed frame, a non-batch frame or net:reset it retires the
+  /// pipeline, answers and closes. Returns false once the connection is
+  /// closed.
   bool ConsumeFrames(Connection& conn, const std::uint8_t* data,
-                     std::size_t len, bool draining) CLIC_REQUIRES(conn.io);
-  /// Awaits the oldest in-flight frame and queues its status reply.
+                     std::size_t len) CLIC_REQUIRES(conn.io);
+  /// Waits for the oldest in-flight frame (counted in blocked_retires
+  /// when it has not completed) and queues its status reply; the last
+  /// frame of a chunk also flushes.
   void RetireOldest(Connection& conn) CLIC_REQUIRES(conn.io);
-  /// Retires every in-flight frame, oldest first.
+  /// Retires the oldest in-flight frames while they have completed,
+  /// never waiting; returns how many it retired.
+  std::size_t RetireCompleted(Connection& conn) CLIC_REQUIRES(conn.io);
+  /// Retires every in-flight frame, oldest first, waiting for each.
   void RetireAll(Connection& conn) CLIC_REQUIRES(conn.io);
   /// Appends one reply to outbuf; every net:torn-write'th reply flushes
   /// up to its midpoint, so that reply straddles two write() calls.
@@ -271,6 +298,7 @@ class NetServer {
     std::atomic<std::uint64_t> partial_reads{0};
     std::atomic<std::uint64_t> accept_stalls{0};
     std::atomic<std::uint64_t> reply_writes{0};
+    std::atomic<std::uint64_t> blocked_retires{0};
   };
   Counters counters_;
 };

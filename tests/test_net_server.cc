@@ -6,9 +6,10 @@
 // flushes in-flight frames into the `stopped` bucket, the
 // deterministic wire mode is bit-identical to per-shard sequential
 // Simulate(), pipelined bursts are answered once each, in order, in
-// coalesced writes, the wire client fails closed on an extra or
-// out-of-order reply, and misbehaving peers leave the healthy clients'
-// ledgers exact.
+// coalesced writes, a client that half-closes still gets every reply, a
+// stalled connection does not hold up another on the same io thread,
+// the wire client fails closed on an extra or out-of-order reply, and
+// misbehaving peers leave the healthy clients' ledgers exact.
 #include "server/net/net_server.h"
 
 #include <gtest/gtest.h>
@@ -124,6 +125,27 @@ std::string EncodeFrames(const Request* reqs, std::size_t total,
     AppendBatchFrame(reqs + off, std::min(batch, total - off), seq++, &out);
   }
   return out;
+}
+
+/// `n` requests on distinct pages that all route to `shard` of `shards`.
+std::vector<Request> RequestsOnShard(std::size_t shard, std::size_t shards,
+                                     std::size_t n) {
+  std::vector<Request> out;
+  for (PageId page = 0; out.size() < n; ++page) {
+    if (ShardOf(page, shards) != shard) continue;
+    Request r;
+    r.page = page;
+    out.push_back(r);
+  }
+  return out;
+}
+
+bool UnderThreadSanitizer() {
+#if defined(__SANITIZE_THREAD__)
+  return true;
+#else
+  return false;
+#endif
 }
 
 /// Expects exactly `n` status replies with seq first_seq.. ascending.
@@ -288,6 +310,39 @@ TEST(NetServerTest, DrainFlushesInFlightFramesToStopped) {
   ::close(fd);
 }
 
+// A client that half-closes right after a burst still gets every reply
+// before the server's FIN: at EOF the frames still in flight (held
+// behind a 30 ms stall on shard 0 here) are retired and flushed, in
+// order, before the close.
+TEST(NetServerTest, HalfClosedClientGetsEveryReply) {
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultPlan("stall:shard=0,after=0,drains=1,ms=30",
+                                    &plan, &error))
+      << error;
+  NetServerOptions opts = SmallServer();
+  opts.server.fault = &plan;
+  NetServer server(opts);
+  const std::size_t frames = 16;
+  const Trace trace = MakeSynthetic("net_half_close", 29, frames * 8, 1);
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(
+      WriteAll(fd, EncodeFrames(trace.requests.data(), frames * 8, 8, 1)));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  const std::vector<ParsedFrame> replies = ReadReplies(fd, frames);
+  ExpectOrderedStatus(replies, frames, 1);
+  for (const ParsedFrame& reply : replies) {
+    EXPECT_EQ(reply.code, kWireApplied) << "seq " << reply.seq;
+  }
+  EXPECT_TRUE(ReadEof(fd));
+  ::close(fd);
+  server.Drain();
+  const AdmissionStats adm = server.cache().TotalAdmission();
+  EXPECT_EQ(adm.applied_batches, frames);
+  EXPECT_TRUE(adm.Balanced()) << adm.Describe();
+}
+
 TEST(NetServerTest, DeterministicWireMatchesPartitionedSimulate) {
   const Trace trace = MakeSynthetic("net_determinism", 7, 6000, 3);
   ServerOptions sopts;
@@ -374,20 +429,16 @@ TEST(NetServerPipelineTest, BurstAcrossEveryShardRepliesInOrder) {
   opts.server.shards = 4;
   NetServer server(opts);
   // Two pages per shard per frame, different pages in every frame.
-  std::vector<std::vector<PageId>> by_shard(4);
-  for (PageId page = 0; by_shard[0].size() < 256 || by_shard[1].size() < 256 ||
-                        by_shard[2].size() < 256 || by_shard[3].size() < 256;
-       ++page) {
-    by_shard[ShardOf(page, 4)].push_back(page);
-  }
   const std::size_t frames = 3 * CacheServer::kPipelineDepth + 1;
+  std::vector<std::vector<Request>> by_shard;
+  for (std::size_t s = 0; s < 4; ++s) {
+    by_shard.push_back(RequestsOnShard(s, 4, 2 * frames));
+  }
   std::vector<Request> reqs;
   for (std::size_t f = 0; f < frames; ++f) {
     for (std::size_t s = 0; s < 4; ++s) {
       for (std::size_t k = 0; k < 2; ++k) {
-        Request r;
-        r.page = by_shard[s][(2 * f + k) % by_shard[s].size()];
-        reqs.push_back(r);
+        reqs.push_back(by_shard[s][2 * f + k]);
       }
     }
   }
@@ -493,6 +544,56 @@ TEST(NetServerPipelineTest, DrainAnswersEveryFrameOfABurstOnce) {
   EXPECT_EQ(adm.applied_batches + adm.stopped_batches, frames + 1);
   EXPECT_EQ(server.Stats().frames, adm.submitted_batches);
   EXPECT_TRUE(adm.Balanced()) << adm.Describe();
+}
+
+// Head of line: one io thread owns two connections, and A's frame
+// sits behind a 300 ms stall on shard 0 while B's frame, on shard 1,
+// arrives right after it (within the io thread's spin budget). B is
+// answered at once, before A; the io thread's later wait for A, once a
+// budget passes with nothing else to do, is counted.
+TEST(NetServerPipelineTest, StalledConnectionDoesNotHoldUpAnother) {
+  if (UnderThreadSanitizer()) {
+    GTEST_SKIP() << "B's frame must reach the io thread within one 200 us "
+                    "spin budget of A's, which TSan's slowdown does not "
+                    "always allow";
+  }
+  fault::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(fault::ParseFaultPlan("stall:shard=0,after=0,drains=1,ms=300",
+                                    &plan, &error))
+      << error;
+  NetServerOptions opts = SmallServer();
+  opts.server.consumers = 2;
+  opts.server.fault = &plan;
+  NetServer server(opts);
+  const std::vector<Request> on_stalled = RequestsOnShard(0, 2, 8);
+  const std::vector<Request> on_free = RequestsOnShard(1, 2, 8);
+  const int a = ConnectRaw(server.port());
+  const int b = ConnectRaw(server.port());
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  // One round trip each on the unstalled shard, so the io thread has
+  // adopted both connections before the stall starts.
+  for (const int fd : {a, b}) {
+    ASSERT_TRUE(WriteAll(fd, EncodeFrames(on_free.data(), 8, 8, 1)));
+    ASSERT_EQ(ReadReplyCode(fd), kWireApplied);
+  }
+  ASSERT_TRUE(WriteAll(a, EncodeFrames(on_stalled.data(), 8, 8, 2)));
+  const auto b_sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(WriteAll(b, EncodeFrames(on_free.data(), 8, 8, 2)));
+  ASSERT_EQ(ReadReplyCode(b), kWireApplied);
+  const double b_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - b_sent)
+                          .count();
+  std::uint8_t byte = 0;
+  EXPECT_LT(::recv(a, &byte, 1, MSG_DONTWAIT | MSG_PEEK), 0)
+      << "A's stalled frame was answered before B's";
+  EXPECT_LT(b_ms, 100.0) << "B's reply waited for A's stalled frame";
+  EXPECT_EQ(ReadReplyCode(a), kWireApplied);
+  ::close(a);
+  ::close(b);
+  server.Drain();
+  EXPECT_GE(server.Stats().blocked_retires, 1u);
 }
 
 // Two real misbehaving peers against healthy wire load: while
