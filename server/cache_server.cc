@@ -80,7 +80,6 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
 
 CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
     : pages_per_shard_(ShardCachePages(options.cache_pages, options.shards)),
-      deterministic_(options.deterministic),
       // Rounded up, so any positive deadline stays one, and capped at
       // 1e12 ms (about 32 years), so the stamp NowNs() + deadline_ns_
       // cannot overflow into the past.
@@ -104,11 +103,6 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
         "CacheServer: consumers=" + std::to_string(options.consumers) +
         " exceeds shards=" + std::to_string(options.shards) +
         " — a consumer owning zero shards would idle forever");
-  }
-  if (deterministic_ && options.consumers > 1) {
-    throw std::invalid_argument(
-        "CacheServer: deterministic mode runs exactly one consumer, got "
-        "consumers=" + std::to_string(options.consumers));
   }
   if (fault_ != nullptr) {
     if (fault_->HasCorruption() && hint_bound_ == 0) {
@@ -139,7 +133,7 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
   // Ownership topology: a static disjoint partition of shards over
   // consumers, fixed for the server's lifetime — the serialization the
   // shard mutex used to provide.
-  unsigned workers = deterministic_ ? 1 : options.consumers;
+  unsigned workers = options.consumers;
   if (workers == 0) {
     workers = static_cast<unsigned>(std::min<std::size_t>(
         shards_.size(), std::max(1u, std::thread::hardware_concurrency())));
@@ -349,7 +343,13 @@ SubmitResult CacheServer::Await(std::size_t client, std::size_t slot) {
   // drain, so every admitted batch completes.
   port.done.Wait(
       [&batch] { return batch.done.load(std::memory_order_acquire); });
-  return batch.outcome.load(std::memory_order_relaxed);
+  const SubmitResult outcome = batch.outcome.load(std::memory_order_relaxed);
+  // This thread IS the client's one producer, the ledger's one writer:
+  // Admit counted the batch enqueued, and its outcome is counted here.
+  port.producer.Acquire();
+  port.adm.Add(outcome, batch.n);
+  port.producer.Release();
+  return outcome;
 }
 
 bool CacheServer::Completed(std::size_t client, std::size_t slot) const {
@@ -424,25 +424,8 @@ SubmitResult CacheServer::Decide(Batch& batch, SubmitResult first) {
 
 void CacheServer::FinishSlice(ClientPort& port, Batch* batch) {
   if (batch->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  // Last finisher records the one outcome the first slice decided.
-  const SubmitResult outcome = batch->outcome.load(std::memory_order_relaxed);
-  const std::size_t n = batch->n;
-  switch (outcome) {
-    case SubmitResult::kApplied:
-      port.applied_batches.fetch_add(1, std::memory_order_relaxed);
-      port.applied_requests.fetch_add(n, std::memory_order_relaxed);
-      break;
-    case SubmitResult::kExpired:
-      port.expired_batches.fetch_add(1, std::memory_order_relaxed);
-      port.expired_requests.fetch_add(n, std::memory_order_relaxed);
-      break;
-    default:
-      port.stopped_batches.fetch_add(1, std::memory_order_relaxed);
-      port.stopped_requests.fetch_add(n, std::memory_order_relaxed);
-      break;
-  }
-  // The producer may reuse the slot as soon as it sees done, so the batch
-  // is not touched after this store.
+  // The last finisher publishes done. The producer may reuse the slot as
+  // soon as it sees done, so the batch is not touched after this store.
   batch->done.store(true, std::memory_order_release);
   port.done.Wake();
 }
@@ -533,9 +516,6 @@ bool CacheServer::HasWork(std::size_t k, const Consumer& me) const {
     if (!port.rings[k]->Empty() || port.eos.load(std::memory_order_acquire)) {
       return true;
     }
-    // Strict client order: only the first unfinished client can make
-    // progress, so the wait looks at nothing else.
-    if (deterministic_) return false;
   }
   return false;
 }
@@ -567,10 +547,6 @@ void CacheServer::ConsumeOwned(std::size_t k) {
           port.rings[k]->Empty()) {
         me.done_client[c] = 1;
         --remaining;
-      } else if (deterministic_) {
-        // Strict client order: no later client is served before this
-        // one has finished.
-        break;
       }
     }
     if (!progress && remaining > 0) {
@@ -607,27 +583,12 @@ ServeResult CacheServer::Snapshot() const {
   result.consumers = consumers();
   result.cores_detected = std::max(1u, std::thread::hardware_concurrency());
   for (const auto& pp : ports_) {
-    result.per_client_admission.push_back(SnapshotAdmission(*pp));
-    result.admission += result.per_client_admission.back();
-    pp->producer.AssertHeld();  // quiescent read of a producer field
+    pp->producer.AssertHeld();  // quiescent read of the producer's fields
+    result.per_client_admission.push_back(pp->adm);
+    result.admission += pp->adm;
     result.quarantined += pp->quarantined;
   }
   return result;
-}
-
-AdmissionStats CacheServer::SnapshotAdmission(const ClientPort& port) const {
-  // Producer-side fields are plain (single producer per client) and the
-  // completion counters are atomics; quiescent reads — call after
-  // Shutdown()/Stop(), whose joins give the happens-before.
-  port.producer.AssertHeld();
-  AdmissionStats s = port.adm;
-  s.applied_batches = port.applied_batches.load(std::memory_order_relaxed);
-  s.applied_requests = port.applied_requests.load(std::memory_order_relaxed);
-  s.expired_batches = port.expired_batches.load(std::memory_order_relaxed);
-  s.expired_requests = port.expired_requests.load(std::memory_order_relaxed);
-  s.stopped_batches += port.stopped_batches.load(std::memory_order_relaxed);
-  s.stopped_requests += port.stopped_requests.load(std::memory_order_relaxed);
-  return s;
 }
 
 ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
@@ -643,43 +604,50 @@ ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
   CacheServer server(options, load.clients);
   std::vector<std::vector<double>> latencies_us(load.clients);
   const auto wall_start = Clock::now();
-  std::vector<std::thread> drivers;
-  drivers.reserve(load.clients);
-  for (std::size_t c = 0; c < load.clients; ++c) {
-    drivers.emplace_back([&, c] {
-      // Slots are used in FIFO order: the `in_flight` slots from `oldest`
-      // on hold batches Begun at begun_at[slot] and not yet Awaited.
-      std::array<Clock::time_point, kDepth> begun_at{};
-      std::size_t oldest = 0;
-      std::size_t in_flight = 0;
-      const auto await_oldest = [&] {
-        // Expired batches are counted by the server's ledger and skipped.
-        if (server.Await(c, oldest) == SubmitResult::kApplied) {
-          latencies_us[c].push_back(std::chrono::duration<double, std::micro>(
-                                        Clock::now() - begun_at[oldest])
-                                        .count());
-        }
-        oldest = (oldest + 1) % kDepth;
-        --in_flight;
-      };
-      const auto [begin, end] = ClientChunk(trace.size(), load.clients, c);
-      for (std::uint64_t pos = begin; pos < end; pos += load.batch_size) {
-        if (in_flight == kDepth) await_oldest();
-        const std::size_t slot = (oldest + in_flight) % kDepth;
-        const std::size_t count = static_cast<std::size_t>(
-            std::min<std::uint64_t>(load.batch_size, end - pos));
-        begun_at[slot] = Clock::now();
-        // A shed batch is final at Begin and leaves its slot free.
-        if (server.Begin(c, slot, trace.requests.data() + pos, count) ==
-            SubmitResult::kEnqueued) {
-          ++in_flight;
-        }
+  const auto drive = [&](std::size_t c) {
+    // Slots are used in FIFO order: the `in_flight` slots from `oldest`
+    // on hold batches Begun at begun_at[slot] and not yet Awaited.
+    std::array<Clock::time_point, kDepth> begun_at{};
+    std::size_t oldest = 0;
+    std::size_t in_flight = 0;
+    const auto await_oldest = [&] {
+      // Expired batches are counted by the server's ledger and skipped.
+      if (server.Await(c, oldest) == SubmitResult::kApplied) {
+        latencies_us[c].push_back(std::chrono::duration<double, std::micro>(
+                                      Clock::now() - begun_at[oldest])
+                                      .count());
       }
-      while (in_flight > 0) await_oldest();
-      server.Finish(c);
-    });
+      oldest = (oldest + 1) % kDepth;
+      --in_flight;
+    };
+    const auto [begin, end] = ClientChunk(trace.size(), load.clients, c);
+    for (std::uint64_t pos = begin; pos < end; pos += load.batch_size) {
+      if (in_flight == kDepth) await_oldest();
+      const std::size_t slot = (oldest + in_flight) % kDepth;
+      const std::size_t count = static_cast<std::size_t>(
+          std::min<std::uint64_t>(load.batch_size, end - pos));
+      begun_at[slot] = Clock::now();
+      // A shed batch is final at Begin and leaves its slot free.
+      if (server.Begin(c, slot, trace.requests.data() + pos, count) ==
+          SubmitResult::kEnqueued) {
+        ++in_flight;
+      }
+    }
+    while (in_flight > 0) await_oldest();
+    server.Finish(c);
+  };
+  if (options.deterministic) {
+    // Client order: every batch of a client is applied before the next
+    // client's first is admitted (the determinism rule).
+    for (std::size_t c = 0; c < load.clients; ++c) drive(c);
+  } else {
+    std::vector<std::thread> drivers;
+    drivers.reserve(load.clients);
+    for (std::size_t c = 0; c < load.clients; ++c) {
+      drivers.emplace_back(drive, c);
+    }
+    for (std::thread& t : drivers) t.join();
   }
-  for (std::thread& t : drivers) t.join();
   server.Shutdown();
   const std::chrono::duration<double> wall = Clock::now() - wall_start;
 

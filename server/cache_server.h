@@ -15,17 +15,15 @@
 // and condition variable are touched only by a thread that ran out of
 // budget and the one that wakes it.
 //
-// Determinism rule: with `deterministic == true` the server runs exactly
-// one consumer thread (owning every shard) that drains client rings in
-// strict client order (all of client 0's stream, then client 1's, ...):
-// the consumer loop of concurrent mode, with each pass stopping at the
-// first client that has not finished.
-// Each shard therefore sees exactly the subsequence of the concatenated
-// client streams whose pages hash to it, in stream order, with a
-// per-shard seq counter equal to the request's index within that
-// subsequence — which is precisely what a sequential Simulate() of the
-// shard's partition observes. So the aggregate (and per-client) hit
-// counts of a deterministic run are bit-identical to per-shard
+// Determinism rule: order belongs to the driver. With `deterministic`
+// set, ServeTrace drives its clients one after another in client order,
+// as RunWireLoad does over the wire. FIFO (client, consumer) rings and
+// one owner per shard then give each shard, at any consumer count,
+// exactly the subsequence of the concatenated client streams whose pages
+// hash to it, in stream order, with a per-shard seq counter equal to the
+// request's index within that subsequence — precisely what a sequential
+// Simulate() of the shard's partition observes. So a deterministic run's
+// aggregate (and per-client) hit counts are bit-identical to per-shard
 // sequential Simulate() of the partitioned trace; ServeTrace arranges
 // client chunks so their concatenation is the original trace.
 //
@@ -102,8 +100,8 @@ struct ServerOptions;  // below
 struct LoadOptions;    // below
 
 /// Per-shard sequential Simulate() of the partitioned trace, merged
-/// across shards: the ground truth the deterministic server mode
-/// reproduces bit-exactly. The single implementation both
+/// across shards: the ground truth a deterministic run reproduces
+/// bit-exactly. The single implementation both
 /// `clic_serve --verify` and the determinism tests compare against, so
 /// the two checks can never drift apart.
 SimResult PartitionedSimulate(const Trace& trace, const ServerOptions& options);
@@ -125,13 +123,13 @@ struct ServerOptions {
   std::size_t cache_pages = 0;
   PolicyKind policy = PolicyKind::kLru;
   ClicOptions clic;  // applied when policy == kClic
-  /// Single consumer draining clients in strict id order (see file
-  /// comment). Off: consumer count from `consumers`.
+  /// ServeTrace drives the clients one after another (see file comment);
+  /// the server itself never reads this.
   bool deterministic = false;
   /// Explicit consumer (owning-core) count; 0 = auto. Must be
-  /// <= shards (a consumer owning zero shards would idle forever) and
-  /// 1 when deterministic. Auto picks min(shards, hardware_concurrency).
-  /// Shard s is owned by consumer s % consumers.
+  /// <= shards (a consumer owning zero shards would idle forever). Auto
+  /// picks min(shards, hardware_concurrency). Shard s is owned by
+  /// consumer s % consumers.
   unsigned consumers = 0;
 
   // ---- overload resilience (all off by default) ----
@@ -213,9 +211,8 @@ class CacheServer {
  public:
   /// Builds shards, wires the ownership topology, and starts consumer
   /// threads. Throws std::invalid_argument for unusable options (zero
-  /// shards/clients, OPT policy, consumers > shards, more than one
-  /// consumer in deterministic mode, corruption injection without a
-  /// hint guard).
+  /// shards/clients, OPT policy, consumers > shards, corruption
+  /// injection without a hint guard).
   CacheServer(const ServerOptions& options, std::size_t num_clients);
   ~CacheServer();
 
@@ -249,11 +246,12 @@ class CacheServer {
                      const Request* requests, std::size_t n);
 
   /// Pipelined closed loop, completion half: blocks until the batch
-  /// Begin put in `slot` has completed and returns its outcome
-  /// (kApplied / kExpired / kStopped). Batches of one client complete
-  /// in admission order per shard (each (client, consumer) ring is
-  /// FIFO), but Await may be called in any order. Same producer-thread
-  /// contract as Submit.
+  /// Begin put in `slot` has completed, counts its outcome (kApplied /
+  /// kExpired / kStopped) in the client's ledger and returns it. Call
+  /// it exactly once per batch Begin enqueued. Batches of one client
+  /// complete in admission order per shard (each (client, consumer)
+  /// ring is FIFO), but Await may be called in any order. Same
+  /// producer-thread contract as Submit.
   SubmitResult Await(std::size_t client, std::size_t slot);
 
   /// Whether the batch Begin put in `slot` has completed, so that
@@ -280,12 +278,13 @@ class CacheServer {
   void Stop();
 
   // Stats. Exact (every applied request is counted by its shard's
-  // owning consumer); call after Shutdown()/Stop() for a quiescent
-  // read — the consumer joins give the necessary happens-before.
+  // owning consumer, every outcome by its producer); read them once the
+  // server is quiescent: every admitted batch awaited, and the consumers
+  // joined by Shutdown()/Stop(), which gives the happens-before.
 
   /// Everything the server knows about the run, read once from the
-  /// quiescent server (after Shutdown(), Stop() or a NetServer drain).
-  /// The driver fills in ServeResult::timing.
+  /// quiescent server (every admitted batch awaited, then Shutdown(),
+  /// Stop() or a NetServer drain). The driver fills in timing.
   ServeResult Snapshot() const;
   // Single parts of the Snapshot, for callers that read one.
   CacheStats TotalStats() const { return Snapshot().total; }
@@ -339,17 +338,18 @@ class CacheServer {
   };
 
   /// Per-client ingress port: one SPSC ring per consumer (this client
-  /// produces, that consumer pops), plain producer-side ledger fields
-  /// guarded by the `producer` role capability (single producer thread
-  /// per client — the clang thread-safety build enforces that every
-  /// touch declares the role), atomic completion-side counters (any
-  /// consumer may finish a batch), and the parker its producer waits
-  /// on for completions.
+  /// produces, that consumer pops), plain producer-side fields guarded
+  /// by the `producer` role capability (single producer thread per
+  /// client — the clang thread-safety build enforces that every touch
+  /// declares the role), and the parker its producer waits on for
+  /// completions.
   struct ClientPort {
     /// The "I am this client's one producer thread" role. Acquired by
-    /// Begin, asserted by the quiescent stats snapshot.
+    /// Begin and Await, asserted by the quiescent stats snapshot.
     ThreadRole producer;
     // --- producer-side (plain: one producer thread per client) ---
+    /// The client's ledger, written only by its producer: Admit counts
+    /// each batch at admission, Await the outcome of each enqueued one.
     AdmissionStats adm CLIC_GUARDED_BY(producer);
     std::uint64_t submit_counter CLIC_GUARDED_BY(producer) = 0;  // 1-based
     /// Requests the hint-sanity guard remapped (RouteBatch).
@@ -371,10 +371,6 @@ class CacheServer {
     /// flag out so a push can never land in a ring after the final
     /// drain pass (see Admit/Stop).
     std::atomic<bool> submitting{false};
-    // --- completion-side (atomics: consumers finish batches) ---
-    std::atomic<std::uint64_t> applied_batches{0}, applied_requests{0};
-    std::atomic<std::uint64_t> expired_batches{0}, expired_requests{0};
-    std::atomic<std::uint64_t> stopped_batches{0}, stopped_requests{0};
     /// The producer waits here in Await; the last slice to finish a
     /// batch wakes it.
     Parker done;
@@ -442,8 +438,7 @@ class CacheServer {
   /// acquiring each shard's ownership capability for the run.
   void ApplySlice(std::size_t k, Consumer& me, Batch& batch)
       CLIC_REQUIRES(me.self);
-  /// Finishes one slice: the last finisher records the batch's decided
-  /// outcome in the completion ledger, publishes done and wakes a
+  /// Finishes one slice: the last finisher publishes done and wakes a
   /// parked producer.
   void FinishSlice(ClientPort& port, Batch* batch);
   /// Pops and fully processes one batch slice from client `c`'s ring of
@@ -452,18 +447,15 @@ class CacheServer {
       CLIC_REQUIRES(me.self);
   /// True when consumer `k` has something to do: Stop() was called, or
   /// a client it has not finished has a queued slice or has Finished.
-  /// In deterministic mode only the first unfinished client counts.
   bool HasWork(std::size_t k, const Consumer& me) const
       CLIC_REQUIRES(me.self);
   /// Consumer `k`'s drain thread: passes over the clients in id order,
   /// popping at most kPipelineDepth slices per client per visit, so a
-  /// client that keeps its ring full cannot starve the others. In
-  /// deterministic mode a pass stops at the first unfinished client.
+  /// client that keeps its ring full cannot starve the others.
   void ConsumeOwned(std::size_t k);
   void StallIfPlanned(Shard& shard, std::size_t shard_index)
       CLIC_REQUIRES(shard.ownership);
   void PauseIfPlanned(std::size_t consumer_index, std::uint64_t processed);
-  AdmissionStats SnapshotAdmission(const ClientPort& port) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<ClientPort>> ports_;
@@ -471,7 +463,6 @@ class CacheServer {
   std::vector<std::thread> threads_;
   std::vector<std::uint32_t> owner_of_;  // shard -> owning consumer
   std::size_t pages_per_shard_ = 0;
-  bool deterministic_ = false;
   bool joined_ = false;
   std::int64_t deadline_ns_ = 0;  // batch deadline after admission; 0 = none
   std::uint32_t hint_bound_ = 0;
@@ -486,12 +477,14 @@ struct LoadOptions {
 };
 
 /// Replays `trace` against a fresh CacheServer with `load.clients`
-/// pipelined closed-loop driver threads. Each client Begins its batches
-/// on its slots in FIFO order, Awaits the oldest once kPipelineDepth
-/// are in flight, and drains the rest before Finish. A batch's latency
-/// runs from its Begin to the return of its Await. Batches rejected by
-/// admission (shed) or expired in queue are counted and skipped. Throws
-/// std::invalid_argument for zero clients or batch size.
+/// pipelined closed-loop drivers, one thread each, or one after another
+/// on the calling thread when options.deterministic is set. Each client
+/// Begins its batches on its slots in FIFO order, Awaits the oldest once
+/// kPipelineDepth are in flight, and drains the rest before Finish. A
+/// batch's latency runs from its Begin to the return of its Await.
+/// Batches rejected by admission (shed) or expired in queue are counted
+/// and skipped. Throws std::invalid_argument for zero clients or batch
+/// size.
 ServeResult ServeTrace(const Trace& trace, const ServerOptions& options,
                        const LoadOptions& load);
 

@@ -7,10 +7,10 @@
 //   clic_serve --trace=DB2_C60 --policy=LRU --shards=2 --clients=2
 //              --deterministic --verify
 //
-// --deterministic runs the single-consumer mode whose hit counts are
-// bit-identical to per-shard sequential Simulate() of the partitioned
-// trace; --verify checks exactly that in-process and fails loudly on
-// any divergence.
+// --deterministic drives the clients one after another, so hit counts
+// are bit-identical to per-shard sequential Simulate() of the
+// partitioned trace at any consumer count; --verify checks exactly that
+// in-process and fails loudly on any divergence.
 #include <algorithm>
 #include <chrono>
 #include <csignal>

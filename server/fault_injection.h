@@ -18,7 +18,7 @@
 // 1-based submit index — never on wall-clock time, and corruption draws
 // from an RNG seeded by (plan seed, client, submit index). Replaying
 // the same plan against the same workload therefore injects the same
-// faults at the same points; in deterministic server mode the surviving
+// faults at the same points; in a deterministic run the surviving
 // requests' hit/miss decisions are bit-identical run to run.
 //
 // The server compiles the hooks behind a `fault_ == nullptr` check, so

@@ -45,11 +45,6 @@ NetServer::NetServer(const NetServerOptions& options) : options_(options) {
     throw std::invalid_argument(
         "NetServer: need a connection table (conn_limit >= 1)");
   }
-  if (options_.server.deterministic && options_.io_threads != 1) {
-    throw std::invalid_argument(
-        "NetServer: deterministic mode runs exactly one io thread "
-        "(strict accept-order slot assignment)");
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
@@ -65,11 +60,8 @@ NetServer::NetServer(const NetServerOptions& options) : options_(options) {
     // clic-lint: begin-allow(no-mutex-data-path) reason=constructor-time slot-table setup, no traffic yet
     MutexLock lock(slots_mu_);
     // clic-lint: end-allow(no-mutex-data-path)
-    free_slots_.reserve(options_.conn_limit);
-    // Reverse order so pop_back hands out slot 0 first: deterministic
-    // mode assigns ports in accept order.
-    for (std::size_t s = options_.conn_limit; s > 0; --s) {
-      free_slots_.push_back(s - 1);
+    for (std::size_t s = 0; s < options_.conn_limit; ++s) {
+      free_slots_.push_back(s);
     }
   }
 
@@ -164,8 +156,8 @@ void NetServer::AcceptLoop() {
         MutexLock lock(slots_mu_);
         // clic-lint: end-allow(no-mutex-data-path)
         if (!free_slots_.empty()) {
-          slot = free_slots_.back();
-          free_slots_.pop_back();
+          slot = free_slots_.front();
+          free_slots_.pop_front();
           have_slot = true;
         }
       }
@@ -348,9 +340,7 @@ void NetServer::HandleReadable(Connection& conn) {
     if (conn.parser.HasPartial()) {
       counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
     }
-    RetireAll(conn);
-    FlushWrites(conn, 0);
-    CloseConnection(conn);
+    Hangup(conn);
     return;
   }
   if (r < 0) {
@@ -394,19 +384,14 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
       counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
       counters_.rejected_requests.fetch_add(
           conn.parser.rejected_batch_count(), std::memory_order_relaxed);
-      RetireAll(conn);
-      SendReply(conn, FrameType::kError, conn.parser.error_code(),
-                conn.parser.frames() + 1);
-      CloseConnection(conn);
+      Hangup(conn, conn.parser.error_code(), conn.parser.frames() + 1);
       return false;
     }
     if (next.frame.type != FrameType::kBatch) {
       // Status/error frames flow server -> client only; a client
       // sending one is a protocol violation.
       counters_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      RetireAll(conn);
-      SendReply(conn, FrameType::kError, kWireBadType, next.frame.seq);
-      CloseConnection(conn);
+      Hangup(conn, kWireBadType, next.frame.seq);
       return false;
     }
     counters_.frames.fetch_add(1, std::memory_order_relaxed);
@@ -421,14 +406,11 @@ bool NetServer::ConsumeFrames(Connection& conn, const std::uint8_t* data,
         fault::Fires(plan->net_reset_every, conn.accept_index) &&
         conn.parser.frames() == 1) {
       // net:reset — tear this connection down right after its first
-      // reply, RST instead of FIN.
-      RetireAll(conn);
-      FlushWrites(conn, 0);
-      if (conn.closed) return false;
+      // reply, RST instead of FIN: a zero linger makes the close send one.
       counters_.resets_injected.fetch_add(1, std::memory_order_relaxed);
       const linger rst{1, 0};
       ::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst));
-      CloseConnection(conn);
+      Hangup(conn);
       return false;
     }
     if (conn.inflight == kDepth) RetireOldest(conn);
@@ -488,10 +470,12 @@ void NetServer::QueueReply(Connection& conn, FrameType type,
   }
 }
 
-void NetServer::SendReply(Connection& conn, FrameType type,
-                          std::uint16_t code, std::uint64_t seq) {
-  QueueReply(conn, type, code, seq);
+void NetServer::Hangup(Connection& conn, std::uint16_t code,
+                       std::uint64_t seq) {
+  RetireAll(conn);
+  if (code != 0) QueueReply(conn, FrameType::kError, code, seq);
   FlushWrites(conn, 0);
+  CloseConnection(conn);
 }
 
 void NetServer::FlushWrites(Connection& conn, std::size_t limit) {
@@ -535,17 +519,10 @@ void NetServer::CloseConnection(Connection& conn) {
   if (conn.epfd >= 0) ::epoll_ctl(conn.epfd, EPOLL_CTL_DEL, conn.fd, nullptr);
   ::close(conn.fd);
   conn.fd = -1;
-  if (options_.server.deterministic) {
-    // Deterministic mode: a closed connection ends its port's stream —
-    // the single consumer's strict-client-order drain advances past it.
-    // Slots are never recycled (accept order == port order).
-    server_->Finish(conn.slot);
-  } else {
-    // clic-lint: begin-allow(no-mutex-data-path) reason=bounded connection table release, once per close
-    MutexLock lock(slots_mu_);
-    // clic-lint: end-allow(no-mutex-data-path)
-    free_slots_.push_back(conn.slot);
-  }
+  // clic-lint: begin-allow(no-mutex-data-path) reason=bounded connection table release, once per close
+  MutexLock lock(slots_mu_);
+  // clic-lint: end-allow(no-mutex-data-path)
+  free_slots_.push_back(conn.slot);
 }
 
 void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
@@ -560,9 +537,7 @@ void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
       // read deadline. The frames in flight are answered first, then a
       // best-effort typed reply, then the close.
       counters_.evicted_read.fetch_add(1, std::memory_order_relaxed);
-      RetireAll(conn);
-      SendReply(conn, FrameType::kError, kWireReadTimeout, 0);
-      if (!conn.closed) CloseConnection(conn);
+      Hangup(conn, kWireReadTimeout, 0);
     }
     conn.io.Release();
   }
@@ -585,10 +560,7 @@ void NetServer::DrainConnection(Connection& conn) {
   }
   counters_.drained_frames.fetch_add(conn.parser.frames() - parsed_before,
                                      std::memory_order_relaxed);
-  if (!open) return;
-  RetireAll(conn);
-  FlushWrites(conn, 0);
-  CloseConnection(conn);
+  if (open) Hangup(conn);
 }
 
 void NetServer::Drain() {

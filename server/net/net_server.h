@@ -63,12 +63,14 @@
 //     exact accounting), flushes frames already received into that
 //     bucket via the normal submit path, replies `stopped`, closes.
 //
-// Deterministic mode (options.server.deterministic): one io thread,
-// slots assigned in accept order, and a cleanly closed connection
-// Finish()es its port — so sequentially driven connections replay
-// exactly the strict-client-order stream the deterministic consumer
-// expects, and wire-level serving verifies bit-identical against
-// per-shard sequential Simulate() (clic_serve --connect --verify).
+// Determinism belongs to the driver. RunWireLoad's deterministic mode
+// drives connections one after another, each answered in full before
+// the next connects, so FIFO rings and one owner per shard keep each
+// shard's partition in stream order at any io-thread and consumer
+// count (clic_serve --connect --deterministic --verify). Free slots go
+// out oldest first, so such a run gives connection c port c, whose
+// submit index (the shed: fault's trigger) then counts client c's
+// batches, as FilterShedBatches assumes.
 //
 // Fault injection: the plan's net: clauses (fault_injection.h) fire on
 // logical counters — reply index (torn writes), read-event index
@@ -79,6 +81,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -141,9 +144,8 @@ class NetServer {
  public:
   /// Binds, listens, starts the acceptor and io threads (and the
   /// embedded CacheServer's consumers). Throws std::invalid_argument
-  /// for unusable options (zero io threads / conn limit, more than one
-  /// io thread in deterministic mode, unparseable listen address) and
-  /// std::runtime_error when bind/listen fails.
+  /// for unusable options (zero io threads / conn limit, unparseable
+  /// listen address) and std::runtime_error when bind/listen fails.
   explicit NetServer(const NetServerOptions& options);
   ~NetServer();
 
@@ -227,16 +229,15 @@ class NetServer {
   /// polling loop itself never takes the inbox mutex.
   void AdoptNewConnections(IoThread& t);
   /// Gives the connection one read(): parses and Begins every complete
-  /// frame in it (ConsumeFrames). At EOF it retires and flushes every
-  /// frame already read, then closes.
+  /// frame in it (ConsumeFrames). At EOF it hangs up, answering every
+  /// frame already read.
   void HandleReadable(Connection& conn) CLIC_REQUIRES(conn.io);
   /// Parses every complete frame in the read() chunk [data, data + len)
   /// and Begins each batch frame, retiring the oldest when the pipeline
   /// is full, and marks the chunk's last frame, so its retirement
   /// flushes. The rest stay in flight for the retire pass. On a
-  /// malformed frame, a non-batch frame or net:reset it retires the
-  /// pipeline, answers and closes. Returns false once the connection is
-  /// closed.
+  /// malformed frame, a non-batch frame or net:reset it hangs up.
+  /// Returns false once the connection is closed.
   bool ConsumeFrames(Connection& conn, const std::uint8_t* data,
                      std::size_t len) CLIC_REQUIRES(conn.io);
   /// Waits for the oldest in-flight frame (counted in blocked_retires
@@ -252,15 +253,18 @@ class NetServer {
   /// up to its midpoint, so that reply straddles two write() calls.
   void QueueReply(Connection& conn, FrameType type, std::uint16_t code,
                   std::uint64_t seq) CLIC_REQUIRES(conn.io);
-  /// QueueReply + flush: the typed error frame that precedes a close.
-  void SendReply(Connection& conn, FrameType type, std::uint16_t code,
-                 std::uint64_t seq) CLIC_REQUIRES(conn.io);
+  /// Ends a connection on purpose (EOF, a bad frame, net:reset, the read
+  /// deadline, drain): answers every frame in flight, then sends error
+  /// frame `code` with `seq` unless `code` is 0, flushes and closes.
+  void Hangup(Connection& conn, std::uint16_t code = 0,
+              std::uint64_t seq = 0) CLIC_REQUIRES(conn.io);
   /// Writes up to `limit` bytes of outbuf (0 = all); leftovers register
   /// EPOLLOUT.
   void FlushWrites(Connection& conn, std::size_t limit)
       CLIC_REQUIRES(conn.io);
-  /// Retires anything still in flight (so no batch points into a dead
-  /// connection), then closes and releases the port slot.
+  /// Retires anything still in flight, so no batch points into a dead
+  /// connection (after a transport error its replies go unsent), then
+  /// closes and releases the port slot.
   void CloseConnection(Connection& conn) CLIC_REQUIRES(conn.io);
   void SweepDeadlines(IoThread& t, std::int64_t now_ns);
   void DrainConnection(Connection& conn) CLIC_REQUIRES(conn.io);
@@ -275,11 +279,11 @@ class NetServer {
   std::atomic<bool> stopping_{false};
   bool drained_ = false;  // main-thread flag; Drain is not concurrent
 
-  // Bounded connection table: free cache-server port slots. Control
-  // path only (accept / close).
+  // Bounded connection table: free cache-server port slots, handed out
+  // oldest first and recycled at close. Control path only.
   // clic-lint: begin-allow(no-mutex-data-path) reason=free-slot list touched only at accept and connection close, never per frame
   Mutex slots_mu_;
-  std::vector<std::size_t> free_slots_ CLIC_GUARDED_BY(slots_mu_);
+  std::deque<std::size_t> free_slots_ CLIC_GUARDED_BY(slots_mu_);
   // clic-lint: end-allow(no-mutex-data-path)
 
   // Wire-edge counters (multi-thread writers; relaxed increments,

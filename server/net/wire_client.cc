@@ -227,8 +227,8 @@ WireLoadResult RunWireLoad(const Trace& trace,
   std::vector<DriverState> states(clients);
   const auto t0 = Clock::now();
   if (options.deterministic || clients == 1) {
-    // Sequential client order: the wire replay of the strict-client-
-    // order stream the deterministic consumer drains.
+    // Client order: every frame of a connection is answered before the
+    // next connects (the determinism rule).
     for (std::size_t c = 0; c < clients; ++c) drive(c, &states[c]);
   } else {
     std::vector<std::thread> threads;

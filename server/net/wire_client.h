@@ -9,11 +9,11 @@
 // the same fixed grid) and the same driver shape — each client keeps up
 // to CacheServer::kPipelineDepth frames in flight on its connection,
 // receives the oldest reply once all are out, and collects the rest at
-// the end. Clients run sequentially in client order (deterministic mode
-// — the wire replay of the strict-client-order stream the deterministic
-// consumer expects) or one thread each. Every reply code is tallied
-// into the same AdmissionStats ledger the server keeps, and per-frame
-// wire latencies (send to status) feed p50/p99.
+// the end. Clients run sequentially in client order (deterministic mode,
+// ServeTrace's determinism rule over the wire: each connection is
+// answered in full before the next connects) or one thread each. Every
+// reply code is tallied into the same AdmissionStats ledger the server
+// keeps, and per-frame wire latencies (send to status) feed p50/p99.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +91,9 @@ struct WireLoadOptions {
   std::uint16_t port = 0;
   std::size_t clients = 1;
   std::size_t batch_size = 64;
-  /// Drive client connections one after another in client id order
-  /// (required for a bit-identical verify against PartitionedSimulate).
+  /// Drive client connections one after another in client id order:
+  /// what makes a run bit-identical to PartitionedSimulate, at any
+  /// server topology.
   bool deterministic = false;
 };
 

@@ -37,7 +37,7 @@ cli::FlagTable ServeTable(cli::Parsed<ServeCommand>* p) {
         cli::Row("--consumers", Form::kN, "K", &o.server.consumers,
                  "consumer k owns shards k, k+K, ... (default auto)", 4096),
         cli::Switch("--deterministic", &o.server.deterministic, true,
-                    "one consumer: hits match per-shard Simulate()"),
+                    "clients in turn: hits match per-shard Simulate()"),
         cli::Switch("--verify", &o.verify, true,
                     "check --deterministic hits in-process; exit 1 if not")}},
       {"Overload resilience (all off by default)",
@@ -121,10 +121,6 @@ std::vector<cli::Rule> ServeRules(const ServeCommand& o,
        "--consumers=" + std::to_string(o.server.consumers) +
            " exceeds --shards=" + std::to_string(o.server.shards) +
            " (a consumer must own at least one shard)"},
-      {o.server.deterministic && o.server.consumers > 1,
-       "--deterministic runs exactly one consumer (strict client order); "
-       "drop --consumers=" +
-           std::to_string(o.server.consumers)},
       {o.listen && o.connect,
        "--listen and --connect are mutually exclusive: serve remote clients "
        "OR drive a loopback server (valid combinations: --listen "
@@ -133,16 +129,14 @@ std::vector<cli::Rule> ServeRules(const ServeCommand& o,
        cli::Join(tuning_names, "/") +
            " configure the network front end; add --listen (standalone "
            "server) or --connect (loopback wire serving)"},
-      {o.listen && o.verify,
-       "--verify needs the loopback wire client: --listen serves remote "
-       "clients whose stream the in-process verifier cannot replay (valid "
-       "combinations: --connect --deterministic --verify for the wire-level "
-       "gate, --deterministic --verify for in-process, or --listen without "
-       "--verify)"},
-      {o.connect && o.server.deterministic && o.net.io_threads > 1,
-       "--deterministic wire serving runs exactly one io thread (slots are "
-       "assigned in strict accept order); drop --io-threads=" +
-           std::to_string(o.net.io_threads)},
+      {o.listen && (o.verify || o.server.deterministic),
+       std::string(o.verify ? "--verify" : "--deterministic") +
+           " needs a driver in this process: --listen serves remote clients, "
+           "whose order no flag sets and whose stream the in-process "
+           "verifier cannot replay (valid combinations: --connect "
+           "--deterministic --verify for the wire-level gate, "
+           "--deterministic --verify for in-process, or --listen without "
+           "either)"},
       {o.connect && o.load.batch_size > net::kWireMaxBatch,
        "--batch=" + std::to_string(o.load.batch_size) + " exceeds " +
            std::to_string(net::kWireMaxBatch) +

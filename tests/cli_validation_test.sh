@@ -6,8 +6,9 @@
 # --policies / --traces / --figure token must fail fast with the
 # offending token AND the valid set on stderr and a non-zero exit —
 # never a silent skip, and never a bare abort deep in trace resolution.
-# None of these invocations may start a simulation, so the whole script
-# runs in milliseconds.
+# None of the rejected invocations may start a simulation; the two
+# verified runs serve a 2,000-request slice, so the whole script runs
+# in well under a second.
 set -u
 
 SWEEP="$1"
@@ -55,6 +56,21 @@ expect_reject() {
        return ;;
   esac
   echo "ok: $desc"
+}
+
+# expect_verified <description> -- cmd args...: exit 0 and print
+# "verify OK".
+expect_verified() {
+  desc="$1"; shift
+  [ "$1" = "--" ] && shift
+  out=$("$@" 2>&1)
+  status=$?
+  case "$status:$out" in
+    0:*"verify OK"*) echo "ok: $desc" ;;
+    *) echo "FAIL: $desc: exit $status without 'verify OK':" >&2
+       echo "$out" >&2
+       failures=$((failures + 1)) ;;
+  esac
 }
 
 expect_reject "clic_sweep unknown trace" "NO_SUCH_TRACE" "DB2_C60" -- \
@@ -155,19 +171,18 @@ expect_reject "clic_serve verify vs deadline" "--deadline-ms" "reproducible" -- 
   "$SERVE" --trace=DB2_C60 --deterministic --verify --deadline-ms=5
 
 # Thread-per-core topology flags (PR 7): a consumer owning zero shards
-# would idle forever and deterministic mode is one consumer by
-# definition — each misuse must fail fast naming the offending value.
+# would idle forever — each misuse must fail fast naming the offending
+# value.
 expect_reject "clic_serve zero consumers" "--consumers" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --consumers=0
 expect_reject "clic_serve consumers exceed shards" "--consumers=4" "exceeds --shards" -- \
   "$SERVE" --trace=DB2_C60 --shards=2 --consumers=4
-expect_reject "clic_serve deterministic with multiple consumers" "--consumers=2" "exactly one consumer" -- \
-  "$SERVE" --trace=DB2_C60 --deterministic --consumers=2
 
 # Network front-end flags (PR 9): numeric garbage fails fast before a
 # socket is opened, net tuning without a net mode is a typo, and the
-# verify-over-the-wire gate only exists with the loopback client — each
-# rejection must name the offender and print the valid combinations.
+# verify-over-the-wire gate only exists with the loopback client, whose
+# drivers --deterministic orders — each rejection must name the
+# offender and print the valid combinations.
 expect_reject "clic_serve zero io threads" "--io-threads" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --connect --io-threads=0
 expect_reject "clic_serve negative io threads wraparound" "-2" "positive integer" -- \
@@ -186,8 +201,8 @@ expect_reject "clic_serve listen and connect clash" "--listen and --connect" "va
   "$SERVE" --trace=DB2_C60 --listen --connect
 expect_reject "clic_serve listen with verify" "--listen" "--connect --deterministic --verify" -- \
   "$SERVE" --trace=DB2_C60 --listen --deterministic --verify
-expect_reject "clic_serve deterministic wire with multiple io threads" "--io-threads=4" "exactly one io thread" -- \
-  "$SERVE" --trace=DB2_C60 --connect --deterministic --io-threads=4
+expect_reject "clic_serve listen with deterministic" "--deterministic" "--connect --deterministic --verify" -- \
+  "$SERVE" --trace=DB2_C60 --listen --deterministic
 expect_reject "clic_serve wire batch above frame limit" "--batch=70000" "65535" -- \
   "$SERVE" --trace=DB2_C60 --connect --batch=70000
 expect_reject "clic_serve conn limit below clients" "--conn-limit=2" "--clients=8" -- \
@@ -230,6 +245,14 @@ expect_reject "clic_serve adaptive with zero window" "--window" "positive intege
 scratch_cache=$(mktemp -d "${TMPDIR:-/tmp}/clic_cli_test.XXXXXX")
 expect_reject "clic_serve batch exceeds request budget" "--batch=4096" "request budget" -- \
   "$SERVE" --trace=DB2_C60 --requests=64 --batch=4096 --cache-dir="$scratch_cache"
+# --deterministic orders the drivers, not the server, so it verifies at
+# any consumer and io-thread count.
+expect_verified "clic_serve deterministic with two consumers" -- \
+  "$SERVE" --trace=DB2_C60 --requests=2000 --cache-dir="$scratch_cache" \
+  --deterministic --verify --consumers=2
+expect_verified "clic_serve deterministic wire with four io threads" -- \
+  "$SERVE" --trace=DB2_C60 --requests=2000 --cache-dir="$scratch_cache" \
+  --connect --deterministic --verify --io-threads=4
 rm -rf "$scratch_cache"
 
 # --help and --list must stay cheap and exit 0.

@@ -131,8 +131,6 @@ const std::vector<Rejection>& CliValidationCases() {
        {"--trace=DB2_C60", "--consumers=0"}},
       {kServe, "--consumers=4", "exceeds --shards",
        {"--trace=DB2_C60", "--shards=2", "--consumers=4"}},
-      {kServe, "--consumers=2", "exactly one consumer",
-       {"--trace=DB2_C60", "--deterministic", "--consumers=2"}},
       {kServe, "--io-threads", "positive integer",
        {"--trace=DB2_C60", "--connect", "--io-threads=0"}},
       {kServe, "-2", "positive integer",
@@ -151,8 +149,8 @@ const std::vector<Rejection>& CliValidationCases() {
        {"--trace=DB2_C60", "--listen", "--connect"}},
       {kServe, "--listen", "--connect --deterministic --verify",
        {"--trace=DB2_C60", "--listen", "--deterministic", "--verify"}},
-      {kServe, "--io-threads=4", "exactly one io thread",
-       {"--trace=DB2_C60", "--connect", "--deterministic", "--io-threads=4"}},
+      {kServe, "--deterministic", "--connect --deterministic --verify",
+       {"--trace=DB2_C60", "--listen", "--deterministic"}},
       {kServe, "--batch=70000", "65535",
        {"--trace=DB2_C60", "--connect", "--batch=70000"}},
       {kServe, "--conn-limit=2", "--clients=8",
@@ -430,6 +428,11 @@ const SameOptions kServeLines[] = {
      "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 "
+     "--cache-pages=6000 --consumers=4 --deterministic --verify",
+     "DB2_C60 CLIC shards=4 pages=6000 consumers=4 det=1 verify=1 clients=4 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
+     "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
+    {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 "
      "--cache-pages=6000 --format=json --output=serve.json",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
      "batch=64 requests=0 dir= json out=serve.json deadline=0 "
@@ -506,6 +509,15 @@ const SameOptions kServeLines[] = {
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed0/corrupt0x1/stalls0/pauses0/net3,5,0,2 net connect "
      "127.0.0.1:0 io=1 conns=2 rto=0 max_batch=4096"},
+    {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 "
+     "--cache-pages=6000 --connect --io-threads=2 --consumers=2 "
+     "--deterministic --verify "
+     "--fault-plan=net:torn-write=3,partial-read=5,accept-stall=2,stall-ms=2",
+     "DB2_C60 CLIC shards=4 pages=6000 consumers=2 det=1 verify=1 clients=4 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
+     "clic=100000/1/5/1/0/100/0/0.5/0/0 "
+     "fault=1/shed0/corrupt0x1/stalls0/pauses0/net3,5,0,2 net connect "
+     "127.0.0.1:0 io=2 conns=4 rto=0 max_batch=4096"},
     {"--trace=DB2_C60 --policy=LRU --shards=4 --clients=4 --cache-pages=6000 "
      "--connect --io-threads=2 --fault-plan=net:reset=3",
      "DB2_C60 LRU shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
@@ -554,13 +566,21 @@ const SameOptions kServeLines[] = {
      "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
      "fault=1/shed9/corrupt0x1/stalls1/pauses0/net0,0,0,0 net -"},
+    {"--trace=DB2_C60 --policy=CLIC --shards=2 --clients=2 --cache-pages=6000 "
+     "--consumers=2 --deterministic --verify "
+     "--fault-plan=stall:shard=0,after=3,drains=2,ms=20;"
+     "pause:consumer=1,after=5,batches=1,ms=10;shed:every=5",
+     "DB2_C60 CLIC shards=2 pages=6000 consumers=2 det=1 verify=1 clients=2 "
+     "batch=64 requests=0 dir= csv out= deadline=0 "
+     "clic=100000/1/5/1/0/100/0/0.5/0/0 "
+     "fault=1/shed5/corrupt0x1/stalls1/pauses1/net0,0,0,0 net -"},
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --clients=4 --cache-pages=6000 "
      "--connect --io-threads=2 "
-     "--fault-plan=net:torn-write=2,partial-read=3,reset=5",
+     "--fault-plan=net:torn-write=2,partial-read=3,reset=2",
      "DB2_C60 CLIC shards=4 pages=6000 consumers=0 det=0 verify=0 clients=4 "
      "batch=64 requests=0 dir= csv out= deadline=0 "
      "clic=100000/1/5/1/0/100/0/0.5/0/0 "
-     "fault=1/shed0/corrupt0x1/stalls0/pauses0/net2,3,5,0 net connect "
+     "fault=1/shed0/corrupt0x1/stalls0/pauses0/net2,3,2,0 net connect "
      "127.0.0.1:0 io=2 conns=4 rto=0 max_batch=4096"},
     // golden_outputs_test.py: serve-clic-w2000 and its --connect twin.
     {"--cache-dir=DIR --format=csv --trace=DB2_C60 --policy=CLIC --shards=2 "
@@ -576,6 +596,19 @@ const SameOptions kServeLines[] = {
      "batch=64 requests=20000 dir=DIR csv out= deadline=0 "
      "clic=2000/1/5/1/0/100/0/0.5/0/0 fault=- net connect 127.0.0.1:0 io=1 "
      "conns=2 rto=0 max_batch=4096"},
+    // cli_validation_test.sh: its verified runs, at any consumer and io
+    // thread count (--deterministic orders the drivers, not the server).
+    {"--trace=DB2_C60 --requests=2000 --cache-dir=DIR --deterministic "
+     "--verify --consumers=2",
+     "DB2_C60 LRU shards=4 pages=12000 consumers=2 det=1 verify=1 clients=4 "
+     "batch=64 requests=2000 dir=DIR csv out= deadline=0 "
+     "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net -"},
+    {"--trace=DB2_C60 --requests=2000 --cache-dir=DIR --connect "
+     "--deterministic --verify --io-threads=4",
+     "DB2_C60 LRU shards=4 pages=12000 consumers=0 det=1 verify=1 clients=4 "
+     "batch=64 requests=2000 dir=DIR csv out= deadline=0 "
+     "clic=100000/1/5/1/0/100/0/0.5/0/0 fault=- net connect 127.0.0.1:0 "
+     "io=4 conns=4 rto=0 max_batch=4096"},
     // README Quickstart: the stand-alone network server.
     {"--trace=DB2_C60 --policy=CLIC --shards=4 --listen --port=7433 "
      "--conn-limit=64 --read-timeout-ms=1000",

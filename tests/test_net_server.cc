@@ -3,11 +3,12 @@
 // ledgers, malformed input fails closed with a typed error and a
 // connection close, the connection table sheds at accept time, the
 // slowloris deadline evicts stuck partial frames, graceful drain
-// flushes in-flight frames into the `stopped` bucket, the
-// deterministic wire mode is bit-identical to per-shard sequential
-// Simulate(), pipelined bursts are answered once each, in order, in
-// coalesced writes, a client that half-closes still gets every reply, a
-// stalled connection does not hold up another on the same io thread,
+// flushes in-flight frames into the `stopped` bucket, connections
+// driven one after another are bit-identical to per-shard sequential
+// Simulate() at any io-thread and consumer count, pipelined bursts are
+// answered once each, in order, in coalesced writes, a client that
+// half-closes still gets every reply, a stalled connection does not
+// hold up another on the same io thread,
 // the wire client fails closed on an extra or out-of-order reply, and
 // misbehaving peers leave the healthy clients' ledgers exact.
 #include "server/net/net_server.h"
@@ -343,42 +344,61 @@ TEST(NetServerTest, HalfClosedClientGetsEveryReply) {
   EXPECT_TRUE(adm.Balanced()) << adm.Describe();
 }
 
+// Connections driven one after another in client order verify at any
+// io-thread and consumer count: every frame of a connection is answered
+// before the next connection's first is read. Free slots go out oldest
+// first, so the connections get ports 0, 1 and 2, and each port's
+// submit index, which shed:every=N fires on, counts one client's
+// batches as FilterShedBatches assumes: the unshed requests verify too.
 TEST(NetServerTest, DeterministicWireMatchesPartitionedSimulate) {
   const Trace trace = MakeSynthetic("net_determinism", 7, 6000, 3);
-  ServerOptions sopts;
-  sopts.shards = 4;
-  sopts.cache_pages = 96;
-  sopts.deterministic = true;
+  LoadOptions load;
+  load.clients = 3;
+  load.batch_size = 32;
+  for (const char* spec : {"", "shed:every=5"}) {
+    fault::FaultPlan plan;
+    std::string error;
+    if (*spec != '\0') {
+      ASSERT_TRUE(fault::ParseFaultPlan(spec, &plan, &error)) << error;
+    }
+    const Trace served = FilterShedBatches(trace, load, &plan);
+    for (unsigned io_threads : {1u, 2u}) {
+      for (unsigned consumers : {1u, 2u}) {
+        SCOPED_TRACE(std::string("plan '") + spec + "' io_threads=" +
+                     std::to_string(io_threads) +
+                     " consumers=" + std::to_string(consumers));
+        ServerOptions sopts;
+        sopts.shards = 4;
+        sopts.consumers = consumers;
+        sopts.cache_pages = 96;
 
-  NetServerOptions nopts;
-  nopts.server = sopts;
-  nopts.conn_limit = 3;
-  nopts.io_threads = 1;
-  NetServer server(nopts);
+        NetServerOptions nopts;
+        nopts.server = sopts;
+        nopts.server.fault = &plan;
+        nopts.conn_limit = load.clients;
+        nopts.io_threads = io_threads;
+        NetServer server(nopts);
 
-  WireLoadOptions wopts;
-  wopts.port = server.port();
-  wopts.clients = 3;
-  wopts.batch_size = 32;
-  wopts.deterministic = true;
-  const WireLoadResult wire = RunWireLoad(trace, wopts);
-  server.Drain();
-  EXPECT_EQ(wire.applied_requests, trace.requests.size());
-  EXPECT_EQ(wire.conn_lost_batches, 0u);
-  // The drivers keep up to 16 frames in flight, so the server reads
-  // several per chunk and answers them with one write.
-  EXPECT_LT(server.Stats().reply_writes, server.Stats().frames);
+        WireLoadOptions wopts;
+        wopts.port = server.port();
+        wopts.clients = load.clients;
+        wopts.batch_size = load.batch_size;
+        wopts.deterministic = true;
+        const WireLoadResult wire = RunWireLoad(trace, wopts);
+        server.Drain();
+        EXPECT_EQ(wire.applied_requests, served.size());
+        EXPECT_EQ(wire.conn_lost_batches, 0u);
+        // The drivers keep up to 16 frames in flight, so the server
+        // reads several per chunk and answers them with one write.
+        EXPECT_LT(server.Stats().reply_writes, server.Stats().frames);
 
-  EXPECT_EQ(ResultMismatch(server.cache().Snapshot(),
-                           PartitionedSimulate(trace, sopts)),
-            "");
-}
-
-TEST(NetServerTest, DeterministicModeRejectsMultipleIoThreads) {
-  NetServerOptions opts = SmallServer();
-  opts.server.deterministic = true;
-  opts.io_threads = 2;
-  EXPECT_THROW(NetServer{opts}, std::invalid_argument);
+        EXPECT_EQ(server.cache().consumers(), consumers);
+        EXPECT_EQ(ResultMismatch(server.cache().Snapshot(),
+                                 PartitionedSimulate(served, sopts)),
+                  "");
+      }
+    }
+  }
 }
 
 TEST(NetServerTest, NetFaultsPreserveDecisionsAndCount) {
@@ -393,7 +413,6 @@ TEST(NetServerTest, NetFaultsPreserveDecisionsAndCount) {
   ServerOptions sopts;
   sopts.shards = 2;
   sopts.cache_pages = 64;
-  sopts.deterministic = true;
 
   NetServerOptions nopts;
   nopts.server = sopts;
@@ -464,9 +483,9 @@ TEST(NetServerPipelineTest, BurstAcrossEveryShardRepliesInOrder) {
 }
 
 // One connection streams a whole trace in bursts of 40 frames without
-// waiting for replies: a deterministic server still applies it
-// bit-identically to per-shard sequential Simulate, with and without
-// torn writes and partial reads reshaping the byte stream.
+// waiting for replies: the server still applies it bit-identically to
+// per-shard sequential Simulate, with and without torn writes and
+// partial reads reshaping the byte stream.
 TEST(NetServerPipelineTest, DeterministicBurstsMatchPartitionedSimulate) {
   const Trace trace = MakeSynthetic("net_burst", 13, 6000, 3);
   for (const char* spec : {"", "net:torn-write=3,partial-read=4"}) {
@@ -481,7 +500,6 @@ TEST(NetServerPipelineTest, DeterministicBurstsMatchPartitionedSimulate) {
     sopts.cache_pages = 96;
     sopts.policy = PolicyKind::kClic;
     sopts.clic.window = 500;
-    sopts.deterministic = true;
     NetServerOptions nopts;
     nopts.server = sopts;
     nopts.server.fault = &plan;

@@ -69,32 +69,42 @@ TEST(PartitionByShardTest, PreservesOrderAndCoversEveryRequest) {
 
 // The acceptance criterion: deterministic serve is bit-identical to
 // per-shard sequential Simulate() of the partitioned trace, for shard
-// counts {1, 2, 4} and both LRU and CLIC, across client counts.
+// counts {1, 2, 4} and both LRU and CLIC, across client counts and at
+// one consumer, two, and one per shard: the drivers run one client at a
+// time, and FIFO rings with one owner per shard keep each shard's
+// partition in stream order whatever the topology.
 TEST(CacheServerTest, DeterministicModeMatchesPartitionedSimulate) {
   const Trace trace = MakeSynthetic("det", 11, 4000, 3);
   ClicOptions clic;
   clic.window = 500;
   clic.outqueue_per_page = 2.0;
   for (PolicyKind policy : {PolicyKind::kLru, PolicyKind::kClic}) {
-    for (std::size_t shards : {1u, 2u, 4u}) {
-      for (std::size_t clients : {1u, 3u}) {
-        SCOPED_TRACE(std::string(PolicyName(policy)) + " shards=" +
-                     std::to_string(shards) + " clients=" +
-                     std::to_string(clients));
-        ServerOptions options;
-        options.shards = shards;
-        options.cache_pages = 96;
-        options.policy = policy;
-        options.clic = clic;
-        options.deterministic = true;
-        LoadOptions load;
-        load.clients = clients;
-        load.batch_size = 17;  // odd size: batch boundaries land anywhere
-        const ServeResult served = ServeTrace(trace, options, load);
-        EXPECT_EQ(ResultMismatch(served, PartitionedSimulate(trace, options)),
-                  "");
-        EXPECT_EQ(served.requests, trace.size());
-        EXPECT_TRUE(served.admission.Balanced()) << served.admission.Describe();
+    for (unsigned shards : {1u, 2u, 4u}) {
+      for (unsigned consumers : std::set<unsigned>{1u, 2u, shards}) {
+        if (consumers > shards) continue;
+        for (std::size_t clients : {1u, 3u}) {
+          SCOPED_TRACE(std::string(PolicyName(policy)) + " shards=" +
+                       std::to_string(shards) + " consumers=" +
+                       std::to_string(consumers) + " clients=" +
+                       std::to_string(clients));
+          ServerOptions options;
+          options.shards = shards;
+          options.consumers = consumers;
+          options.cache_pages = 96;
+          options.policy = policy;
+          options.clic = clic;
+          options.deterministic = true;
+          LoadOptions load;
+          load.clients = clients;
+          load.batch_size = 17;  // odd size: batch boundaries land anywhere
+          const ServeResult served = ServeTrace(trace, options, load);
+          EXPECT_EQ(served.consumers, consumers);
+          EXPECT_EQ(
+              ResultMismatch(served, PartitionedSimulate(trace, options)), "");
+          EXPECT_EQ(served.requests, trace.size());
+          EXPECT_TRUE(served.admission.Balanced())
+              << served.admission.Describe();
+        }
       }
     }
   }
@@ -191,8 +201,7 @@ TEST(CacheServerTest, RejectsUnusableConfigurations) {
 }
 
 // Ownership topology validation: a consumer that owns zero shards
-// would idle forever, and deterministic mode is defined as one
-// consumer in strict client order.
+// would idle forever.
 TEST(CacheServerTopologyTest, RejectsImpossibleTopologies) {
   ServerOptions options;
   options.shards = 2;
@@ -201,11 +210,6 @@ TEST(CacheServerTopologyTest, RejectsImpossibleTopologies) {
   ServerOptions too_many = options;
   too_many.consumers = 4;
   EXPECT_THROW(CacheServer(too_many, 1), std::invalid_argument);
-
-  ServerOptions det_multi = options;
-  det_multi.deterministic = true;
-  det_multi.consumers = 2;
-  EXPECT_THROW(CacheServer(det_multi, 1), std::invalid_argument);
 }
 
 // OwnerOf is the whole concurrency argument: every shard has exactly
