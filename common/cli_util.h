@@ -368,9 +368,9 @@ inline std::vector<Flag> ClicRows(ClicOptions* clic) {
       Row("--window", Form::kN, "W", &clic->window,
           "evaluation window, in requests (default 100000)"),
       Row("--decay", Form::kF, "R", &clic->decay,
-          "history blend r (default 1, the full history)"),
+          "history blend r in [0, 1] (default 1, the full history)"),
       Row("--outqueue", Form::kF, "F", &clic->outqueue_per_page,
-          "outqueue entries per cache page (default 5)"),
+          "outqueue entries per cache page in [0, 100] (default 5)"),
       Switch("--no-charge-metadata", &clic->charge_metadata, false,
              "do not charge CLIC's metadata against the cache"),
       OneOf("--tracker", "",
@@ -379,7 +379,7 @@ inline std::vector<Flag> ClicRows(ClicOptions* clic) {
              {"lossy_counting", TK::kLossyCounting}},
             &clic->tracker, "hint-set tracker (default exact)"),
       Row("--top-k", Form::kN, "K", &clic->top_k,
-          "hint sets an approximate tracker ranks (default 100)"),
+          "approximate-tracker hint sets (1..1000000, default 100)"),
       Switch("--adaptive-window", &clic->adaptive_window, true,
              "close windows early on churn (DESIGN.md)"),
       Row("--churn-threshold", Form::kF, "S", &clic->churn_threshold,
@@ -391,17 +391,40 @@ inline std::vector<Flag> ClicRows(ClicOptions* clic) {
   };
 }
 
-/// The adaptive-window option group (core/clic.h) after every flag and
-/// preset is applied: the churn threshold is a rank similarity in
-/// [0, 1], and the resolved floor/ceiling pair must not be inverted
-/// (0 means the ClicPolicy defaults — floor window/16, ceiling window).
-/// Returns "" or the reason, the same wording in both tools.
-inline std::string AdaptiveWindowError(const ClicOptions& clic) {
+/// "--flag='value' is out of range (range)", the value as %g prints it.
+inline std::string OutOfRange(const char* flag, double value,
+                              const char* range) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  return std::string(flag) + "='" + buf + "' is out of range (" + range +
+         ")";
+}
+
+/// The CLIC options (core/clic.h) after every flag and preset is
+/// applied. The history blend r is a weight in [0, 1]: above 1 old
+/// windows outweigh new ones. The outqueue and top-k bounds keep the
+/// slot arena and the Space-Saving table sizable (the presets use
+/// outqueue 0-10 and top-k 1-128, and no workload has 1000000 hint
+/// sets). The churn threshold is a rank similarity in [0, 1], and the
+/// resolved adaptive floor/ceiling pair must not be inverted (0 means
+/// the ClicPolicy defaults — floor window/16, ceiling window). Returns
+/// "" or the reason, the same wording in both tools.
+inline std::string ClicOptionsError(const ClicOptions& clic) {
+  if (clic.decay < 0.0 || clic.decay > 1.0) {
+    return OutOfRange("--decay", clic.decay,
+                      "the history blend r lives in [0, 1]");
+  }
+  if (clic.outqueue_per_page < 0.0 || clic.outqueue_per_page > 100.0) {
+    return OutOfRange("--outqueue", clic.outqueue_per_page,
+                      "[0, 100] entries per cache page");
+  }
+  if (clic.top_k < 1 || clic.top_k > 1'000'000) {
+    return "--top-k='" + std::to_string(clic.top_k) +
+           "' is out of range (1..1000000)";
+  }
   if (clic.churn_threshold < 0.0 || clic.churn_threshold > 1.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", clic.churn_threshold);
-    return std::string("--churn-threshold='") + buf +
-           "' is out of range (the rank similarity lives in [0, 1])";
+    return OutOfRange("--churn-threshold", clic.churn_threshold,
+                      "the rank similarity lives in [0, 1]");
   }
   const std::uint64_t floor_w =
       clic.min_window != 0 ? clic.min_window

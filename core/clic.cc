@@ -37,18 +37,8 @@ ClicPolicy::ClicPolicy(std::size_t cache_pages, ClicOptions options)
                           ? std::clamp(options_.window, min_window_,
                                        max_window_)
                           : options_.window;
-  next_window_end_ = effective_window_;
   checkpoint_interval_ = std::max<std::uint64_t>(1, min_window_ / 2);
-  // The first checkpoint of a window arms at start + min_window (not at
-  // the cadence interval): no close may produce a window shorter than
-  // the floor, so a floor-length window has no checkpoints at all.
-  window_checkpoint_ = (options_.adaptive_window &&
-                        options_.churn_threshold > 0.0 &&
-                        min_window_ < effective_window_)
-                           ? min_window_
-                           : next_window_end_;
-  next_event_ = window_checkpoint_;
-  for (double& f : decay_ring_) f = options_.decay;
+  ScheduleWindow(0);
 
   slots_.resize(cache_capacity_ + outqueue_capacity_);
   free_slots_.reserve(slots_.size());
@@ -83,7 +73,6 @@ void ClicPolicy::EnsureHint(HintSetId h) {
   hints_.priority.resize(n, 0.0);
   hints_.rank.resize(n, 0);
   touched_flag_.resize(n, 0);
-  acc_window_.resize(n, windows_completed_);
   pos_index_.resize(n, kInvalidIndex);
   eligible_.resize(n, 0);
   win_r_.resize(n, 0.0);
@@ -392,50 +381,32 @@ inline bool ClicPolicy::AccessOneT(const Request& r, SeqNum seq) {
 
 // ---- window analysis (Equation 2, incremental) ----------------------------
 //
-// The harvest / decay / rank loops visit only this window's candidates
-// (the touched_ list) instead of every hint set ever seen. Correctness
-// rests on two facts:
+// The harvest and blend loops visit only this window's candidates (the
+// touched_ list) instead of every hint set ever seen; only the decay of
+// untouched histories (case 2) visits them all. Correctness rests on two
+// facts:
 //   1. A hint set outside touched_ has refs_w == rerefs_w == area == 0
 //      and cur == 0 (Touch invariant + cur>0 reseed), so its window
 //      statistics are exactly the post-reset state — skipping it is a
 //      no-op.
-//   2. An untouched hint set's Equation-2 ratio is unchanged by the
-//      plain decay recurrence (both accumulators scale by the same
-//      factor), so its priority — and hence its rank order relative to
+//   2. An untouched hint set's accumulators follow the same recurrence
+//      with a zero window term, acc = 0 + factor * acc, applied by the
+//      close itself to every one of them (and skipped when both factors
+//      are 1, the paper's r = 1, where it is a no-op). Scaling both
+//      accumulators by one factor leaves the Equation-2 ratio as it
+//      was, so the priority — and hence the rank order relative to
 //      other unchanged hints — carries forward. The three cases where
 //      the ratio does change are all handled at the close that causes
-//      them: approximate trackers drop unreferenced hints and decay ==
-//      0 discards history (both sweep the maintained positive set),
-//      and a churn-discounted close scales acc_r by less than acc_s,
-//      so EndWindow folds and re-ranks every untouched hint eagerly on
-//      that close. Pending decay scalings are otherwise applied lazily
-//      by FoldDecay, with a periodic full fold keeping every
-//      *accumulator* bit-identical to the eager per-window recurrence.
-//      The carried *priority* fl(a/b) of an untouched hint can differ
-//      from an eagerly recomputed fl(fl(d*a)/fl(d*b)) by an ulp when
+//      them: approximate trackers drop unreferenced hints (a sweep of
+//      the maintained positive set), and with the exact tracker a zero
+//      factor (decay == 0, or a churn close at similarity 0) or a churn
+//      discount (acc_r scaled by less than acc_s) re-ranks every
+//      untouched hint in the decay loop. The carried priority fl(a/b)
+//      can differ from a recomputed fl(fl(d*a)/fl(d*b)) by an ulp when
 //      decay is not a power of two (independent rounding of the two
-//      products); it is the mathematically exact value of the same
-//      ratio, but a rank sort could in principle order two
-//      ulp-adjacent priorities differently than an eager
-//      implementation would.
-
-void ClicPolicy::FoldDecay(HintSetId h, std::uint64_t upto_window) {
-  std::uint64_t w = acc_window_[h];
-  acc_window_[h] = upto_window;
-  // One multiplication per skipped window, oldest first — identical
-  // value and rounding order to the eager per-window recurrences
-  // acc_r = 0 + r_factor * acc_r and acc_s = 0 + decay * acc_s.
-  // Bounded by kDecayFoldPeriod, so every r-factor is still resident
-  // in the ring. A factor of exactly 1.0 is a bit-exact no-op and is
-  // skipped (the pre-adaptive fast path).
-  const double s_decay = options_.decay;
-  for (; w < upto_window;) {
-    ++w;
-    const double f = decay_ring_[w % kDecayRingSize];
-    if (f != 1.0) hints_.acc_r[h] *= f;
-    if (s_decay != 1.0) hints_.acc_s[h] *= s_decay;
-  }
-}
+//      products); it is the exact value of the same ratio, but a rank
+//      sort could in principle order two ulp-adjacent priorities
+//      differently than recomputing every priority would.
 
 void ClicPolicy::SetPriority(HintSetId h, double priority) {
   hints_.priority[h] = priority;
@@ -481,17 +452,7 @@ void ClicPolicy::EndWindow(SeqNum end) {
                               : effective_window_ * 2;
     }
   }
-  const std::uint64_t next_len =
-      options_.adaptive_window ? effective_window_ : options_.window;
-  next_window_end_ = end + next_len;
-  // First checkpoint at end + min_window_ — a window can never close
-  // before the floor, and a floor-length window has no checkpoints.
-  window_checkpoint_ = (options_.adaptive_window &&
-                        options_.churn_threshold > 0.0 &&
-                        min_window_ < next_len)
-                           ? end + min_window_
-                           : next_window_end_;
-  next_event_ = window_checkpoint_;
+  ScheduleWindow(end);
   if (length == 0) return;
 
   // Candidate order must match the ascending full-scan order the eager
@@ -581,55 +542,54 @@ void ClicPolicy::EndWindow(SeqNum end) {
     }
   }
 
-  // Fold pending decay, blend this window in, and recompute priorities
-  // — candidates only. A churn-triggered close discounts the
-  // *numerator* history by the measured similarity: scaling both
-  // accumulators would cancel in the Equation-2 ratio and leave every
-  // stale hint set's priority untouched, which with the paper's r = 1
-  // would pin the previous phase at the top of the ranking forever.
-  // Discounting acc_r alone demotes a stale set's priority by exactly
-  // how badly its committed rank predicted the live ranking. The ring
-  // records the per-window r-factor so the lazy fold replays it for
-  // hints untouched this window; acc_s always folds with the constant
-  // configured decay.
+  // Blend this window in and recompute priorities — candidates only.
+  // A churn-triggered close discounts the *numerator* history by the
+  // measured similarity: scaling both accumulators would cancel in the
+  // Equation-2 ratio and leave every stale hint set's priority
+  // untouched, which with the paper's r = 1 would pin the previous
+  // phase at the top of the ranking forever. Discounting acc_r alone
+  // demotes a stale set's priority by exactly how badly its committed
+  // rank predicted the live ranking; acc_s always decays by the
+  // configured r.
   const double decay = options_.decay;
   const bool churned = churn_discount_ != 1.0;
   const double r_factor = decay * churn_discount_;
   churn_discount_ = 1.0;
-  const std::uint64_t this_window = windows_completed_ + 1;
-  decay_ring_[this_window % kDecayRingSize] = r_factor;
   for (HintSetId h : touched_) {
-    FoldDecay(h, windows_completed_);
     hints_.acc_r[h] = win_r_[h] + r_factor * hints_.acc_r[h];
     hints_.acc_s[h] = win_s_[h] + decay * hints_.acc_s[h];
-    acc_window_[h] = this_window;
     const bool ok = exact || eligible_[h];
     SetPriority(h, (ok && hints_.acc_s[h] > 0.0)
                        ? hints_.acc_r[h] / hints_.acc_s[h]
                        : 0.0);
   }
 
-  // Untouched hints keep their previous priority (case 2 above) except:
-  // approximate trackers make every unreferenced hint ineligible, a
-  // zero blend factor (decay == 0) zeroes its history, and a churn
-  // close changes the ratio itself (r shrinks, s does not), so every
-  // untouched hint is folded and re-ranked eagerly right here — the
-  // whole point of the discount is that the stale sets lose this
-  // window's rank sort, not some later one. (Downward sweep loop:
-  // SetPriority(., 0) swap-removes, moving an already-visited tail
-  // element into slot i.)
-  if (!exact || (!churned && r_factor == 0.0)) {
+  // Decay every untouched history by the same factors (case 2 above).
+  // Its priority carries over unless the close changes its ratio: with
+  // the exact tracker a churn discount (r shrinks, s does not) or a
+  // zero factor re-ranks it right here — the whole point of the
+  // discount is that the stale sets lose this window's rank sort, not
+  // some later one.
+  if (churned || decay != 1.0) {
+    const bool rerank = exact && (churned || r_factor == 0.0);
+    for (std::size_t h = 0; h < n; ++h) {
+      if (touched_flag_[h]) continue;
+      hints_.acc_r[h] *= r_factor;
+      hints_.acc_s[h] *= decay;
+      if (rerank) {
+        SetPriority(static_cast<HintSetId>(h),
+                    hints_.acc_s[h] > 0.0 ? hints_.acc_r[h] / hints_.acc_s[h]
+                                          : 0.0);
+      }
+    }
+  }
+  // Approximate trackers make every unreferenced hint ineligible.
+  // (Downward sweep loop: SetPriority(., 0) swap-removes, moving an
+  // already-visited tail element into slot i.)
+  if (!exact) {
     for (std::size_t i = positive_.size(); i-- > 0;) {
       const HintSetId h = positive_[i];
       if (!touched_flag_[h]) SetPriority(h, 0.0);
-    }
-  } else if (churned) {
-    for (std::size_t h = 0; h < n; ++h) {
-      if (touched_flag_[h]) continue;
-      FoldDecay(static_cast<HintSetId>(h), this_window);
-      SetPriority(static_cast<HintSetId>(h),
-                  hints_.acc_s[h] > 0.0 ? hints_.acc_r[h] / hints_.acc_s[h]
-                                        : 0.0);
     }
   }
 
@@ -673,18 +633,19 @@ void ClicPolicy::EndWindow(SeqNum end) {
   ckpt_total_base_ = 0;
   ckpt_pred_base_ = 0;
   ++windows_completed_;
+}
 
-  // Periodic full fold: bounds the lazy fold's per-hint backlog (the
-  // decay ring only holds the last kDecayRingSize factors) and keeps
-  // long-idle accumulators numerically identical to eager decay. With
-  // adaptive windowing the fold must run even at decay == 1: a churn
-  // close puts a non-unit factor in the ring.
-  if ((decay != 1.0 || options_.adaptive_window) &&
-      windows_completed_ % kDecayFoldPeriod == 0) {
-    for (std::size_t h = 0; h < n; ++h) {
-      FoldDecay(static_cast<HintSetId>(h), windows_completed_);
-    }
-  }
+void ClicPolicy::ScheduleWindow(SeqNum start) {
+  next_window_end_ = start + effective_window_;
+  // The first checkpoint arms at start + min_window_ (not at the
+  // cadence interval): no close may produce a window shorter than the
+  // floor, so a floor-length window has no checkpoints at all.
+  window_checkpoint_ = (options_.adaptive_window &&
+                        options_.churn_threshold > 0.0 &&
+                        min_window_ < effective_window_)
+                           ? start + min_window_
+                           : next_window_end_;
+  next_event_ = window_checkpoint_;
 }
 
 void ClicPolicy::RebuildBuckets() {
@@ -789,16 +750,7 @@ std::vector<std::pair<HintSetId, double>> ClicPolicy::Priorities() const {
   const std::size_t n = hints_.size();
   out.reserve(n);
   for (std::size_t h = 0; h < n; ++h) {
-    // Accumulators fold lazily; a positive factor never changes whether
-    // they are zero, but a zero factor (decay == 0, or a churn close at
-    // similarity exactly 0) in a pending window zeroes the history.
-    bool stale_zero = false;
-    for (std::uint64_t w = acc_window_[h];
-         w < windows_completed_ && !stale_zero;) {
-      ++w;
-      stale_zero = decay_ring_[w % kDecayRingSize] == 0.0;
-    }
-    if (!stale_zero && (hints_.acc_s[h] > 0.0 || hints_.acc_r[h] > 0.0)) {
+    if (hints_.acc_s[h] > 0.0 || hints_.acc_r[h] > 0.0) {
       out.emplace_back(static_cast<HintSetId>(h), hints_.priority[h]);
     }
   }

@@ -175,6 +175,9 @@ class ClicPolicy : public Policy {
   /// shift is not diluted by pre-shift mass.
   double ChurnSimilarity();
   void EndWindow(SeqNum end);
+  /// Schedules the window starting at `start`: its end effective_window_
+  /// requests later and its first churn checkpoint, if one is armed.
+  void ScheduleWindow(SeqNum start);
   /// Re-threads the buckets after a re-rank by moving lists, not pages:
   /// a bucket whose hint set keeps a positive rank moves whole, rank 0
   /// is walked only when a hint set left it, and the lists of hint sets
@@ -192,8 +195,10 @@ class ClicPolicy : public Policy {
 
   // Incremental window close (see DESIGN.md "CLIC incremental window
   // invariant"). Touch() registers a hint set as a candidate for this
-  // window's analysis; EndWindow visits only candidates instead of all
-  // known hint sets. Invariant: a hint set is a candidate whenever its
+  // window's analysis; EndWindow harvests and blends only candidates
+  // instead of all known hint sets (its one pass over all of them decays
+  // the untouched histories, and is skipped at r = 1 without a churn
+  // discount). Invariant: a hint set is a candidate whenever its
   // window statistics (refs_w / rerefs_w / area / cur / last_change)
   // could differ from the post-reset state — maintained by Touch()
   // calls on first reference and on every FlushArea(), plus the cur>0
@@ -205,28 +210,13 @@ class ClicPolicy : public Policy {
       touched_.push_back(h);
     }
   }
-  /// Applies the decay scalings this hint set skipped while untouched,
-  /// one multiplication per skipped window in ascending window order —
-  /// bit-identical to the eager per-window recurrence
-  /// acc = 0 + factor_w * acc, where factor_w is the per-window entry
-  /// in decay_ring_ (a constant options_.decay unless a churn-triggered
-  /// close discounted that window).
-  void FoldDecay(HintSetId h, std::uint64_t upto_window);
   /// Sets the hint's priority and maintains the positive set (hints
   /// with priority > 0, the only ones that receive non-zero ranks).
   void SetPriority(HintSetId h, double priority);
 
-  /// Full FoldDecay sweep every this many windows, bounding the lazy
-  /// per-hint fold to at most this many multiplications.
-  static constexpr std::uint64_t kDecayFoldPeriod = 16;
   /// Below this many ranked hint sets a rank correlation is noise, so
   /// the churn signal reports perfect stability instead.
   static constexpr std::size_t kMinChurnSignalHints = 4;
-  /// Ring of per-window decay factors for the lazy fold. Must exceed
-  /// kDecayFoldPeriod: the periodic full fold bounds any pending fold
-  /// to the last kDecayFoldPeriod windows, so their factors are always
-  /// still resident.
-  static constexpr std::size_t kDecayRingSize = 32;
   /// Consecutive full-length closes required before the effective
   /// window doubles back toward max_window_. Shrinking is immediate
   /// (every churn close halves) but growth is paced: a fine checkpoint
@@ -275,7 +265,6 @@ class ClicPolicy : public Policy {
   // candidate / positive lists themselves).
   std::vector<HintSetId> touched_;             // this window's candidates
   std::vector<std::uint8_t> touched_flag_;     // membership in touched_
-  std::vector<std::uint64_t> acc_window_;      // windows folded into acc
   std::vector<HintSetId> positive_;            // hints with priority > 0
   std::vector<std::uint32_t> pos_index_;       // position in positive_
   std::vector<std::uint8_t> eligible_;         // per-window scratch
@@ -311,15 +300,10 @@ class ClicPolicy : public Policy {
   std::uint64_t max_window_ = 1;
   std::uint64_t early_closes_ = 0;
   std::uint64_t stable_closes_ = 0;     // consecutive full-length closes
-  /// decay_ring_[w % kDecayRingSize] is the factor window w's close
-  /// applied to the pre-existing acc_r history: options_.decay
-  /// normally, options_.decay * similarity on a churn-triggered close.
-  /// acc_s always scales by the plain configured decay — discounting
-  /// both would cancel in the Equation-2 ratio and demote nothing, so
-  /// the discount deliberately shrinks only the re-reference evidence.
-  double decay_ring_[kDecayRingSize];
   /// Measured similarity of a pending churn-triggered close, consumed
-  /// (and reset to 1) by the next EndWindow's blend factor.
+  /// (and reset to 1) by the next EndWindow, which scales acc_r alone by
+  /// it: discounting acc_s too would cancel in the Equation-2 ratio and
+  /// demote nothing.
   double churn_discount_ = 1.0;
 
   std::unique_ptr<SpaceSaving<HintSetId>> space_saving_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/fnv1a.h"
@@ -80,11 +79,7 @@ Trace FilterShedBatches(const Trace& trace, const LoadOptions& load,
 
 CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
     : pages_per_shard_(ShardCachePages(options.cache_pages, options.shards)),
-      // Rounded up, so any positive deadline stays one, and capped at
-      // 1e12 ms (about 32 years), so the stamp NowNs() + deadline_ns_
-      // cannot overflow into the past.
-      deadline_ns_(static_cast<std::int64_t>(
-          std::ceil(std::min(options.batch_deadline_ms, 1e12) * 1e6))),
+      deadline_ns_(MsToNs(options.batch_deadline_ms)),
       hint_bound_(options.hint_bound),
       fault_(options.fault) {
   if (options.shards == 0) {

@@ -43,9 +43,11 @@
 // of it reproducibly.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -69,6 +71,13 @@ inline std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// A duration of `ms` milliseconds in NowNs() units, rounded up, so any
+/// positive duration stays one, and capped at 1e12 ms (about 32 years),
+/// so the stamp NowNs() + MsToNs(ms) cannot overflow into the past.
+inline std::int64_t MsToNs(double ms) {
+  return static_cast<std::int64_t>(std::ceil(std::min(ms, 1e12) * 1e6));
 }
 
 /// Shard assignment for a page. FNV-1a over the page id so adjacent

@@ -9,9 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "server/parker.h"
@@ -37,7 +39,8 @@ std::uint16_t WireCodeFor(SubmitResult r) {
 
 }  // namespace
 
-NetServer::NetServer(const NetServerOptions& options) : options_(options) {
+NetServer::NetServer(const NetServerOptions& options)
+    : options_(options), read_limit_ns_(MsToNs(options.read_timeout_ms)) {
   if (options_.io_threads == 0) {
     throw std::invalid_argument("NetServer: need at least one io thread");
   }
@@ -212,14 +215,16 @@ void NetServer::AdoptNewConnections(IoThread& t) {
 
 void NetServer::IoLoop(std::size_t k) {
   IoThread& t = *io_[k];
-  const bool has_deadline = options_.read_timeout_ms > 0.0;
+  const bool has_deadline = read_limit_ns_ > 0;
   // With no deadline to sweep there is nothing to do between events:
   // the acceptor and Drain() both write the wake eventfd, so the loop
-  // can block until one arrives.
+  // can block until one arrives. Otherwise it sweeps every quarter
+  // deadline, at most INT_MAX ms apart (epoll_wait takes an int).
   const int tick_ms =
-      has_deadline
-          ? std::max(1, static_cast<int>(options_.read_timeout_ms / 4.0))
-          : -1;
+      has_deadline ? static_cast<int>(std::clamp<std::int64_t>(
+                         read_limit_ns_ / 4'000'000, 1,
+                         std::numeric_limits<int>::max()))
+                   : -1;
   // Spin, then block: the loop polls (timeout 0, yielding the core when
   // an iteration finds nothing to do) while a frame is in flight and
   // for one budget after its last progress, a frame read or retired.
@@ -526,13 +531,11 @@ void NetServer::CloseConnection(Connection& conn) {
 }
 
 void NetServer::SweepDeadlines(IoThread& t, std::int64_t now_ns) {
-  const std::int64_t read_limit =
-      static_cast<std::int64_t>(options_.read_timeout_ms * 1e6);
   for (auto& conn_ptr : t.owned) {
     Connection& conn = *conn_ptr;
     conn.io.Acquire();
     if (!conn.closed && conn.partial_since_ns != 0 &&
-        now_ns - conn.partial_since_ns > read_limit) {
+        now_ns - conn.partial_since_ns > read_limit_ns_) {
       // Slowloris eviction: a partial frame has been dangling past the
       // read deadline. The frames in flight are answered first, then a
       // best-effort typed reply, then the close.

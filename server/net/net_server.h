@@ -270,6 +270,8 @@ class NetServer {
   void DrainConnection(Connection& conn) CLIC_REQUIRES(conn.io);
 
   NetServerOptions options_;
+  /// options_.read_timeout_ms as MsToNs converts it; 0 = no deadline.
+  const std::int64_t read_limit_ns_;
   std::unique_ptr<CacheServer> server_;
   int listen_fd_ = -1;
   int accept_wake_fd_ = -1;  // Drain() writes it to end AcceptLoop

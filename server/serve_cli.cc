@@ -101,7 +101,7 @@ std::vector<cli::Rule> ServeRules(const ServeCommand& o,
   const auto trace = given.find("--trace");
   const auto workload = given.find("--workload");
   const bool both = trace != given.end() && workload != given.end();
-  const std::string clic_error = cli::AdaptiveWindowError(o.server.clic);
+  const std::string clic_error = cli::ClicOptionsError(o.server.clic);
   return {
       {both, "--trace and --workload are aliases; give exactly one workload "
              "(got '" +

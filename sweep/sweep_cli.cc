@@ -77,7 +77,7 @@ std::string ResolveGrid(SweepArgs* a, const cli::Given& given) {
       const auto value = given.find(flag.name);
       if (value != given.end()) cli::Store(flag, value->second);
     }
-    const std::string error = cli::AdaptiveWindowError(variant.options);
+    const std::string error = cli::ClicOptionsError(variant.options);
     if (!error.empty()) return error;
   }
   return "";

@@ -239,6 +239,27 @@ expect_reject "clic_serve inverted window bounds" "--min-window=9" "min-window <
 expect_reject "clic_serve adaptive with zero window" "--window" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --adaptive-window --window=0
 
+# The other CLIC ranges, in the same shared check: the history blend r
+# lies in [0, 1], and the outqueue and top-k bounds keep the slot arena
+# and the Space-Saving table sizable (both crashed on bad_alloc).
+expect_reject "clic_sweep decay above one" "--decay='3'" "[0, 1]" -- \
+  "$SWEEP" --traces=DB2_C60 --policies=CLIC --cache-pages=12000 \
+  --window=2000 --decay=3
+expect_reject "clic_serve decay above one" "--decay='3'" "[0, 1]" -- \
+  "$SERVE" --trace=DB2_C60 --policy=CLIC --decay=3
+expect_reject "clic_serve huge outqueue" "--outqueue='1e+12'" "[0, 100]" -- \
+  "$SERVE" --trace=DB2_C60 --policy=CLIC --cache-pages=100 \
+  --requests=2000 --outqueue=1e12
+expect_reject "clic_sweep huge outqueue" "--outqueue='1e+12'" "[0, 100]" -- \
+  "$SWEEP" --traces=DB2_C60 --policies=CLIC --cache-pages=100 \
+  --outqueue=1e12
+expect_reject "clic_sweep huge top-k" "--top-k='1000000000000'" "1..1000000" -- \
+  "$SWEEP" --traces=DB2_C60 --policies=CLIC --cache-pages=100 \
+  --tracker=space_saving --top-k=1000000000000
+expect_reject "clic_serve huge top-k" "--top-k='1000000000000'" "1..1000000" -- \
+  "$SERVE" --trace=DB2_C60 --policy=CLIC --tracker=space_saving \
+  --top-k=1000000000000
+
 # Batch larger than the request budget is a typo, not a workload. This
 # one loads (a tiny capped slice of) the trace, so point the cache at a
 # scratch dir to keep the test hermetic.

@@ -182,6 +182,23 @@ const std::vector<Rejection>& CliValidationCases() {
         "--max-window=3"}},
       {kServe, "--window", "positive integer",
        {"--trace=DB2_C60", "--adaptive-window", "--window=0"}},
+      {kSweep, "--decay='3'", "[0, 1]",
+       {"--traces=DB2_C60", "--policies=CLIC", "--cache-pages=12000",
+        "--window=2000", "--decay=3"}},
+      {kServe, "--decay='3'", "[0, 1]",
+       {"--trace=DB2_C60", "--policy=CLIC", "--decay=3"}},
+      {kServe, "--outqueue='1e+12'", "[0, 100]",
+       {"--trace=DB2_C60", "--policy=CLIC", "--cache-pages=100",
+        "--requests=2000", "--outqueue=1e12"}},
+      {kSweep, "--outqueue='1e+12'", "[0, 100]",
+       {"--traces=DB2_C60", "--policies=CLIC", "--cache-pages=100",
+        "--outqueue=1e12"}},
+      {kSweep, "--top-k='1000000000000'", "1..1000000",
+       {"--traces=DB2_C60", "--policies=CLIC", "--cache-pages=100",
+        "--tracker=space_saving", "--top-k=1000000000000"}},
+      {kServe, "--top-k='1000000000000'", "1..1000000",
+       {"--trace=DB2_C60", "--policy=CLIC", "--tracker=space_saving",
+        "--top-k=1000000000000"}},
   };
   return cases;
 }
@@ -639,6 +656,16 @@ const std::vector<SameOptions>& SweepLines() {
          "DB2_C60 | DB2_C300 | DB2_C540 CLIC 6000,12000,18000,24000,30000 "
          "{2000/1/5/1/0/100/0/0.5/0/0} threads=1 requests=0 dir= csv "
          "out=t1.csv"},
+        {"--figure=6 --policies=CLIC --window=2000 --decay=0.5 --threads=2 "
+         "--format=csv --output=t2.csv",
+         "DB2_C60 | DB2_C300 | DB2_C540 CLIC 6000,12000,18000,24000,30000 "
+         "{2000/0.5/5/1/0/100/0/0.5/0/0} threads=2 requests=0 dir= csv "
+         "out=t2.csv"},
+        {"--figure=6 --policies=CLIC --window=2000 --decay=0.5 --threads=1 "
+         "--format=csv --output=t1.csv",
+         "DB2_C60 | DB2_C300 | DB2_C540 CLIC 6000,12000,18000,24000,30000 "
+         "{2000/0.5/5/1/0/100/0/0.5/0/0} threads=1 requests=0 dir= csv "
+         "out=t1.csv"},
         {"--figure=scan-pollution --threads=2 --format=csv --output=t2.csv",
          "figure:scan-pollution threads=2 requests=0 dir= csv out=t2.csv"},
         {"--figure=scan-pollution --threads=1 --format=csv --output=t1.csv",
@@ -669,10 +696,10 @@ const std::vector<SameOptions>& SweepLines() {
          "{100000/1/5/1/0/100/0/0.5/0/0} threads=2 requests=0 dir= csv "
          "out=sweep.csv"},
         {"--traces=phase-abrupt,phase-gradual --policies=CLIC "
-         "--cache-pages=12000 --adaptive-window --window=2000 --threads=2 "
-         "--format=csv --output=adaptive.csv",
+         "--cache-pages=12000 --adaptive-window --window=2000 --decay=0.5 "
+         "--threads=2 --format=csv --output=adaptive.csv",
          "phase-abrupt | phase-gradual CLIC 12000 "
-         "{2000/1/5/1/0/100/1/0.5/0/0} threads=2 requests=0 dir= csv "
+         "{2000/0.5/5/1/0/100/1/0.5/0/0} threads=2 requests=0 dir= csv "
          "out=adaptive.csv"},
         {"--figure=6 --policies=CLIC --window=2000 --tracker=space_saving "
          "--top-k=5 --threads=2 --format=csv --output=tracker.csv",

@@ -209,16 +209,15 @@ TEST(ClicWindowTest, MetadataChargeShrinksCache) {
   EXPECT_EQ(free_meta.cache_capacity(), 1'000u);
 }
 
-TEST(ClicWindowTest, IrregularWindowAdvanceKeepsLazyFoldExact) {
-  // FoldDecay boundary pin: with adaptive mode on, ForceEndWindow()
-  // closes windows early, so windows_completed_ advances irregularly
-  // relative to seq and the every-16-windows full fold fires at odd
-  // phases. A hint set left untouched through >32 such windows must
-  // (1) keep its committed priority bit-exactly (the fold scales both
-  // accumulators by the same factor), and (2) when finally re-touched,
-  // carry accumulators equal to the eager per-window recurrence — one
-  // multiplication by decay per completed window, no window skipped or
-  // double-counted by the ring replay.
+TEST(ClicWindowTest, IrregularClosesDecayUntouchedHistoryOncePerWindow) {
+  // With adaptive mode on, ForceEndWindow() closes windows early, so
+  // windows_completed_ advances irregularly relative to seq. A hint set
+  // left untouched through 40 such windows must (1) keep its committed
+  // priority bit-exactly (each close scales both accumulators by the
+  // same factor and carries the priority), and (2) when finally
+  // re-touched, carry accumulators equal to the per-window recurrence —
+  // one multiplication by decay per completed window, no window skipped
+  // or double-counted.
   //
   // Window 1 (length 16) hand-computed like HandComputedEquation2:
   //   seq 0: p1 A miss, seq 1: p2 A miss (area_A += 1)
@@ -251,7 +250,7 @@ TEST(ClicWindowTest, IrregularWindowAdvanceKeepsLazyFoldExact) {
   // Drive 40 irregular windows of pure-B traffic (all hits, so A's
   // pages stay evicted and A is never a candidate). Every forced close
   // is an early close; the stored priority of untouched A must never
-  // move, across both periodic full folds (windows 16 and 32).
+  // move.
   PageId rotate = 3;
   for (int w = 0; w < 40; ++w) {
     for (int i = 0; i < 5; ++i) {
@@ -262,14 +261,13 @@ TEST(ClicWindowTest, IrregularWindowAdvanceKeepsLazyFoldExact) {
     ASSERT_EQ(PriorityMap(clic).at(kA), committed_a)
         << "untouched priority moved after irregular close " << w;
   }
-  ASSERT_GE(clic.windows_completed(), 33u);  // crossed two full folds
+  ASSERT_EQ(clic.windows_completed(), 41u);
   ASSERT_GT(clic.early_closes(), 0u);
 
   // Re-touch A in a length-1 window: one fresh page annotated A for
-  // exactly one seq gives win_r = 0, win_s = 1. The eager recurrence
-  // over the m completed windows is m multiplications by 0.5 on each
-  // accumulator (ring replay + the close's own blend), all exact in
-  // binary floating point.
+  // exactly one seq gives win_r = 0, win_s = 1. The recurrence over
+  // the m completed windows is m multiplications by 0.5 on each
+  // accumulator (one per close), all exact in binary floating point.
   const std::uint64_t m = clic.windows_completed();
   clic.ForceEndWindow();  // length 0: reschedules only, no close
   ASSERT_EQ(clic.windows_completed(), m);
@@ -282,6 +280,31 @@ TEST(ClicWindowTest, IrregularWindowAdvanceKeepsLazyFoldExact) {
   }
   EXPECT_DOUBLE_EQ(PriorityMap(clic).at(kA),
                    expected_r / (1.0 + expected_s));
+}
+
+TEST(ClicWindowTest, ZeroDecayCloseDropsUntouchedHintFromPriorities) {
+  // decay = 0 keeps no history: a hint set untouched in a window loses
+  // both accumulators at its close, so Priorities(), which lists every
+  // hint set with history, drops it.
+  //   window 1: seq 0: p1 A miss, seq 1: p1 A hit (R_A = 1),
+  //             seq 2: p1 B hit (R_A = 2; p1 now annotated B, cur_A = 0)
+  //             close at 3: area_A = 2, priority_A = 2 / (2/3) = 3
+  //   window 2: seq 3: p1 B hit; A annotates no page, so it is untouched
+  ClicOptions options = BareOptions(100);
+  options.decay = 0.0;
+  ClicPolicy clic(8, options);
+  Driver d(&clic);
+  d.Read(1, kA);
+  d.Read(1, kA);
+  d.Read(1, kB);
+  clic.ForceEndWindow();
+  ASSERT_DOUBLE_EQ(PriorityMap(clic).at(kA), 3.0);
+
+  d.Read(1, kB);
+  clic.ForceEndWindow();
+  const auto priorities = PriorityMap(clic);
+  EXPECT_EQ(priorities.count(kA), 0u);
+  EXPECT_DOUBLE_EQ(priorities.at(kB), 1.0);
 }
 
 TEST(ClicWindowTest, ChurnCloseDiscountsStalePrioritiesExactly) {

@@ -2,7 +2,8 @@
 // apply through the ClientPort path with exact wire + admission
 // ledgers, malformed input fails closed with a typed error and a
 // connection close, the connection table sheds at accept time, the
-// slowloris deadline evicts stuck partial frames, graceful drain
+// slowloris deadline evicts stuck partial frames (and a deadline too
+// long for int64 nanoseconds evicts none), graceful drain
 // flushes in-flight frames into the `stopped` bucket, connections
 // driven one after another are bit-identical to per-shard sequential
 // Simulate() at any io-thread and consumer count, pipelined bursts are
@@ -279,6 +280,31 @@ TEST(NetServerTest, HealthyConnectionUnaffectedByDeadline) {
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   ASSERT_EQ(client.Call(&r, 1), kWireApplied) << client.error();
   client.Close();
+  server.Drain();
+  EXPECT_EQ(server.Stats().evicted_read, 0u);
+}
+
+TEST(NetServerTest, DeadlineBeyondInt64NanosecondsNeverEvicts) {
+  // 1e13 ms is 1e19 ns, past INT64_MAX: the deadline is capped like the
+  // batch deadline, so a frame sent in two writes 100 ms apart is
+  // applied, not evicted at the first sweep.
+  NetServerOptions opts = SmallServer();
+  opts.read_timeout_ms = 1e13;
+  NetServer server(opts);
+  const int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  Request r;
+  std::string frame;
+  AppendBatchFrame(&r, 1, 1, &frame);
+  ASSERT_TRUE(WriteAll(fd, frame.substr(0, 10)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // MSG_NOSIGNAL: a server that evicted the connection costs an EPIPE,
+  // not a SIGPIPE that ends the test binary.
+  const std::string rest = frame.substr(10);
+  ASSERT_EQ(::send(fd, rest.data(), rest.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(rest.size()));
+  EXPECT_EQ(ReadReplyCode(fd), kWireApplied);
+  ::close(fd);
   server.Drain();
   EXPECT_EQ(server.Stats().evicted_read, 0u);
 }
